@@ -158,7 +158,6 @@ class Covariance:
     inverse: np.ndarray
     sqrt: np.ndarray
     inv_sqrt: np.ndarray
-    eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -221,7 +220,6 @@ def build_covariance(matrix: np.ndarray) -> Covariance:
         inverse=_frozen(inverse),
         sqrt=_frozen(0.5 * (sqrt_s + sqrt_s.T)),
         inv_sqrt=_frozen(0.5 * (inv_sqrt_s + inv_sqrt_s.T)),
-        eigenvalues=_frozen(w),
     )
 
 

@@ -2,15 +2,14 @@
 
 Sampling is counter-based: chunk i of the stream (seed, substream) uses
 an independent Philox generator keyed by [seed, substream * 2^48 + i],
-so results are bit-identical for any thread count and chunks can be
-generated in any order.  Uniforms are (53-bit integer + 0.5) * 2^-53,
-mapped through the inverse normal CDF; correlated Gaussians are
-L z for the covariance's Cholesky factor L.
+so each chunk depends only on its coordinates.  Uniforms are
+(53-bit integer + 0.5) * 2^-53, mapped through the inverse normal CDF;
+correlated Gaussians are L z for the covariance's Cholesky factor L.
 
-Every estimator reduces per-chunk (sum, sum of squares, hits) in fixed
-chunk order; mean = S1/N and stderr = sqrt((S2/N - mean^2)/N), the
-plug-in (ddof=0) form, which for indicator weights is exactly the
-binomial stderr.
+Every estimator reduces a vector of per-chunk sums (sum, sum of
+squares, hits, ...) in fixed chunk order; mean = S1/N and stderr =
+sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which for
+indicator weights is exactly the binomial stderr.
 
 Verdicts score bound violations in numerator units:
 
@@ -19,16 +18,11 @@ Verdicts score bound violations in numerator units:
 so a *negative* z means the estimate crossed the bound by |z| combined
 standard errors.  Numerator and denominator always come from
 independent substreams.
-
-Set SHIFTBOUNDS_THREADS=k to evaluate chunks on k threads (numpy
-releases the GIL in the heavy kernels); the estimates do not change.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -89,22 +83,16 @@ class McEstimate:
     seed: SeedRecord
 
 
-def thread_count() -> int:
-    """Worker threads for chunk evaluation, from SHIFTBOUNDS_THREADS (>= 1)."""
-    raw = os.environ.get("SHIFTBOUNDS_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    return max(1, n)
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_stream(seed: int, substream: int, count: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < (1 << 64):
+    if not _is_int(seed) or not 0 <= seed < (1 << 64):
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not isinstance(substream, int) or not 0 <= substream < (1 << 15):
+    if not _is_int(substream) or not 0 <= substream < (1 << 15):
         raise DomainError(f"substream must be a small nonnegative integer, got {substream!r}")
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise DomainError(f"sample count must be a positive integer, got {count!r}")
     if (count + CHUNK_SIZE - 1) // CHUNK_SIZE > _MAX_CHUNKS:
         raise DomainError(f"sample count {count} exceeds the stream capacity")
@@ -154,51 +142,34 @@ def _accumulate(
     seed: int,
     substream: int,
     dim: int,
-    chunk_stats: Callable[[np.ndarray], tuple[float, float, int]],
-) -> tuple[float, float, int]:
-    """Reduce chunk_stats(normal_chunk) -> (s1, s2, hits) in chunk order."""
-    _check_stream(seed, substream, count)
-    sizes: list[tuple[int, int]] = []
-    produced = 0
-    index = 0
-    while produced < count:
-        rows = min(CHUNK_SIZE, count - produced)
-        sizes.append((index, rows))
-        produced += rows
-        index += 1
+    chunk_sums: Callable[[np.ndarray], np.ndarray],
+) -> list[float]:
+    """Sum the vectors chunk_sums(normal_chunk) over the stream, in chunk order.
 
-    def one(args: tuple[int, int]) -> tuple[float, float, int]:
-        idx, rows = args
-        return chunk_stats(_normal_chunk(seed, substream, idx, rows, dim))
+    Hit counts travel as floats; they stay exact below 2^53 samples.
+    """
+    total = 0.0
+    for z in standard_normal_chunks(dim, count, seed, substream):
+        total = total + chunk_sums(z)
+    return [float(s) for s in total]
 
-    workers = thread_count()
-    if workers == 1 or len(sizes) == 1:
-        results = [one(args) for args in sizes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, sizes))
 
-    s1 = 0.0
-    s2 = 0.0
-    hits = 0
-    for c1, c2, ch in results:
-        s1 += c1
-        s2 += c2
-        hits += ch
-    return s1, s2, hits
+def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
+    """Plug-in (ddof=0) mean and stderr from a sum and sum of squares over n."""
+    mean = s1 / n
+    return mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n)
 
 
 def _mean_estimate(
-    count: int, seed: int, substream: int, dim: int, chunk_stats
+    count: int, seed: int, substream: int, dim: int, chunk_sums
 ) -> McEstimate:
-    s1, s2, hits = _accumulate(count, seed, substream, dim, chunk_stats)
-    value = s1 / count
-    variance = max(s2 / count - value * value, 0.0)
+    s1, s2, hits = _accumulate(count, seed, substream, dim, chunk_sums)
+    value, stderr = _plug_in(s1, s2, count)
     return McEstimate(
         value=value,
-        stderr=math.sqrt(variance / count),
+        stderr=stderr,
         samples=count,
-        hits=hits,
+        hits=int(hits),
         seed=SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE),
     )
 
@@ -226,11 +197,10 @@ def estimate_shift_prob(
     shift = t * u.entries
     chol_t = np.asarray(cov.chol).T
 
-    def stats(z: np.ndarray) -> tuple[float, float, int]:
-        inside = body.contains_batch(z @ chol_t - shift)
-        hits = int(np.count_nonzero(inside))
+    def stats(z: np.ndarray) -> np.ndarray:
+        hits = float(np.count_nonzero(body.contains_batch(z @ chol_t - shift)))
         # Indicator integrand: sum of squares equals the sum.
-        return float(hits), float(hits), hits
+        return np.array([hits, hits, hits])
 
     return _mean_estimate(count, seed, substream, cov.dim, stats)
 
@@ -249,10 +219,12 @@ def estimate_layered_expectation(
     shift = t * u.entries
     chol_t = np.asarray(cov.chol).T
 
-    def stats(z: np.ndarray) -> tuple[float, float, int]:
+    def stats(z: np.ndarray) -> np.ndarray:
         values = weight.evaluate_batch(z @ chol_t - shift)
-        hits = int(np.count_nonzero(values > 0.0))
-        return float(values.sum()), float(values @ values), hits
+        return np.array(
+            [values.sum(), values @ values, np.count_nonzero(values > 0.0)],
+            dtype=float,
+        )
 
     return _mean_estimate(count, seed, substream, cov.dim, stats)
 
@@ -275,10 +247,9 @@ def estimate_power(
     shift = theta * u.entries
     chol_t = np.asarray(cov.chol).T
 
-    def stats(z: np.ndarray) -> tuple[float, float, int]:
-        rejected = ~body.contains_batch(z @ chol_t + shift)
-        hits = int(np.count_nonzero(rejected))
-        return float(hits), float(hits), hits
+    def stats(z: np.ndarray) -> np.ndarray:
+        hits = float(np.count_nonzero(~body.contains_batch(z @ chol_t + shift)))
+        return np.array([hits, hits, hits])
 
     return _mean_estimate(count, seed, substream, cov.dim, stats)
 
@@ -302,22 +273,22 @@ def estimate_conditional_center(
         raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
     shift = t * u.entries
 
-    def stats(z: np.ndarray) -> tuple[float, float, int]:
+    def stats(z: np.ndarray) -> np.ndarray:
         mask = body.contains_batch(z - shift)
         coords = (z @ u.entries)[mask]
-        return float(coords.sum()), float(coords @ coords), int(mask.sum())
+        return np.array([coords.sum(), coords @ coords, mask.sum()], dtype=float)
 
     s1, s2, hits = _accumulate(count, seed, substream, u.dim, stats)
+    hits = int(hits)
     if hits < MIN_CONDITIONAL_HITS:
         raise InsufficientHitsError(
             f"conditional estimate starved: {hits} hits < {MIN_CONDITIONAL_HITS} "
             f"(body mass too small at t={t}; raise the sample count)"
         )
-    value = s1 / hits
-    variance = max(s2 / hits - value * value, 0.0)
+    value, stderr = _plug_in(s1, s2, hits)
     return McEstimate(
         value=value,
-        stderr=math.sqrt(variance / hits),
+        stderr=stderr,
         samples=count,
         hits=hits,
         seed=SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE),
@@ -491,25 +462,12 @@ def verify_derivative_identity(
             ]
         )
 
-    _check_stream(seed, substream, count)
-    sums = np.zeros(7)
-    produced = 0
-    index = 0
-    while produced < count:
-        rows = min(CHUNK_SIZE, count - produced)
-        sums += stats(_normal_chunk(seed, substream, index, rows, w.dim))
-        produced += rows
-        index += 1
-    fd_s1, fd_s2, dir_s1, dir_s2, diff_s1, diff_s2, mid_s1 = map(float, sums)
-
-    def mean_stderr(s1: float, s2: float) -> tuple[float, float]:
-        mean = s1 / count
-        var = max(s2 / count - mean * mean, 0.0)
-        return mean, math.sqrt(var / count)
-
-    fd_mean, fd_se = mean_stderr(fd_s1, fd_s2)
-    dir_mean, dir_se = mean_stderr(dir_s1, dir_s2)
-    diff_mean, diff_se = mean_stderr(diff_s1, diff_s2)
+    fd_s1, fd_s2, dir_s1, dir_s2, diff_s1, diff_s2, mid_s1 = _accumulate(
+        count, seed, substream, w.dim, stats
+    )
+    fd_mean, fd_se = _plug_in(fd_s1, fd_s2, count)
+    dir_mean, dir_se = _plug_in(dir_s1, dir_s2, count)
+    diff_mean, diff_se = _plug_in(diff_s1, diff_s2, count)
     expectation = mid_s1 / count
     tolerance = 4.0 * diff_se + allowance
     floor_value = -t * float(ue @ ue) * expectation

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from shiftbounds import mc
 from shiftbounds import (
     Direction,
     DomainError,
@@ -34,12 +35,30 @@ from shiftbounds.mc import (
     SUBSTREAM_DENOM,
     SUBSTREAM_MAIN,
     standard_normal_chunks,
-    thread_count,
 )
 
 COV2 = identity_covariance(2)
 E1 = Direction.axis(2)
 UNIT_SLAB = Slab(normal=E1, halfwidth=1.0)
+
+STREAM_CALLS = {
+    "shift_prob": lambda **kw: estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, **kw),
+    "layered": lambda **kw: estimate_layered_expectation(
+        COV2, as_layered(UNIT_SLAB), E1, 0.5, **kw
+    ),
+    "power": lambda **kw: estimate_power(COV2, UNIT_SLAB, E1, 0.5, **kw),
+    "conditional": lambda **kw: estimate_conditional_center(UNIT_SLAB, E1, 0.5, **kw),
+    "derivative": lambda **kw: verify_derivative_identity(UNIT_SLAB, E1, 0.5, **kw),
+}
+
+# Three chunks, the last one partial.
+GOLDEN_COUNT = 2 * CHUNK_SIZE + 123
+TWO_LAYER = build_layered(
+    [
+        Layer(1.0, LpBall(dim=2, p=2.0, radius=2.0)),
+        Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
+    ]
+)
 
 
 class TestStreams:
@@ -84,15 +103,27 @@ class TestStreams:
         with pytest.raises(DomainError):
             next(standard_normal_chunks(2, 10, seed=1, substream=1 << 20))
 
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("SHIFTBOUNDS_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("SHIFTBOUNDS_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("SHIFTBOUNDS_THREADS", "junk")
-        assert thread_count() == 1
-        monkeypatch.setenv("SHIFTBOUNDS_THREADS", "-2")
-        assert thread_count() == 1
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"count": 0},
+            {"count": True},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"substream": 1 << 15},
+            {"substream": True},
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("estimator", sorted(STREAM_CALLS))
+    def test_estimators_validate_stream_before_sampling(self, monkeypatch, estimator, bad):
+        def no_sampling(*args):
+            raise AssertionError("a chunk was drawn before the stream was validated")
+
+        monkeypatch.setattr(mc, "_normal_chunk", no_sampling)
+        stream = {"count": 1000, "seed": 1, "substream": SUBSTREAM_MAIN, **bad}
+        with pytest.raises(DomainError):
+            STREAM_CALLS[estimator](**stream)
 
 
 class TestDeterminism:
@@ -101,12 +132,79 @@ class TestDeterminism:
         b = estimate_shift_prob(COV2, UNIT_SLAB, E1, 1.0, 150000, seed=17)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("SHIFTBOUNDS_THREADS", raising=False)
-        serial = estimate_shift_prob(COV2, UNIT_SLAB, E1, 1.0, 300000, seed=19)
-        monkeypatch.setenv("SHIFTBOUNDS_THREADS", "3")
-        threaded = estimate_shift_prob(COV2, UNIT_SLAB, E1, 1.0, 300000, seed=19)
-        assert serial == threaded
+    def test_golden_estimates(self):
+        # Exact bits of each estimator on a dense covariance: any change to
+        # the stream, the chunk order of the sums or the stderr formula
+        # shows here.
+        cov = build_covariance(
+            np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.8]])
+        )
+        u = Direction.from_vector(np.array([1.0, -1.0, 2.0]))
+        ball = LpBall(dim=3, p=2.0, radius=2.0)
+        weight = build_layered(
+            [
+                Layer(1.0, LpBall(dim=3, p=2.0, radius=2.5)),
+                Layer(0.5, LpBall(dim=3, p=1.0, radius=1.5)),
+            ]
+        )
+        n = GOLDEN_COUNT
+        cases = [
+            (
+                estimate_shift_prob(cov, ball, u, 0.8, n, seed=3),
+                "0x1.25c26dca9fd2ap-1", "0x1.65e9327185c1bp-10", 75273,
+            ),
+            (
+                estimate_layered_expectation(cov, weight, u, 0.8, n, seed=3),
+                "0x1.aac37a0a2e8ddp-1", "0x1.5c50e7813cf9cp-10", 101232,
+            ),
+            (
+                estimate_power(cov, ball, u, 1.2, n, seed=3, substream=1),
+                "0x1.0ff7aa00a8d77p-1", "0x1.692a11b5e6848p-10", 69689,
+            ),
+            (
+                estimate_conditional_center(ball, u, 0.8, n, seed=3),
+                "0x1.5328e536401afp-2", "0x1.4b7cbf8eded3fp-9", 85179,
+            ),
+        ]
+        for est, value, stderr, hits in cases:
+            assert (est.value.hex(), est.stderr.hex(), est.hits) == (value, stderr, hits)
+            assert type(est.hits) is int and est.samples == n
+
+    def test_golden_derivative_check(self):
+        u = Direction.from_vector(np.array([1.0, 2.0]))
+        check = verify_derivative_identity(TWO_LAYER, u, 0.7, GOLDEN_COUNT, seed=5)
+        got = {
+            name: getattr(check, name).hex()
+            for name in (
+                "t", "step", "fd_estimate", "fd_stderr", "direct_estimate",
+                "direct_stderr", "expectation", "difference", "sigma_diff",
+                "tolerance", "floor_value",
+            )
+        }
+        assert got == {
+            "t": "0x1.6666666666666p-1",
+            "step": "0x1.47ae147ae147bp-7",
+            "fd_estimate": "-0x1.20fc93529ba7ap-2",
+            "fd_stderr": "0x1.6b0917110a827p-7",
+            "direct_estimate": "-0x1.1b1cd862d777dp-2",
+            "direct_stderr": "0x1.28a07408e2766p-9",
+            "expectation": "0x1.eb6273d92b541p-1",
+            "difference": "-0x1.77eebbf10bf0cp-8",
+            "sigma_diff": "0x1.78f9bbd688a6fp-7",
+            "tolerance": "0x1.812ae2c0017bfp-5",
+            "floor_value": "-0x1.57f81de4d1879p-1",
+        }
+        assert check.identity_ok and check.floor_ok
+
+    def test_derivative_check_shares_the_layered_stream(self):
+        # The derivative check's mid-shift mean is the layered estimator
+        # under the identity covariance, on the same stream.
+        u = Direction.from_vector(np.array([1.0, 2.0]))
+        check = verify_derivative_identity(TWO_LAYER, u, 0.7, GOLDEN_COUNT, seed=5)
+        est = estimate_layered_expectation(
+            identity_covariance(2), TWO_LAYER, u, 0.7, GOLDEN_COUNT, seed=5
+        )
+        assert check.expectation == est.value
 
     def test_seed_record(self):
         est = estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, 1000, seed=21)
@@ -136,19 +234,13 @@ class TestEstimators:
         assert layered == direct
 
     def test_weight_scaling_is_exact(self):
-        base = build_layered(
-            [
-                Layer(1.0, LpBall(dim=2, p=2.0, radius=2.0)),
-                Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
-            ]
-        )
         doubled = build_layered(
             [
                 Layer(2.0, LpBall(dim=2, p=2.0, radius=2.0)),
                 Layer(1.0, LpBall(dim=2, p=2.0, radius=1.0)),
             ]
         )
-        a = estimate_layered_expectation(COV2, base, E1, 0.5, 150000, seed=31)
+        a = estimate_layered_expectation(COV2, TWO_LAYER, E1, 0.5, 150000, seed=31)
         b = estimate_layered_expectation(COV2, doubled, E1, 0.5, 150000, seed=31)
         assert b.value == 2.0 * a.value
         assert b.stderr == 2.0 * a.stderr
@@ -202,13 +294,7 @@ class TestVerifySandwich:
         assert abs(verdict.upper_z) <= 4.0
 
     def test_layered_target(self):
-        weight = build_layered(
-            [
-                Layer(1.0, LpBall(dim=2, p=2.0, radius=2.0)),
-                Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
-            ]
-        )
-        verdict = verify_sandwich(COV2, weight, E1, 0.8, 200000, seed=59)
+        verdict = verify_sandwich(COV2, TWO_LAYER, E1, 0.8, 200000, seed=59)
         assert verdict.passed
 
     def test_fault_injection_is_detected(self):
@@ -238,13 +324,7 @@ class TestVerifyDerivative:
         assert check.fd_estimate >= check.floor_value - 4.0 * check.fd_stderr
 
     def test_two_layer_weight(self):
-        weight = build_layered(
-            [
-                Layer(1.0, LpBall(dim=2, p=2.0, radius=2.0)),
-                Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
-            ]
-        )
-        check = verify_derivative_identity(weight, E1, 1.0, 300000, seed=73)
+        check = verify_derivative_identity(TWO_LAYER, E1, 1.0, 300000, seed=73)
         assert check.passed
 
     def test_step_domain(self):
