@@ -22,7 +22,13 @@ from . import __version__
 from .bounds import BoundReport, power_envelope, ratio_bounds_layered, ratio_bounds_set
 from .config import RunConfig, encode_report, jsonable, parse_run_config
 from .errors import ConfigError, ShiftBoundsError
-from .mc import SUBSTREAM_MAIN, estimate_power, verify_power_envelope
+from .mc import (
+    SUBSTREAM_DENOM,
+    SUBSTREAM_MAIN,
+    estimate_power,
+    estimate_power_grid,
+    score_power_envelope,
+)
 from .suites import SUITES
 
 
@@ -78,12 +84,21 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
         raise ConfigError("theta_grid: required for the power command")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
+    # One MAIN pass serves the estimated size and every beta (common random
+    # numbers); one DENOM pass gives the verdicts' independent size.
+    checked = [theta for theta in cfg.theta_grid if theta > 0.0] if cfg.mc else []
+    sampled = ([0.0] if cfg.alpha is None else []) + checked
+    estimates = iter(
+        estimate_power_grid(
+            cfg.cov, cfg.body, cfg.u, sampled, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_MAIN
+        )
+        if sampled
+        else ()
+    )
     records = []
     alpha = cfg.alpha
     if alpha is None:
-        size = estimate_power(
-            cfg.cov, cfg.body, cfg.u, 0.0, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_MAIN
-        )
+        size = next(estimates)
         alpha = size.value
         if not 0.0 < alpha < 1.0:
             raise ConfigError(
@@ -91,6 +106,10 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
                 "the body has all or none of the mass"
             )
         records.append(_mc_record(size, "alpha_estimate"))
+    if checked:
+        alpha_hat = estimate_power(
+            cfg.cov, cfg.body, cfg.u, 0.0, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_DENOM
+        )
     for theta in cfg.theta_grid:
         report = power_envelope(cfg.cov, cfg.body, cfg.u, theta, alpha)
         records.append(
@@ -105,14 +124,11 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
             }
         )
         if cfg.mc is not None and theta > 0.0:
-            verdict = verify_power_envelope(
-                cfg.cov,
-                cfg.body,
-                cfg.u,
-                theta,
-                cfg.mc.samples,
-                cfg.mc.seed,
-                z_threshold=cfg.mc.z_threshold,
+            verdict = score_power_envelope(
+                ratio_bounds_set(cfg.cov, cfg.body, cfg.u, theta),
+                alpha_hat,
+                next(estimates),
+                cfg.mc.z_threshold,
             )
             record = _mc_record(verdict.beta_estimate, "power_estimate")
             record.update(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -160,18 +160,33 @@ def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
     return mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n)
 
 
+def _mean_estimates(
+    count: int, seed: int, substream: int, dim: int, chunk_sums
+) -> list[McEstimate]:
+    """One estimate per (sum, sum of squares, hits) triple of the reduced sums."""
+    sums = _accumulate(count, seed, substream, dim, chunk_sums)
+    record = SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE)
+    estimates = []
+    for s1, s2, hits in zip(sums[0::3], sums[1::3], sums[2::3]):
+        value, stderr = _plug_in(s1, s2, count)
+        estimates.append(
+            McEstimate(
+                value=value, stderr=stderr, samples=count, hits=int(hits), seed=record
+            )
+        )
+    return estimates
+
+
 def _mean_estimate(
     count: int, seed: int, substream: int, dim: int, chunk_sums
 ) -> McEstimate:
-    s1, s2, hits = _accumulate(count, seed, substream, dim, chunk_sums)
-    value, stderr = _plug_in(s1, s2, count)
-    return McEstimate(
-        value=value,
-        stderr=stderr,
-        samples=count,
-        hits=int(hits),
-        seed=SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE),
-    )
+    (estimate,) = _mean_estimates(count, seed, substream, dim, chunk_sums)
+    return estimate
+
+
+def _check_shift(t: float) -> None:
+    if not math.isfinite(t) or t < 0.0:
+        raise DomainError(f"shift magnitude t must be finite and >= 0, got {t!r}")
 
 
 def _check_geometry(cov: Covariance, dim: int, u: Direction, t: float) -> None:
@@ -179,8 +194,7 @@ def _check_geometry(cov: Covariance, dim: int, u: Direction, t: float) -> None:
         raise ShapeError(
             f"dimension mismatch: cov {cov.dim}, body {dim}, u {u.dim}"
         )
-    if math.isnan(t) or t < 0.0:
-        raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
+    _check_shift(t)
 
 
 def estimate_shift_prob(
@@ -243,15 +257,45 @@ def estimate_power(
     This is the power of the accept-inside-A test at mean shift
     theta u; theta = 0 gives the size of the test.
     """
-    _check_geometry(cov, body.dim, u, theta)
-    shift = theta * u.entries
+    (estimate,) = estimate_power_grid(cov, body, u, (theta,), count, seed, substream)
+    return estimate
+
+
+def estimate_power_grid(
+    cov: Covariance,
+    body: ConvexBody,
+    u: Direction,
+    thetas: Sequence[float],
+    count: int,
+    seed: int,
+    substream: int = SUBSTREAM_MAIN,
+) -> list[McEstimate]:
+    """Estimate the power at every theta of a grid from one pass over the stream.
+
+    Each chunk is transformed once and tested at every shift, so the
+    whole grid shares common random numbers.  Entry k does not depend on
+    the rest of the grid: it has the bits of a grid holding thetas[k]
+    alone.  The grid may be in any order and may repeat values.
+    """
+    if not thetas:
+        raise DomainError("power grid needs at least one theta")
+    for theta in thetas:
+        _check_geometry(cov, body.dim, u, theta)
+    shifts = [theta * u.entries for theta in thetas]
     chol_t = np.asarray(cov.chol).T
 
     def stats(z: np.ndarray) -> np.ndarray:
-        hits = float(np.count_nonzero(~body.contains_batch(z @ chol_t + shift)))
-        return np.array([hits, hits, hits])
+        x = z @ chol_t
+        sums = np.empty(3 * len(shifts))
+        for k, shift in enumerate(shifts):
+            # z is not read again, so its buffer holds each shifted copy:
+            # the pass keeps no more chunk-sized arrays alive than one theta.
+            np.add(x, shift, out=z)
+            # Indicator integrand: sum of squares equals the sum.
+            sums[3 * k : 3 * k + 3] = np.count_nonzero(~body.contains_batch(z))
+        return sums
 
-    return _mean_estimate(count, seed, substream, cov.dim, stats)
+    return _mean_estimates(count, seed, substream, cov.dim, stats)
 
 
 def estimate_conditional_center(
@@ -269,8 +313,7 @@ def estimate_conditional_center(
     """
     if body.dim != u.dim:
         raise ShapeError(f"dimension mismatch: body {body.dim}, u {u.dim}")
-    if math.isnan(t) or t < 0.0:
-        raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
+    _check_shift(t)
     shift = t * u.entries
 
     def stats(z: np.ndarray) -> np.ndarray:
@@ -434,8 +477,8 @@ def verify_derivative_identity(
     w = as_layered(weight)
     if w.dim != u.dim:
         raise ShapeError(f"dimension mismatch: weight {w.dim}, u {u.dim}")
-    if math.isnan(t) or t <= 0.0:
-        raise DomainError(f"derivative check needs t > 0, got {t!r}")
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"derivative check needs a finite t > 0, got {t!r}")
     if not 0.0 < step < t:
         raise DomainError(f"step must lie in (0, t), got {step!r}")
     ue = u.entries
@@ -516,16 +559,27 @@ def verify_power_envelope(
     seed: int,
     z_threshold: float = 4.0,
 ) -> PowerVerdict:
-    """Estimate size and power on independent substreams and test the envelope.
-
-    The envelope is evaluated at the *estimated* size alpha-hat, so both
-    inequalities carry combined stderr from the two estimates.
-    """
-    if math.isnan(theta) or theta <= 0.0:
-        raise DomainError(f"power check needs theta > 0, got {theta!r}")
+    """Estimate size and power on independent substreams and test the envelope."""
+    if not math.isfinite(theta) or theta <= 0.0:
+        raise DomainError(f"power check needs a finite theta > 0, got {theta!r}")
     report = ratio_bounds_set(cov, body, u, theta)
     beta = estimate_power(cov, body, u, theta, count, seed, SUBSTREAM_MAIN)
     alpha = estimate_power(cov, body, u, 0.0, count, seed, SUBSTREAM_DENOM)
+    return score_power_envelope(report, alpha, beta, z_threshold)
+
+
+def score_power_envelope(
+    report: BoundReport,
+    alpha: McEstimate,
+    beta: McEstimate,
+    z_threshold: float,
+) -> PowerVerdict:
+    """Test a power estimate against the envelope at the estimated size.
+
+    `report` is the ratio bound at the power's shift; the envelope is
+    evaluated at alpha-hat, so both inequalities carry combined stderr
+    from the two estimates.
+    """
     beta_lower = 1.0 - report.upper * (1.0 - alpha.value)
     beta_upper = 1.0 - report.lower * (1.0 - alpha.value)
     lower_slack = beta.value - beta_lower
@@ -535,7 +589,7 @@ def verify_power_envelope(
     lower_z = _slack_z(lower_slack, lower_sigma)
     upper_z = _slack_z(upper_slack, upper_sigma)
     return PowerVerdict(
-        theta=float(theta),
+        theta=report.t,
         alpha_estimate=alpha,
         beta_estimate=beta,
         beta_lower=beta_lower,

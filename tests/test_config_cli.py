@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ def minimal(**extra) -> dict:
 
 SLAB_E1 = {"kind": "slab", "normal": [1.0, 0.0], "halfwidth": 1.0}
 SLAB_E2 = {"kind": "slab", "normal": [0.0, 1.0], "halfwidth": 1.0}
+
+# Full `power` reports on a dense covariance, captured before the theta
+# grid shared one sampling pass: one config estimates the size, the
+# other gives alpha; both check an unsorted grid with 0.0 in it.
+PINNED_POWER = json.loads(
+    (Path(__file__).parent / "data" / "cli_power_records.json").read_text()
+)
 
 
 class TestParseRunConfig:
@@ -295,6 +303,29 @@ class TestCliPower:
         verdict = next(r for r in report["records"] if r.get("kind") == "power_estimate")
         assert verdict["passed"] is True
         assert verdict["beta_lower"] <= verdict["value"] + 4.0 * verdict["stderr"]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_POWER))
+    def test_records_are_pinned(self, tmp_path, name):
+        # Shortest-repr floats round-trip, so list equality is bit-exact.
+        code, report, _ = run_cli(tmp_path, "power", PINNED_POWER[name]["config"])
+        assert code == 0
+        assert report["records"] == PINNED_POWER[name]["records"]
+
+    def test_infinite_theta_is_rejected_by_the_mc_check(self, tmp_path, capsys):
+        # JSON 1e400 parses to inf; the analytic envelope has a limit there,
+        # a Monte Carlo shift does not.
+        base = '"dim": 2, "u": [1.0, 0.0], "body": %s, "theta_grid": [1.0, 1e400]' % (
+            json.dumps(SLAB_E2)
+        )
+        analytic = tmp_path / "analytic.json"
+        analytic.write_text('{%s, "alpha": 0.05}' % base)
+        out = tmp_path / "analytic_report.json"
+        assert main(["power", "--config", str(analytic), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["records"][1]["theta"] == "inf"
+        sampled = tmp_path / "sampled.json"
+        sampled.write_text('{%s, "mc": {"samples": 1000, "seed": 3}}' % base)
+        assert main(["power", "--config", str(sampled), "--out", str(tmp_path / "x")]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestCliSupport:

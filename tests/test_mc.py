@@ -22,6 +22,7 @@ from shiftbounds import (
     estimate_conditional_center,
     estimate_layered_expectation,
     estimate_power,
+    estimate_power_grid,
     estimate_shift_prob,
     identity_covariance,
     oracle_slab,
@@ -41,14 +42,19 @@ COV2 = identity_covariance(2)
 E1 = Direction.axis(2)
 UNIT_SLAB = Slab(normal=E1, halfwidth=1.0)
 
+# Each call takes the shift as `t`; the grid estimator puts it between
+# two valid thetas, so a bad entry anywhere in a grid must be caught.
 STREAM_CALLS = {
-    "shift_prob": lambda **kw: estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, **kw),
-    "layered": lambda **kw: estimate_layered_expectation(
-        COV2, as_layered(UNIT_SLAB), E1, 0.5, **kw
+    "shift_prob": lambda t=0.5, **kw: estimate_shift_prob(COV2, UNIT_SLAB, E1, t, **kw),
+    "layered": lambda t=0.5, **kw: estimate_layered_expectation(
+        COV2, as_layered(UNIT_SLAB), E1, t, **kw
     ),
-    "power": lambda **kw: estimate_power(COV2, UNIT_SLAB, E1, 0.5, **kw),
-    "conditional": lambda **kw: estimate_conditional_center(UNIT_SLAB, E1, 0.5, **kw),
-    "derivative": lambda **kw: verify_derivative_identity(UNIT_SLAB, E1, 0.5, **kw),
+    "power": lambda t=0.5, **kw: estimate_power(COV2, UNIT_SLAB, E1, t, **kw),
+    "power_grid": lambda t=0.5, **kw: estimate_power_grid(
+        COV2, UNIT_SLAB, E1, [0.0, t, 1.0], **kw
+    ),
+    "conditional": lambda t=0.5, **kw: estimate_conditional_center(UNIT_SLAB, E1, t, **kw),
+    "derivative": lambda t=0.5, **kw: verify_derivative_identity(UNIT_SLAB, E1, t, **kw),
 }
 
 # Three chunks, the last one partial.
@@ -112,6 +118,8 @@ class TestStreams:
             {"seed": 2**64},
             {"substream": 1 << 15},
             {"substream": True},
+            {"t": math.inf},
+            {"t": math.nan},
         ],
         ids=repr,
     )
@@ -169,6 +177,29 @@ class TestDeterminism:
         for est, value, stderr, hits in cases:
             assert (est.value.hex(), est.stderr.hex(), est.hits) == (value, stderr, hits)
             assert type(est.hits) is int and est.samples == n
+
+    def test_power_grid_matches_single_theta_calls(self):
+        # One pass over the stream must give each theta the bits of its own
+        # pass: unsorted, with the size at 0.0 and one theta repeated.
+        cov = build_covariance(
+            np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.8]])
+        )
+        u = Direction.from_vector(np.array([1.0, -1.0, 2.0]))
+        ball = LpBall(dim=3, p=2.0, radius=2.0)
+        thetas = [1.2, 0.0, 0.4, 2.5, 1.2]
+        grid = estimate_power_grid(cov, ball, u, thetas, GOLDEN_COUNT, seed=3, substream=1)
+        assert len(grid) == len(thetas)
+        for theta, est in zip(thetas, grid):
+            single = estimate_power(cov, ball, u, theta, GOLDEN_COUNT, seed=3, substream=1)
+            assert (est.value.hex(), est.stderr.hex(), est.hits) == (
+                single.value.hex(), single.stderr.hex(), single.hits
+            )
+            assert est == single
+        assert grid[0] == grid[4]
+
+    def test_power_grid_needs_a_theta(self):
+        with pytest.raises(DomainError):
+            estimate_power_grid(COV2, UNIT_SLAB, E1, [], 1000, seed=1)
 
     def test_golden_derivative_check(self):
         u = Direction.from_vector(np.array([1.0, 2.0]))
@@ -334,6 +365,8 @@ class TestVerifyDerivative:
             verify_derivative_identity(UNIT_SLAB, E1, 0.5, 1000, seed=1, step=0.0)
         with pytest.raises(DomainError):
             verify_derivative_identity(UNIT_SLAB, E1, 0.0, 1000, seed=1)
+        with pytest.raises(DomainError):
+            verify_derivative_identity(UNIT_SLAB, E1, math.inf, 1000, seed=1)
 
 
 class TestVerifyPower:
@@ -346,5 +379,14 @@ class TestVerifyPower:
         assert verdict.beta_estimate.value <= verdict.beta_upper + 4.0 * verdict.beta_estimate.stderr
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            verify_power_envelope(COV2, UNIT_SLAB, E1, 0.0, 1000, seed=1)
+        for theta in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                verify_power_envelope(COV2, UNIT_SLAB, E1, theta, 1000, seed=1)
+
+    def test_far_orthogonal_shift_keeps_the_size(self):
+        # A shift orthogonal to the slab's normal leaves every point's
+        # membership alone, however far.  theta = inf used to read 1.0
+        # here (inf * 0 gave NaN coordinates); it is now a DomainError.
+        slab = Slab(normal=Direction.from_vector(np.array([0.0, 1.0])), halfwidth=1.0)
+        far = estimate_power(COV2, slab, E1, 1e300, 20000, seed=3)
+        assert far == estimate_power(COV2, slab, E1, 0.0, 20000, seed=3)
