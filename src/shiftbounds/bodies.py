@@ -491,20 +491,21 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
             normal = _vector(data, "normal", path)
             return Slab(
                 normal=Direction.from_vector(normal),
-                halfwidth=_number(data, "halfwidth", path),
+                halfwidth=json_number(data.get("halfwidth"), f"{path}.halfwidth"),
             )
         if kind == "lp_ball":
             raw_p = data.get("p")
             if raw_p == "inf":
                 p = math.inf
             elif isinstance(raw_p, (int, float)) and not isinstance(raw_p, bool):
-                p = float(raw_p)
+                p = json_number(raw_p, f"{path}.p")
             else:
                 raise ConfigError(f"{path}.p: expected a number or \"inf\", got {raw_p!r}")
             dim = data.get("dim")
             if not isinstance(dim, int) or isinstance(dim, bool):
                 raise ConfigError(f"{path}.dim: expected an integer, got {dim!r}")
-            return LpBall(dim=dim, p=p, radius=_number(data, "radius", path))
+            radius = json_number(data.get("radius"), f"{path}.radius")
+            return LpBall(dim=dim, p=p, radius=radius)
         if kind == "ellipsoid":
             return Ellipsoid(quadratic=build_covariance(_matrix(data, "matrix", path)))
         if kind == "h_polytope":
@@ -533,11 +534,14 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
     raise ConfigError(f"{path}.kind: unknown body kind {kind!r}")
 
 
-def _number(data: dict, key: str, path: str) -> float:
-    raw = data.get(key)
+def json_number(raw: object, path: str) -> float:
+    """A JSON number as a float; ConfigError naming `path` otherwise."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {raw!r}")
-    return float(raw)
+        raise ConfigError(f"{path}: expected a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float") from None
 
 
 def _vector(data: dict, key: str, path: str) -> np.ndarray:
@@ -546,7 +550,7 @@ def _vector(data: dict, key: str, path: str) -> np.ndarray:
         raise ConfigError(f"{path}.{key}: expected a nonempty list of numbers")
     try:
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key}: not numeric: {exc}") from exc
 
 
@@ -556,5 +560,5 @@ def _matrix(data: dict, key: str, path: str) -> np.ndarray:
         raise ConfigError(f"{path}.{key}: expected a list of rows")
     try:
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key}: not a numeric matrix: {exc}") from exc

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -201,43 +202,53 @@ def shift_exponent(
     return sv.value / m, sv.exact
 
 
+def ratio_bounds_grid(
+    cov: Covariance,
+    target: ConvexBody | LayeredUnimodal,
+    u: Direction,
+    ts: Sequence[float],
+) -> list[BoundReport]:
+    """The sandwich at every shift magnitude of a grid, one report per t.
+
+    `target` is a body (its indicator weight) or a layered unimodal
+    weight (exponent from its support).  Neither the exponent nor the
+    Mahalanobis norm depends on t, so the support is evaluated once for
+    the whole grid.  The grid may be in any order and may repeat values.
+    """
+    if not ts:
+        raise DomainError("bound grid needs at least one t")
+    for t in ts:
+        if math.isnan(t) or t < 0.0:
+            raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
+    a, exact = shift_exponent(cov, as_layered(target).support_body, u)
+    m = mahalanobis_norm(cov, u)
+    reports = []
+    for t in ts:
+        t_eff = t * m
+        lower = math.exp(-0.5 * t_eff * t_eff)
+        upper = shift_ratio(t_eff, a)
+        if upper < lower - CHAIN_SLACK or upper > 1.0 + CHAIN_SLACK:
+            raise NumericError(
+                f"bound chain violated: lower {lower!r}, upper {upper!r} (t={t}, a={a})"
+            )
+        reports.append(BoundReport(float(t), m, a, exact, lower, upper))
+    return reports
+
+
 def ratio_bounds_set(
     cov: Covariance, body: ConvexBody, u: Direction, t: float
 ) -> BoundReport:
     """The sandwich for the indicator weight of a symmetric convex body."""
-    a, exact = shift_exponent(cov, body, u)
-    return _assemble_report(cov, u, t, a, exact)
+    (report,) = ratio_bounds_grid(cov, body, u, (t,))
+    return report
 
 
 def ratio_bounds_layered(
     cov: Covariance, weight: LayeredUnimodal, u: Direction, t: float
 ) -> BoundReport:
     """The sandwich for a layered unimodal weight (exponent from its support)."""
-    a, exact = shift_exponent(cov, weight.support_body, u)
-    return _assemble_report(cov, u, t, a, exact)
-
-
-def _assemble_report(
-    cov: Covariance, u: Direction, t: float, a: float, exact: bool
-) -> BoundReport:
-    if math.isnan(t) or t < 0.0:
-        raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
-    m = mahalanobis_norm(cov, u)
-    t_eff = t * m
-    lower = math.exp(-0.5 * t_eff * t_eff)
-    upper = shift_ratio(t_eff, a)
-    if upper < lower - CHAIN_SLACK or upper > 1.0 + CHAIN_SLACK:
-        raise NumericError(
-            f"bound chain violated: lower {lower!r}, upper {upper!r} (t={t}, a={a})"
-        )
-    return BoundReport(
-        t=float(t),
-        mahalanobis=m,
-        exponent_a=a,
-        exponent_exact=exact,
-        lower=lower,
-        upper=upper,
-    )
+    (report,) = ratio_bounds_grid(cov, weight, u, (t,))
+    return report
 
 
 def derivative_floor(cov: Covariance, u: Direction, t: float, current: float) -> float:
@@ -269,18 +280,12 @@ def conditional_coordinate_ceiling(t: float) -> float:
     return t
 
 
-def power_envelope(
-    cov: Covariance,
-    body: ConvexBody,
-    u: Direction,
-    theta: float,
-    alpha: float,
-) -> PowerReport:
+def power_envelope(report: BoundReport, alpha: float) -> PowerReport:
     """Two-sided envelope for the power of the acceptance-region test.
 
-    The test accepts when the observation lies in `body`; alpha is its
-    size (the probability of rejecting at shift 0).  At shift theta * u
-    the power beta satisfies
+    The test accepts when the observation lies in the body of `report`;
+    alpha is its size (the probability of rejecting at shift 0).  At the
+    report's shift theta u the power beta satisfies
 
         1 - shift_ratio(theta m, a) (1 - alpha)
             <= beta <=
@@ -288,26 +293,30 @@ def power_envelope(
 
     and beta >= alpha (the test is unbiased along the shift family).
     """
-    if math.isnan(theta) or theta < 0.0:
-        raise DomainError(f"shift magnitude theta must be >= 0, got {theta!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    report = ratio_bounds_set(cov, body, u, theta)
-    beta_lower = 1.0 - report.upper * (1.0 - alpha)
-    beta_upper = 1.0 - report.lower * (1.0 - alpha)
+    beta_lower, beta_upper = power_bounds(report, alpha)
     if beta_lower < alpha - CHAIN_SLACK or beta_upper < beta_lower - CHAIN_SLACK:
         raise NumericError(
             f"power envelope chain violated: alpha {alpha!r}, "
             f"beta_lower {beta_lower!r}, beta_upper {beta_upper!r}"
         )
     return PowerReport(
-        theta=float(theta),
+        theta=report.t,
         alpha=float(alpha),
         beta_lower=beta_lower,
         beta_upper=beta_upper,
         exponent_a=report.exponent_a,
         exponent_exact=report.exponent_exact,
     )
+
+
+def power_bounds(report: BoundReport, alpha: float) -> tuple[float, float]:
+    """(beta_lower, beta_upper) = 1 - (upper, lower) (1 - alpha), unchecked.
+
+    Unlike :func:`power_envelope`, it takes an estimated size of exactly 0 or 1.
+    """
+    return 1.0 - report.upper * (1.0 - alpha), 1.0 - report.lower * (1.0 - alpha)
 
 
 def extremal_slab(cov: Covariance, u: Direction, halfwidth: float) -> ConvexBody:

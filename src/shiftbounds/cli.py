@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import BoundReport, power_envelope, ratio_bounds_layered, ratio_bounds_set
+from .bounds import BoundReport, power_envelope, ratio_bounds_grid
 from .config import RunConfig, encode_report, jsonable, parse_run_config
 from .errors import ConfigError, ShiftBoundsError
 from .mc import (
@@ -65,14 +65,9 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
         raise ConfigError("t_grid: required for the bounds command")
     if cfg.body is None and cfg.layers is None:
         raise ConfigError("body: bounds needs a body or layers")
-    records = []
-    for t in cfg.t_grid:
-        if cfg.layers is not None:
-            report = ratio_bounds_layered(cfg.cov, cfg.layers, cfg.u, t)
-        else:
-            report = ratio_bounds_set(cfg.cov, cfg.body, cfg.u, t)
-        records.append(_bound_record(report))
-    return _envelope("bounds", cfg, records), 0
+    target = cfg.layers if cfg.layers is not None else cfg.body
+    reports = ratio_bounds_grid(cfg.cov, target, cfg.u, cfg.t_grid)
+    return _envelope("bounds", cfg, [_bound_record(r) for r in reports]), 0
 
 
 def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
@@ -84,6 +79,8 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
         raise ConfigError("theta_grid: required for the power command")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
+    # One support evaluation serves every theta's envelope and verdict.
+    bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, cfg.theta_grid)
     # One MAIN pass serves the estimated size and every beta (common random
     # numbers); one DENOM pass gives the verdicts' independent size.
     checked = [theta for theta in cfg.theta_grid if theta > 0.0] if cfg.mc else []
@@ -110,8 +107,8 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
         alpha_hat = estimate_power(
             cfg.cov, cfg.body, cfg.u, 0.0, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_DENOM
         )
-    for theta in cfg.theta_grid:
-        report = power_envelope(cfg.cov, cfg.body, cfg.u, theta, alpha)
+    for bound in bound_reports:
+        report = power_envelope(bound, alpha)
         records.append(
             {
                 "provenance": "analytic",
@@ -123,17 +120,14 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
                 "exactness": "exact" if report.exponent_exact else "upper_bound",
             }
         )
-        if cfg.mc is not None and theta > 0.0:
+        if cfg.mc is not None and bound.t > 0.0:
             verdict = score_power_envelope(
-                ratio_bounds_set(cfg.cov, cfg.body, cfg.u, theta),
-                alpha_hat,
-                next(estimates),
-                cfg.mc.z_threshold,
+                bound, alpha_hat, next(estimates), cfg.mc.z_threshold
             )
             record = _mc_record(verdict.beta_estimate, "power_estimate")
             record.update(
                 {
-                    "theta": theta,
+                    "theta": bound.t,
                     "alpha_estimate": verdict.alpha_estimate.value,
                     "beta_lower": verdict.beta_lower,
                     "beta_upper": verdict.beta_upper,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import ConvexBody, body_from_dict
+from .bodies import ConvexBody, body_from_dict, json_number
 from .bounds import Layer, LayeredUnimodal, build_layered
 from .errors import ConfigError
 from .linalg import Covariance, Direction, build_covariance, identity_covariance
@@ -73,7 +73,7 @@ def parse_run_config(raw: object) -> RunConfig:
             raise ConfigError(f"u: expected a list of {dim} numbers")
         try:
             vec = np.asarray(u_raw, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"u: not numeric: {exc}") from exc
         norm = float(np.linalg.norm(vec))
         if norm == 0.0 or not np.all(np.isfinite(vec)):
@@ -100,14 +100,9 @@ def parse_run_config(raw: object) -> RunConfig:
 
     alpha = None
     if "alpha" in raw:
-        alpha_raw = raw["alpha"]
-        if (
-            isinstance(alpha_raw, bool)
-            or not isinstance(alpha_raw, (int, float))
-            or not 0.0 < float(alpha_raw) < 1.0
-        ):
-            raise ConfigError(f"alpha: expected a number in (0, 1), got {alpha_raw!r}")
-        alpha = float(alpha_raw)
+        alpha = json_number(raw["alpha"], "alpha")
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"alpha: expected a number in (0, 1), got {raw['alpha']!r}")
 
     mc = _parse_mc(raw.get("mc"))
 
@@ -119,9 +114,7 @@ def parse_run_config(raw: object) -> RunConfig:
                 f"suite: unknown suite {suite!r}; choose from {sorted(SUITES)}"
             )
 
-    fault = raw.get("fault_upper_scale", 1.0)
-    if isinstance(fault, bool) or not isinstance(fault, (int, float)) or not fault > 0:
-        raise ConfigError(f"fault_upper_scale: expected a number > 0, got {fault!r}")
+    fault = _positive_finite(raw.get("fault_upper_scale", 1.0), "fault_upper_scale")
 
     directions = None
     if "directions" in raw:
@@ -134,7 +127,7 @@ def parse_run_config(raw: object) -> RunConfig:
                 raise ConfigError(f"directions[{i}]: expected a list of {dim} numbers")
             try:
                 v = np.asarray(entry, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"directions[{i}]: not numeric: {exc}") from exc
             if not np.all(np.isfinite(v)):
                 raise ConfigError(f"directions[{i}]: entries must be finite")
@@ -153,7 +146,7 @@ def parse_run_config(raw: object) -> RunConfig:
         alpha=alpha,
         mc=mc,
         suite=suite,
-        fault_upper_scale=float(fault),
+        fault_upper_scale=fault,
         directions=directions,
         warnings=tuple(warnings),
     )
@@ -218,9 +211,7 @@ def _parse_grid(raw: dict, key: str) -> tuple[float, ...] | None:
         raise ConfigError(f"{key}: expected a nonempty list of numbers")
     out = []
     for i, entry in enumerate(grid):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"{key}[{i}]: expected a number, got {entry!r}")
-        value = float(entry)
+        value = json_number(entry, f"{key}[{i}]")
         if math.isnan(value) or value < 0.0:
             raise ConfigError(f"{key}[{i}]: must be >= 0, got {entry!r}")
         out.append(value)
@@ -236,12 +227,17 @@ def _parse_mc(raw: object) -> McConfig | None:
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ConfigError(f"mc.samples: expected a positive integer, got {samples!r}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"mc.seed: expected a nonnegative integer, got {seed!r}")
-    z = raw.get("z_threshold", 4.0)
-    if isinstance(z, bool) or not isinstance(z, (int, float)) or not z > 0:
-        raise ConfigError(f"mc.z_threshold: expected a number > 0, got {z!r}")
-    return McConfig(samples=samples, seed=seed, z_threshold=float(z))
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"mc.seed: expected an integer in [0, 2^64), got {seed!r}")
+    z = _positive_finite(raw.get("z_threshold", 4.0), "mc.z_threshold")
+    return McConfig(samples=samples, seed=seed, z_threshold=z)
+
+
+def _positive_finite(value: object, path: str) -> float:
+    number = json_number(value, path)
+    if not (math.isfinite(number) and number > 0.0):
+        raise ConfigError(f"{path}: expected a finite number > 0, got {value!r}")
+    return number
 
 
 def jsonable(obj: object) -> object:

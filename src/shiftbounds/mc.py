@@ -34,7 +34,8 @@ from .bounds import (
     BoundReport,
     LayeredUnimodal,
     as_layered,
-    ratio_bounds_layered,
+    power_bounds,
+    ratio_bounds_grid,
     ratio_bounds_set,
 )
 from .errors import (
@@ -160,28 +161,13 @@ def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
     return mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n)
 
 
-def _mean_estimates(
-    count: int, seed: int, substream: int, dim: int, chunk_sums
-) -> list[McEstimate]:
-    """One estimate per (sum, sum of squares, hits) triple of the reduced sums."""
-    sums = _accumulate(count, seed, substream, dim, chunk_sums)
-    record = SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE)
-    estimates = []
-    for s1, s2, hits in zip(sums[0::3], sums[1::3], sums[2::3]):
-        value, stderr = _plug_in(s1, s2, count)
-        estimates.append(
-            McEstimate(
-                value=value, stderr=stderr, samples=count, hits=int(hits), seed=record
-            )
-        )
-    return estimates
-
-
 def _mean_estimate(
-    count: int, seed: int, substream: int, dim: int, chunk_sums
+    s1: float, s2: float, hits: float, count: int, seed: int, substream: int
 ) -> McEstimate:
-    (estimate,) = _mean_estimates(count, seed, substream, dim, chunk_sums)
-    return estimate
+    """The estimate from a reduced sum, sum of squares and hit count."""
+    value, stderr = _plug_in(s1, s2, count)
+    record = SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE)
+    return McEstimate(value, stderr, count, int(hits), record)
 
 
 def _check_shift(t: float) -> None:
@@ -208,15 +194,9 @@ def estimate_shift_prob(
 ) -> McEstimate:
     """Estimate P(X in t u + A) for X ~ N(0, Sigma)."""
     _check_geometry(cov, body.dim, u, t)
-    shift = t * u.entries
-    chol_t = np.asarray(cov.chol).T
-
-    def stats(z: np.ndarray) -> np.ndarray:
-        hits = float(np.count_nonzero(body.contains_batch(z @ chol_t - shift)))
-        # Indicator integrand: sum of squares equals the sum.
-        return np.array([hits, hits, hits])
-
-    return _mean_estimate(count, seed, substream, cov.dim, stats)
+    (hits,) = _membership_hits(cov, body, u, (-t,), count, seed, substream)
+    # Indicator integrand: sum of squares equals the sum.
+    return _mean_estimate(hits, hits, hits, count, seed, substream)
 
 
 def estimate_layered_expectation(
@@ -240,7 +220,8 @@ def estimate_layered_expectation(
             dtype=float,
         )
 
-    return _mean_estimate(count, seed, substream, cov.dim, stats)
+    s1, s2, hits = _accumulate(count, seed, substream, cov.dim, stats)
+    return _mean_estimate(s1, s2, hits, count, seed, substream)
 
 
 def estimate_power(
@@ -281,21 +262,35 @@ def estimate_power_grid(
         raise DomainError("power grid needs at least one theta")
     for theta in thetas:
         _check_geometry(cov, body.dim, u, theta)
-    shifts = [theta * u.entries for theta in thetas]
+    hits = _membership_hits(cov, body, u, thetas, count, seed, substream)
+    # Rejections are the complement; integer counts are exact in floats.
+    misses = [count - h for h in hits]
+    return [_mean_estimate(m, m, m, count, seed, substream) for m in misses]
+
+
+def _membership_hits(
+    cov: Covariance, body: ConvexBody, u: Direction, shifts: Sequence[float],
+    count: int, seed: int, substream: int,
+) -> list[float]:
+    """Count X + s u in A at every signed shift s, from one pass over the stream.
+
+    Each chunk is transformed once and tested at every shift (common
+    random numbers); entry k has the bits of a pass at shifts[k] alone.
+    """
+    offsets = [s * u.entries for s in shifts]
     chol_t = np.asarray(cov.chol).T
 
     def stats(z: np.ndarray) -> np.ndarray:
         x = z @ chol_t
-        sums = np.empty(3 * len(shifts))
-        for k, shift in enumerate(shifts):
+        hits = np.empty(len(offsets))
+        for k, offset in enumerate(offsets):
             # z is not read again, so its buffer holds each shifted copy:
-            # the pass keeps no more chunk-sized arrays alive than one theta.
-            np.add(x, shift, out=z)
-            # Indicator integrand: sum of squares equals the sum.
-            sums[3 * k : 3 * k + 3] = np.count_nonzero(~body.contains_batch(z))
-        return sums
+            # the pass keeps no more chunk-sized arrays alive than one shift.
+            np.add(x, offset, out=z)
+            hits[k] = np.count_nonzero(body.contains_batch(z))
+        return hits
 
-    return _mean_estimates(count, seed, substream, cov.dim, stats)
+    return _accumulate(count, seed, substream, cov.dim, stats)
 
 
 def estimate_conditional_center(
@@ -384,17 +379,15 @@ def verify_sandwich(
     verification suite (scales the upper bound only in the test, never
     in the report); leave it at 1.0 for real checks.
     """
+    (report,) = ratio_bounds_grid(cov, target, u, (t,))
     if isinstance(target, LayeredUnimodal):
-        report = ratio_bounds_layered(cov, target, u, t)
-        weight = target
         num = estimate_layered_expectation(
-            cov, weight, u, t, count, seed, SUBSTREAM_MAIN
+            cov, target, u, t, count, seed, SUBSTREAM_MAIN
         )
         den = estimate_layered_expectation(
-            cov, weight, u, 0.0, count, seed, SUBSTREAM_DENOM
+            cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM
         )
     else:
-        report = ratio_bounds_set(cov, target, u, t)
         num = estimate_shift_prob(cov, target, u, t, count, seed, SUBSTREAM_MAIN)
         den = estimate_shift_prob(cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM)
     if den.hits < MIN_DENOMINATOR_HITS:
@@ -580,8 +573,7 @@ def score_power_envelope(
     evaluated at alpha-hat, so both inequalities carry combined stderr
     from the two estimates.
     """
-    beta_lower = 1.0 - report.upper * (1.0 - alpha.value)
-    beta_upper = 1.0 - report.lower * (1.0 - alpha.value)
+    beta_lower, beta_upper = power_bounds(report, alpha.value)
     lower_slack = beta.value - beta_lower
     lower_sigma = math.hypot(beta.stderr, report.upper * alpha.stderr)
     upper_slack = beta_upper - beta.value

@@ -719,7 +719,7 @@ def suite_power(
     chain_ok = True
     worst_chain = math.inf
     for theta in (0.5, 1.0, 2.0):
-        report = power_envelope(cov, slab, u, theta, alpha)
+        report = power_envelope(ratio_bounds_set(cov, slab, u, theta), alpha)
         worst_chain = min(
             worst_chain,
             report.beta_lower - alpha,

@@ -1,14 +1,17 @@
 """Bound assembly tests: shift exponents, the sandwich chain, layered
 weights, the power envelope, and the extremal slab construction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from shiftbounds import lp
 from shiftbounds import (
     Direction,
     DomainError,
+    HPolytope,
     Layer,
     LpBall,
     ShapeError,
@@ -22,12 +25,14 @@ from shiftbounds import (
     identity_covariance,
     oracle_slab,
     power_envelope,
+    ratio_bounds_grid,
     ratio_bounds_layered,
     ratio_bounds_set,
     shift_exponent,
     shift_ratio,
     transform,
 )
+from shiftbounds.bounds import power_bounds
 
 
 def random_spd_cov(rng, n, ridge=0.5):
@@ -116,6 +121,75 @@ class TestRatioBounds:
             ratio_bounds_set(
                 identity_covariance(2), LpBall(dim=2, p=2.0, radius=1.0), Direction.axis(2), -0.5
             )
+
+
+DENSE3 = build_covariance(
+    np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.8]])
+)
+POLYTOPE3 = HPolytope(
+    normals=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.5]]),
+    offsets=np.array([2.0, 2.5, 2.2]),
+)
+# Unsorted, with the zero shift, a repeat and an infinite shift.
+MIXED_GRID = (1.5, 0.0, 0.7, 1.5, math.inf, 3.0)
+
+
+def report_bits(report) -> tuple:
+    """Every field of a report, floats as hex so signed zeros differ."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)
+    )
+
+
+class TestRatioBoundsGrid:
+    @pytest.mark.parametrize(
+        "target",
+        [
+            POLYTOPE3,
+            build_layered(
+                [Layer(1.0, POLYTOPE3), Layer(0.5, LpBall(dim=3, p=2.0, radius=1.0))]
+            ),
+        ],
+        ids=["h_polytope", "layered"],
+    )
+    def test_matches_single_t_calls_bit_for_bit(self, target):
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        single = ratio_bounds_set if target is POLYTOPE3 else ratio_bounds_layered
+        grid = ratio_bounds_grid(DENSE3, target, u, MIXED_GRID)
+        assert [report_bits(r) for r in grid] == [
+            report_bits(single(DENSE3, target, u, t)) for t in MIXED_GRID
+        ]
+        assert [r.t for r in grid] == list(MIXED_GRID)
+        assert report_bits(grid[0]) == report_bits(grid[3])
+        assert (grid[1].lower, grid[1].upper) == (1.0, 1.0)
+        assert (grid[4].lower, grid[4].upper) == (0.0, 0.0)
+
+    def test_support_is_solved_once_per_grid(self, monkeypatch):
+        calls = []
+        original = lp.simplex_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "simplex_max", counting)
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        ratio_bounds_grid(DENSE3, POLYTOPE3, u, MIXED_GRID)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_bad_t_anywhere_is_rejected_before_the_support(self, monkeypatch, bad):
+        def fail(*args, **kwargs):
+            raise AssertionError("support LP solved before validation")
+
+        monkeypatch.setattr(lp, "simplex_max", fail)
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        with pytest.raises(DomainError):
+            ratio_bounds_grid(DENSE3, POLYTOPE3, u, (1.0, bad, 2.0))
+
+    def test_empty_grid(self):
+        with pytest.raises(DomainError):
+            ratio_bounds_grid(DENSE3, POLYTOPE3, Direction.axis(3), ())
 
 
 class TestLayered:
@@ -222,7 +296,7 @@ class TestPowerEnvelope:
         cov = identity_covariance(2)
         u = Direction.axis(2, 0)
         region = Slab(normal=Direction.axis(2, 1), halfwidth=1.0)
-        report = power_envelope(cov, region, u, 2.0, 0.05)
+        report = power_envelope(ratio_bounds_set(cov, region, u, 2.0), 0.05)
         assert report.beta_lower == pytest.approx(0.05, rel=1e-12)
         assert report.beta_upper == pytest.approx(0.8714314809252179, rel=1e-12)
         assert report.exponent_a == math.inf
@@ -233,7 +307,7 @@ class TestPowerEnvelope:
         slab = Slab(normal=u, halfwidth=1.0)
         alpha = 1.0 - oracle_slab(1.0, 0.0)
         for theta in (0.5, 1.0, 2.0):
-            report = power_envelope(cov, slab, u, theta, alpha)
+            report = power_envelope(ratio_bounds_set(cov, slab, u, theta), alpha)
             assert report.beta_lower >= alpha - 1e-12
             assert report.beta_upper >= report.beta_lower - 1e-12
             assert report.beta_upper <= 1.0
@@ -241,15 +315,26 @@ class TestPowerEnvelope:
             beta = 1.0 - oracle_slab(1.0, theta)
             assert report.beta_lower - 1e-12 <= beta <= report.beta_upper + 1e-12
 
+    def test_envelope_is_the_power_bounds_formula(self):
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        for report in ratio_bounds_grid(DENSE3, POLYTOPE3, u, MIXED_GRID):
+            for alpha in (1e-9, 0.05, 0.5, 0.999):
+                envelope = power_envelope(report, alpha)
+                assert (envelope.beta_lower, envelope.beta_upper) == power_bounds(
+                    report, alpha
+                )
+                assert envelope.theta == report.t
+                assert envelope.exponent_a == report.exponent_a
+
     def test_domain(self):
         cov = identity_covariance(2)
         u = Direction.axis(2)
         slab = Slab(normal=u, halfwidth=1.0)
         with pytest.raises(DomainError):
-            power_envelope(cov, slab, u, -1.0, 0.1)
+            power_envelope(ratio_bounds_set(cov, slab, u, -1.0), 0.1)
         for alpha in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
-                power_envelope(cov, slab, u, 1.0, alpha)
+                power_envelope(ratio_bounds_set(cov, slab, u, 1.0), alpha)
 
 
 class TestExtremalSlab:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftbounds import ConfigError
+from shiftbounds import ConfigError, lp
 from shiftbounds.cli import main
 from shiftbounds.config import encode_report, jsonable, parse_run_config
 
@@ -27,6 +27,30 @@ SLAB_E2 = {"kind": "slab", "normal": [0.0, 1.0], "halfwidth": 1.0}
 PINNED_POWER = json.loads(
     (Path(__file__).parent / "data" / "cli_power_records.json").read_text()
 )
+
+# Full `bounds` reports on the same dense covariance, captured before a
+# grid shared one support evaluation: a layered weight with an
+# H-polytope outer layer, and an H-polytope body.  Both grids are
+# unsorted and hold 0.0, a repeat and 1e400 (parsed as inf).
+PINNED_BOUNDS = json.loads(
+    (Path(__file__).parent / "data" / "cli_bounds_records.json").read_text()
+)
+
+# A JSON integer past the float range, which float() cannot convert, and
+# the config fragment that places it in each numeric field.
+HUGE_INT = 10**400
+HUGE_FIELDS = {
+    "alpha": '"alpha": HUGE',
+    "t_grid[1]": '"t_grid": [1.0, HUGE]',
+    "u": '"u": [1.0, HUGE]',
+    "directions[0]": '"directions": [[1.0, HUGE]]',
+    "fault_upper_scale": '"fault_upper_scale": HUGE',
+    "mc.z_threshold": '"mc": {"samples": 10, "z_threshold": HUGE}',
+    "body.halfwidth": '"body": {"kind": "slab", "normal": [1.0, 0.0], "halfwidth": HUGE}',
+    "body.normal": '"body": {"kind": "slab", "normal": [1.0, HUGE], "halfwidth": 1.0}',
+    "body.p": '"body": {"kind": "lp_ball", "dim": 2, "p": HUGE, "radius": 1.0}',
+    "body.normals": '"body": {"kind": "h_polytope", "normals": [[1.0, HUGE]], "offsets": [1.0]}',
+}
 
 
 class TestParseRunConfig:
@@ -124,12 +148,16 @@ class TestParseRunConfig:
         assert cfg.t_grid == (0.0, 1.5)
         assert cfg.theta_grid == (2.0,)
 
-    @pytest.mark.parametrize("grid", [[], [-1.0], [float("nan")], ["1"], [True]])
+    @pytest.mark.parametrize(
+        "grid", [[], [-1.0], [float("nan")], ["1"], [True], [1.0, HUGE_INT]]
+    )
     def test_bad_grid(self, grid):
         with pytest.raises(ConfigError, match="t_grid"):
             parse_run_config(minimal(t_grid=grid))
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, "0.05", True])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 1.0, -0.1, "0.05", True, pytest.param(HUGE_INT, id="huge_int")]
+    )
     def test_bad_alpha(self, alpha):
         with pytest.raises(ConfigError, match="alpha"):
             parse_run_config(minimal(alpha=alpha))
@@ -143,18 +171,26 @@ class TestParseRunConfig:
 
     @pytest.mark.parametrize(
         "mc", [{}, {"samples": 0}, {"samples": 1.5}, {"samples": 10, "seed": -1},
-               {"samples": 10, "z_threshold": 0.0}, "fast"]
+               {"samples": 10, "z_threshold": 0.0}, {"samples": 10, "seed": 2**64},
+               {"samples": 10, "z_threshold": math.inf},
+               {"samples": 10, "z_threshold": HUGE_INT}, "fast"]
     )
     def test_bad_mc(self, mc):
         with pytest.raises(ConfigError, match="mc"):
             parse_run_config(minimal(mc=mc))
+
+    def test_largest_seed(self):
+        cfg = parse_run_config(minimal(mc={"samples": 10, "seed": 2**64 - 1}))
+        assert cfg.mc.seed == 2**64 - 1
 
     def test_suite_membership(self):
         assert parse_run_config(minimal(suite="kernels")).suite == "kernels"
         with pytest.raises(ConfigError, match="unknown suite"):
             parse_run_config(minimal(suite="everything"))
 
-    @pytest.mark.parametrize("scale", [0.0, -0.5, "half", True])
+    @pytest.mark.parametrize(
+        "scale", [0.0, -0.5, "half", True, math.inf, pytest.param(HUGE_INT, id="huge_int")]
+    )
     def test_bad_fault_scale(self, scale):
         with pytest.raises(ConfigError, match="fault_upper_scale"):
             parse_run_config(minimal(fault_upper_scale=scale))
@@ -261,6 +297,40 @@ class TestCliBounds:
         assert "normalized" in capsys.readouterr().err
         assert report["warnings"]
         assert report["records"][0]["upper"] == pytest.approx(0.6990731123718361, rel=1e-12)
+
+
+class TestCliBoundsGrid:
+    @pytest.mark.parametrize("name", sorted(PINNED_BOUNDS))
+    def test_records_are_pinned(self, tmp_path, name):
+        # Shortest-repr floats round-trip, so list equality is bit-exact.
+        code, report, _ = run_cli(tmp_path, "bounds", PINNED_BOUNDS[name]["config"])
+        assert code == 0
+        assert report["records"] == PINNED_BOUNDS[name]["records"]
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("bounds", PINNED_BOUNDS["h_polytope"]["config"]),
+            ("power", PINNED_POWER["given"]["config"]),
+        ],
+        ids=["bounds", "power"],
+    )
+    def test_h_polytope_support_is_solved_once(self, tmp_path, monkeypatch, command, payload):
+        # Every t (every theta, and every theta's Monte Carlo verdict)
+        # shares the one exponent, so the support LP runs once per run.
+        calls = []
+        original = lp.simplex_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "simplex_max", counting)
+        code, report, _ = run_cli(tmp_path, command, payload)
+        assert code == 0
+        grid = payload.get("t_grid") or payload["theta_grid"]
+        assert len(report["records"]) >= len(grid) > 1
+        assert len(calls) == 1
 
 
 class TestCliPower:
@@ -404,6 +474,38 @@ class TestCliVerify:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            # Halving the upper bound must fail the run (exit 1); an
+            # infinite z threshold would pass every verdict instead.
+            ("mc.z_threshold",
+             '{"dim": 1, "suite": "sandwich", "fault_upper_scale": 0.5,'
+             ' "mc": {"samples": 16384, "seed": 1, "z_threshold": 1e400}}'),
+            # An infinite fault scale made a NaN z, refused only at encoding.
+            ("fault_upper_scale",
+             '{"dim": 1, "suite": "sandwich", "fault_upper_scale": 1e400,'
+             ' "mc": {"samples": 16384, "seed": 1}}'),
+            # A seed past 2^64 used to fail mid-suite, quoting a derived seed.
+            ("mc.seed",
+             '{"dim": 1, "suite": "power", "mc": {"samples": 16384, "seed": %d}}' % 2**64),
+        ],
+        ids=["z_threshold", "fault_upper_scale", "seed"],
+    )
+    def test_verify_refuses_out_of_range_mc_fields(self, tmp_path, capsys, field, text):
+        path = tmp_path / "verify.json"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+    def test_integer_past_float_range_is_a_config_error(self, tmp_path, capsys, field):
+        # json parses an integer literal of any length; float() overflows on it.
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 2, %s}' % HUGE_FIELDS[field].replace("HUGE", str(HUGE_INT)))
+        assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from shiftbounds import (
     estimate_shift_prob,
     identity_covariance,
     oracle_slab,
+    ratio_bounds_set,
     sample_gaussian,
     verify_derivative_identity,
     verify_power_envelope,
@@ -382,6 +383,23 @@ class TestVerifyPower:
         for theta in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 verify_power_envelope(COV2, UNIT_SLAB, E1, theta, 1000, seed=1)
+
+    @pytest.mark.parametrize("size", [0.0, 1.0])
+    def test_degenerate_size_estimate_is_scored(self, size):
+        # An estimated size of exactly 0 or 1 lies outside power_envelope's
+        # domain; the score still evaluates the envelope formula there.
+        report = ratio_bounds_set(COV2, UNIT_SLAB, E1, 1.0)
+        record = mc.SeedRecord(seed=1, substream=SUBSTREAM_DENOM, chunk_size=CHUNK_SIZE)
+        alpha = mc.McEstimate(
+            value=size, stderr=0.0, samples=100, hits=int(100 * size), seed=record
+        )
+        beta = mc.McEstimate(value=0.5, stderr=0.05, samples=100, hits=50, seed=record)
+        verdict = mc.score_power_envelope(report, alpha, beta, 4.0)
+        assert verdict.beta_lower == 1.0 - report.upper * (1.0 - size)
+        assert verdict.beta_upper == 1.0 - report.lower * (1.0 - size)
+        assert verdict.lower_z == (0.5 - verdict.beta_lower) / 0.05
+        assert verdict.upper_z == (verdict.beta_upper - 0.5) / 0.05
+        assert verdict.theta == 1.0
 
     def test_far_orthogonal_shift_keeps_the_size(self):
         # A shift orthogonal to the slab's normal leaves every point's

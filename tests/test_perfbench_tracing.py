@@ -1,0 +1,53 @@
+"""The benchmark's tracer wraps package names by string; each must resolve.
+
+`perfbench/tracing.py` patches the functions in `FUNCTIONS` and the
+methods in `METHODS` at run time, so a refactor that drops or renames
+one of them would crash `perfbench/run.py --trace 1` with an
+AttributeError.  These checks read the two tables and patch nothing.
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing() -> types.ModuleType:
+    # Compiled from the source text, so no bytecode cache is written
+    # next to it; dataclasses need the module registered while it runs.
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    sys.modules[module.__name__] = module
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), vars(module))
+    return module
+
+
+tracing = _load_tracing()
+
+
+@pytest.mark.parametrize(
+    "layer, name",
+    [(layer, name) for layer, names in tracing.FUNCTIONS.items() for name in names],
+)
+def test_traced_function_resolves(layer, name):
+    module = importlib.import_module(f"shiftbounds.{layer}")
+    assert callable(getattr(module, name, None)), f"shiftbounds.{layer}.{name}"
+
+
+@pytest.mark.parametrize(
+    "layer, cls_name, method",
+    [
+        (layer, cls_name, method)
+        for layer, classes in tracing.METHODS.items()
+        for cls_name, methods in classes.items()
+        for method in methods
+    ],
+)
+def test_traced_method_is_defined_on_its_class(layer, cls_name, method):
+    cls = getattr(importlib.import_module(f"shiftbounds.{layer}"), cls_name)
+    # The tracer reads cls.__dict__, so an inherited method does not count.
+    assert method in cls.__dict__, f"shiftbounds.{layer}.{cls_name}.{method}"
