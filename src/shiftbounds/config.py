@@ -20,8 +20,9 @@ import numpy as np
 from .bodies import ConvexBody, body_from_dict, json_number
 from .bounds import Layer, LayeredUnimodal, build_layered
 from .errors import ConfigError
-from .linalg import Covariance, Direction, build_covariance, identity_covariance
-from .suites import SUITES
+from .linalg import MAX_DIM, Covariance, Direction, build_covariance, identity_covariance
+from .mc import STREAM_CAPACITY
+from .suites import MAX_SEED, SUITES
 
 _NORMALIZE_WARN_TOL = 1e-6
 
@@ -61,8 +62,8 @@ def parse_run_config(raw: object) -> RunConfig:
     warnings: list[str] = []
 
     dim = raw.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"dim: expected a positive integer, got {dim!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+        raise ConfigError(f"dim: expected an integer in [1, {MAX_DIM}], got {dim!r}")
 
     cov = _parse_sigma(raw.get("sigma"), dim)
 
@@ -112,6 +113,12 @@ def parse_run_config(raw: object) -> RunConfig:
         if suite not in SUITES:
             raise ConfigError(
                 f"suite: unknown suite {suite!r}; choose from {sorted(SUITES)}"
+            )
+        # Suites derive one stream seed per check from the run seed.
+        if mc is not None and mc.seed > MAX_SEED:
+            raise ConfigError(
+                f"mc.seed: a verify suite needs a seed in [0, {MAX_SEED}], "
+                f"got {mc.seed!r}"
             )
 
     fault = _positive_finite(raw.get("fault_upper_scale", 1.0), "fault_upper_scale")
@@ -224,8 +231,15 @@ def _parse_mc(raw: object) -> McConfig | None:
     if not isinstance(raw, dict):
         raise ConfigError("mc: expected an object")
     samples = raw.get("samples")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise ConfigError(f"mc.samples: expected a positive integer, got {samples!r}")
+    if (
+        not isinstance(samples, int)
+        or isinstance(samples, bool)
+        or not 1 <= samples <= STREAM_CAPACITY
+    ):
+        raise ConfigError(
+            f"mc.samples: expected an integer in [1, {STREAM_CAPACITY}] "
+            f"(the stream capacity), got {samples!r}"
+        )
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
         raise ConfigError(f"mc.seed: expected an integer in [0, 2^64), got {seed!r}")

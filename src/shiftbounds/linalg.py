@@ -163,10 +163,6 @@ class Covariance:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Sigma @ vec."""
-        return self.matrix @ np.asarray(vec, dtype=float)
-
     def solve(self, vec: np.ndarray) -> np.ndarray:
         """Sigma^{-1} @ vec via the Cholesky factor (two triangular solves)."""
         b = np.asarray(vec, dtype=float)

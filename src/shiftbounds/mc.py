@@ -17,7 +17,9 @@ Verdicts score bound violations in numerator units:
 
 so a *negative* z means the estimate crossed the bound by |z| combined
 standard errors.  Numerator and denominator always come from
-independent substreams.
+independent substreams.  Every Monte Carlo z of the package, and its
+verdict, comes from :func:`score_interval` or :func:`score_agreement`;
+at stderr 0 a z is 0 without slack and +-inf otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .bounds import (
     BoundReport,
     LayeredUnimodal,
     as_layered,
+    derivative_floor,
     power_bounds,
     ratio_bounds_grid,
     ratio_bounds_set,
@@ -44,7 +47,7 @@ from .errors import (
     InsufficientMassError,
     ShapeError,
 )
-from .linalg import Covariance, Direction
+from .linalg import Covariance, Direction, identity_covariance
 
 CHUNK_SIZE = 65536
 
@@ -56,8 +59,12 @@ SUBSTREAM_DENOM = 1
 MIN_CONDITIONAL_HITS = 100
 MIN_DENOMINATOR_HITS = 10
 
+# Allowance for the O(step^2) bias of the derivative check's central difference.
+DERIVATIVE_ALLOWANCE = 1e-3
+
 _SUBSTREAM_SHIFT = 48
-_MAX_CHUNKS = 1 << _SUBSTREAM_SHIFT
+# Samples one stream holds: 2^48 chunk indices of CHUNK_SIZE rows (2^64).
+STREAM_CAPACITY = CHUNK_SIZE << _SUBSTREAM_SHIFT
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def _check_stream(seed: int, substream: int, count: int) -> None:
         raise DomainError(f"substream must be a small nonnegative integer, got {substream!r}")
     if not _is_int(count) or count < 1:
         raise DomainError(f"sample count must be a positive integer, got {count!r}")
-    if (count + CHUNK_SIZE - 1) // CHUNK_SIZE > _MAX_CHUNKS:
+    if count > STREAM_CAPACITY:
         raise DomainError(f"sample count {count} exceeds the stream capacity")
 
 
@@ -324,13 +331,7 @@ def estimate_conditional_center(
             f"(body mass too small at t={t}; raise the sample count)"
         )
     value, stderr = _plug_in(s1, s2, hits)
-    return McEstimate(
-        value=value,
-        stderr=stderr,
-        samples=count,
-        hits=hits,
-        seed=SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE),
-    )
+    return McEstimate(value, stderr, count, hits, SeedRecord(seed, substream, CHUNK_SIZE))
 
 
 @dataclass(frozen=True)
@@ -355,11 +356,35 @@ class SandwichVerdict:
 
 
 def _slack_z(slack: float, sigma: float) -> float:
+    """slack / sigma; at sigma 0 it is 0 for no slack and +-inf otherwise."""
     if sigma == 0.0:
         if slack == 0.0:
             return 0.0
         return math.copysign(math.inf, slack)
     return slack / sigma
+
+
+def score_interval(
+    estimate: McEstimate, lower: float, lower_se: float, upper: float, upper_se: float,
+    z_threshold: float,
+) -> tuple[float, float, bool]:
+    """Score lower <= estimate <= upper: (lower_z, upper_z, passed).
+
+    Each side's sigma is hypot(estimate stderr, that bound's own stderr),
+    0 for a bound known exactly; the check passes when both z's are
+    >= -z_threshold.  An infinite bound never fails its side.
+    """
+    lower_z = _slack_z(estimate.value - lower, math.hypot(estimate.stderr, lower_se))
+    upper_z = _slack_z(upper - estimate.value, math.hypot(estimate.stderr, upper_se))
+    return lower_z, upper_z, bool(lower_z >= -z_threshold and upper_z >= -z_threshold)
+
+
+def score_agreement(
+    estimate: McEstimate, reference: float, z_threshold: float
+) -> tuple[float, bool]:
+    """Score estimate = reference: z = (value - reference) / stderr, |z| <= threshold."""
+    z = _slack_z(estimate.value - reference, estimate.stderr)
+    return z, abs(z) <= z_threshold
 
 
 def verify_sandwich(
@@ -396,12 +421,10 @@ def verify_sandwich(
             "(the body carries too little mass for a meaningful ratio)"
         )
     upper = report.upper * upper_scale
-    lower_slack = num.value - report.lower * den.value
-    lower_sigma = math.hypot(num.stderr, report.lower * den.stderr)
-    upper_slack = upper * den.value - num.value
-    upper_sigma = math.hypot(num.stderr, upper * den.stderr)
-    lower_z = _slack_z(lower_slack, lower_sigma)
-    upper_z = _slack_z(upper_slack, upper_sigma)
+    lower_z, upper_z, passed = score_interval(
+        num, report.lower * den.value, report.lower * den.stderr,
+        upper * den.value, upper * den.stderr, z_threshold,
+    )
     ratio = num.value / den.value
     ratio_stderr = math.hypot(
         num.stderr / den.value, num.value * den.stderr / (den.value * den.value)
@@ -413,7 +436,7 @@ def verify_sandwich(
         lower_z=lower_z,
         upper_z=upper_z,
         z_threshold=z_threshold,
-        passed=bool(lower_z >= -z_threshold and upper_z >= -z_threshold),
+        passed=passed,
         numerator=num,
         denominator=den,
         upper_scale=upper_scale,
@@ -444,10 +467,20 @@ class DerivativeCheck:
     floor_value: float
     identity_ok: bool
     floor_ok: bool
+    z_threshold: float
+    allowance: float
 
     @property
     def passed(self) -> bool:
         return self.identity_ok and self.floor_ok
+
+    def matches(self, derivative: float) -> bool:
+        """Whether the finite difference agrees with a known exact derivative.
+
+        The margin is z_threshold finite-difference stderrs plus the allowance.
+        """
+        margin = self.z_threshold * self.fd_stderr + self.allowance
+        return abs(self.fd_estimate - derivative) <= margin
 
 
 def verify_derivative_identity(
@@ -457,15 +490,18 @@ def verify_derivative_identity(
     count: int,
     seed: int,
     step: float = 1e-2,
-    allowance: float = 1e-3,
+    allowance: float = DERIVATIVE_ALLOWANCE,
     substream: int = SUBSTREAM_MAIN,
+    z_threshold: float = 4.0,
 ) -> DerivativeCheck:
     """Check d/dt E w(Z - t u) = -E <u, Z> w(Z - t u) for standard Z.
 
     Central difference with the given step vs the direct estimator, on
-    common random numbers; `tolerance` = 4 * sigma_diff + allowance,
-    where the allowance absorbs the O(step^2) discretization bias.
-    Also checks both estimates against the analytic decay floor.
+    common random numbers; `tolerance` = z_threshold * sigma_diff +
+    allowance, where the allowance absorbs the O(step^2) discretization
+    bias.  Also checks both estimates against the analytic decay floor
+    (:func:`derivative_floor` for the identity covariance), each within
+    z_threshold of its own stderr.
     """
     w = as_layered(weight)
     if w.dim != u.dim:
@@ -505,11 +541,11 @@ def verify_derivative_identity(
     dir_mean, dir_se = _plug_in(dir_s1, dir_s2, count)
     diff_mean, diff_se = _plug_in(diff_s1, diff_s2, count)
     expectation = mid_s1 / count
-    tolerance = 4.0 * diff_se + allowance
-    floor_value = -t * float(ue @ ue) * expectation
+    tolerance = z_threshold * diff_se + allowance
+    floor_value = derivative_floor(identity_covariance(w.dim), u, t, expectation)
     identity_ok = abs(diff_mean) <= tolerance
-    floor_ok = (fd_mean >= floor_value - 4.0 * fd_se) and (
-        dir_mean >= floor_value - 4.0 * dir_se
+    floor_ok = (fd_mean >= floor_value - z_threshold * fd_se) and (
+        dir_mean >= floor_value - z_threshold * dir_se
     )
     return DerivativeCheck(
         t=float(t),
@@ -525,6 +561,8 @@ def verify_derivative_identity(
         floor_value=floor_value,
         identity_ok=identity_ok,
         floor_ok=floor_ok,
+        z_threshold=z_threshold,
+        allowance=allowance,
     )
 
 
@@ -574,12 +612,10 @@ def score_power_envelope(
     from the two estimates.
     """
     beta_lower, beta_upper = power_bounds(report, alpha.value)
-    lower_slack = beta.value - beta_lower
-    lower_sigma = math.hypot(beta.stderr, report.upper * alpha.stderr)
-    upper_slack = beta_upper - beta.value
-    upper_sigma = math.hypot(beta.stderr, report.lower * alpha.stderr)
-    lower_z = _slack_z(lower_slack, lower_sigma)
-    upper_z = _slack_z(upper_slack, upper_sigma)
+    lower_z, upper_z, passed = score_interval(
+        beta, beta_lower, report.upper * alpha.stderr,
+        beta_upper, report.lower * alpha.stderr, z_threshold,
+    )
     return PowerVerdict(
         theta=report.t,
         alpha_estimate=alpha,
@@ -589,5 +625,5 @@ def score_power_envelope(
         lower_z=lower_z,
         upper_z=upper_z,
         z_threshold=z_threshold,
-        passed=bool(lower_z >= -z_threshold and upper_z >= -z_threshold),
+        passed=passed,
     )

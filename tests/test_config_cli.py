@@ -10,6 +10,8 @@ import pytest
 from shiftbounds import ConfigError, lp
 from shiftbounds.cli import main
 from shiftbounds.config import encode_report, jsonable, parse_run_config
+from shiftbounds.mc import STREAM_CAPACITY
+from shiftbounds.suites import MAX_SEED, SUITES
 
 
 def minimal(**extra) -> dict:
@@ -34,6 +36,13 @@ PINNED_POWER = json.loads(
 # unsorted and hold 0.0, a repeat and 1e400 (parsed as inf).
 PINNED_BOUNDS = json.loads(
     (Path(__file__).parent / "data" / "cli_bounds_records.json").read_text()
+)
+
+# Full `verify` records of the five Monte Carlo suites at 20,000 samples,
+# captured before the suites shared one scorer; every stderr in them is
+# above 0.
+PINNED_VERIFY = json.loads(
+    (Path(__file__).parent / "data" / "cli_verify_records.json").read_text()
 )
 
 # A JSON integer past the float range, which float() cannot convert, and
@@ -67,7 +76,7 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="expected a JSON object"):
             parse_run_config(raw)
 
-    @pytest.mark.parametrize("dim", [None, 0, -1, 2.0, True, "2"])
+    @pytest.mark.parametrize("dim", [None, 0, -1, 2.0, True, "2", 65, 10**12])
     def test_bad_dim(self, dim):
         with pytest.raises(ConfigError, match="dim"):
             parse_run_config({"dim": dim})
@@ -173,7 +182,8 @@ class TestParseRunConfig:
         "mc", [{}, {"samples": 0}, {"samples": 1.5}, {"samples": 10, "seed": -1},
                {"samples": 10, "z_threshold": 0.0}, {"samples": 10, "seed": 2**64},
                {"samples": 10, "z_threshold": math.inf},
-               {"samples": 10, "z_threshold": HUGE_INT}, "fast"]
+               {"samples": 10, "z_threshold": HUGE_INT}, "fast",
+               {"samples": STREAM_CAPACITY + 1}]
     )
     def test_bad_mc(self, mc):
         with pytest.raises(ConfigError, match="mc"):
@@ -182,6 +192,23 @@ class TestParseRunConfig:
     def test_largest_seed(self):
         cfg = parse_run_config(minimal(mc={"samples": 10, "seed": 2**64 - 1}))
         assert cfg.mc.seed == 2**64 - 1
+
+    def test_largest_sample_count(self):
+        # One past it is a case of test_bad_mc.
+        assert STREAM_CAPACITY == 2**64
+        cfg = parse_run_config(minimal(mc={"samples": STREAM_CAPACITY}))
+        assert cfg.mc.samples == STREAM_CAPACITY
+
+    def test_largest_suite_seed(self):
+        # seed * 1000003 + 1201 (the largest check offset) stays below 2^64.
+        assert MAX_SEED == 18_446_688_733_643
+        assert MAX_SEED * 1000003 + 1201 < 2**64 <= (MAX_SEED + 1) * 1000003 + 1201
+        cfg = parse_run_config(minimal(suite="power", mc={"samples": 10, "seed": MAX_SEED}))
+        assert cfg.mc.seed == MAX_SEED
+        with pytest.raises(ConfigError, match="^mc.seed: "):
+            parse_run_config(minimal(suite="power", mc={"samples": 10, "seed": MAX_SEED + 1}))
+        # Without a suite the seed feeds one stream directly.
+        assert parse_run_config(minimal(mc={"samples": 10, "seed": MAX_SEED + 1})).mc
 
     def test_suite_membership(self):
         assert parse_run_config(minimal(suite="kernels")).suite == "kernels"
@@ -458,6 +485,27 @@ class TestCliVerify:
         assert code == 0
         assert all(r["passed"] for r in report["records"])
 
+    @pytest.mark.parametrize("suite", sorted(PINNED_VERIFY))
+    def test_records_are_pinned(self, tmp_path, suite):
+        code, report, _ = run_cli(tmp_path, "verify", PINNED_VERIFY[suite]["config"])
+        assert report["records"] == PINNED_VERIFY[suite]["records"]
+        assert code == (0 if all(r["passed"] for r in report["records"]) else 1)
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_one_sample_gives_a_verdict_or_a_refusal(self, tmp_path, capsys, suite):
+        # One sample has stderr 0: a check passes only if its estimate is
+        # exact, and no check may crash on the division.
+        code, _, _ = run_cli(
+            tmp_path, "verify", {"dim": 1, "suite": suite, "mc": {"samples": 1, "seed": 0}}
+        )
+        assert "Traceback" not in capsys.readouterr().err
+        if suite == "kernels":
+            assert code == 0  # analytic: it draws no samples
+        elif suite == "oracles":
+            assert code == 1
+        else:
+            assert code in (1, 2)
+
     def test_fault_injection_fails_the_run(self, tmp_path):
         code, report, _ = run_cli(
             tmp_path,
@@ -489,8 +537,12 @@ class TestCliErrors:
             # A seed past 2^64 used to fail mid-suite, quoting a derived seed.
             ("mc.seed",
              '{"dim": 1, "suite": "power", "mc": {"samples": 16384, "seed": %d}}' % 2**64),
+            # A derived check seed past 2^64 used to fail mid-suite too.
+            ("mc.seed",
+             '{"dim": 1, "suite": "power", "mc": {"samples": 16384, "seed": %d}}'
+             % (MAX_SEED + 1)),
         ],
-        ids=["z_threshold", "fault_upper_scale", "seed"],
+        ids=["z_threshold", "fault_upper_scale", "seed", "suite_seed"],
     )
     def test_verify_refuses_out_of_range_mc_fields(self, tmp_path, capsys, field, text):
         path = tmp_path / "verify.json"

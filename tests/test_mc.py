@@ -121,6 +121,7 @@ class TestStreams:
             {"substream": True},
             {"t": math.inf},
             {"t": math.nan},
+            {"count": mc.STREAM_CAPACITY + 1},
         ],
         ids=repr,
     )
@@ -359,6 +360,18 @@ class TestVerifyDerivative:
         check = verify_derivative_identity(TWO_LAYER, E1, 1.0, 300000, seed=73)
         assert check.passed
 
+    def test_threshold_scales_every_margin(self):
+        default = verify_derivative_identity(UNIT_SLAB, E1, 0.5, 20000, seed=71)
+        wide = verify_derivative_identity(UNIT_SLAB, E1, 0.5, 20000, seed=71, z_threshold=8.0)
+        assert wide.sigma_diff == default.sigma_diff
+        assert default.tolerance == 4.0 * default.sigma_diff + mc.DERIVATIVE_ALLOWANCE
+        assert wide.tolerance == 8.0 * wide.sigma_diff + mc.DERIVATIVE_ALLOWANCE
+        # The analytic-derivative margin moves with the same threshold.
+        margin = 8.0 * wide.fd_stderr + mc.DERIVATIVE_ALLOWANCE
+        assert wide.matches(wide.fd_estimate + 0.99 * margin)
+        assert not wide.matches(wide.fd_estimate + 1.01 * margin)
+        assert not default.matches(wide.fd_estimate + 0.99 * margin)
+
     def test_step_domain(self):
         with pytest.raises(DomainError):
             verify_derivative_identity(UNIT_SLAB, E1, 0.5, 1000, seed=1, step=0.5)
@@ -368,6 +381,44 @@ class TestVerifyDerivative:
             verify_derivative_identity(UNIT_SLAB, E1, 0.0, 1000, seed=1)
         with pytest.raises(DomainError):
             verify_derivative_identity(UNIT_SLAB, E1, math.inf, 1000, seed=1)
+
+
+def _estimate(value: float, stderr: float) -> mc.McEstimate:
+    record = mc.SeedRecord(seed=1, substream=SUBSTREAM_MAIN, chunk_size=CHUNK_SIZE)
+    return mc.McEstimate(value=value, stderr=stderr, samples=100, hits=0, seed=record)
+
+
+class TestScores:
+    def test_interval_combines_each_bounds_stderr(self):
+        lower_z, upper_z, passed = mc.score_interval(
+            _estimate(0.5, 0.03), 0.4, 0.04, 0.9, 0.0, 4.0
+        )
+        assert lower_z == (0.5 - 0.4) / math.hypot(0.03, 0.04)
+        assert upper_z == (0.9 - 0.5) / 0.03
+        assert passed
+
+    def test_interval_fails_past_the_threshold(self):
+        lower_z, _, passed = mc.score_interval(_estimate(0.5, 0.01), 0.55, 0.0, 1.0, 0.0, 4.0)
+        assert lower_z == pytest.approx(-5.0) and not passed
+
+    def test_infinite_bound_never_fails(self):
+        lower_z, upper_z, passed = mc.score_interval(
+            _estimate(0.5, 0.0), -math.inf, 0.0, 0.5, 0.0, 4.0
+        )
+        assert (lower_z, upper_z, passed) == (math.inf, 0.0, True)
+
+    @pytest.mark.parametrize(
+        "value, z, passed", [(0.25, 0.0, True), (0.5, math.inf, False), (0.0, -math.inf, False)]
+    )
+    def test_zero_stderr_passes_only_on_the_reference(self, value, z, passed):
+        assert mc.score_agreement(_estimate(value, 0.0), 0.25, 4.0) == (z, passed)
+        lower_z, upper_z, ok = mc.score_interval(_estimate(value, 0.0), 0.25, 0.0, 0.25, 0.0, 4.0)
+        assert (lower_z, upper_z, ok) == (z, -z, passed)
+
+    def test_agreement_is_two_sided(self):
+        assert mc.score_agreement(_estimate(0.5, 0.1), 0.2, 4.0) == ((0.5 - 0.2) / 0.1, True)
+        z, passed = mc.score_agreement(_estimate(0.5, 0.05), 0.75, 4.0)
+        assert z == (0.5 - 0.75) / 0.05 and not passed
 
 
 class TestVerifyPower:

@@ -4,8 +4,12 @@
 methods in `METHODS` at run time, so a refactor that drops or renames
 one of them would crash `perfbench/run.py --trace 1` with an
 AttributeError.  These checks read the two tables and patch nothing.
+The `--trace 1` microbenchmarks in `perfbench/micro.py` import package
+names and reach into the `mc` and `lp` modules by attribute; those
+names are read from its syntax tree, without importing it.
 """
 
+import ast
 import importlib
 import sys
 import types
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MICRO = TRACING.with_name("micro.py")
 
 
 def _load_tracing() -> types.ModuleType:
@@ -51,3 +56,31 @@ def test_traced_method_is_defined_on_its_class(layer, cls_name, method):
     cls = getattr(importlib.import_module(f"shiftbounds.{layer}"), cls_name)
     # The tracer reads cls.__dict__, so an inherited method does not count.
     assert method in cls.__dict__, f"shiftbounds.{layer}.{cls_name}.{method}"
+
+
+def _micro_names() -> list[tuple[str, str]]:
+    """(module, name) for every `mc.<name>`, `lp.<name>` and package import in micro.py."""
+    tree = ast.parse(MICRO.read_text(encoding="utf-8"), str(MICRO))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shiftbounds"):
+            names.update((node.module, alias.name) for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("mc", "lp")
+        ):
+            names.add((f"shiftbounds.{node.value.id}", node.attr))
+    return sorted(names)
+
+
+def test_micro_names_are_found():
+    names = _micro_names()
+    for name in ("sample_gaussian", "standard_normal_chunks", "CHUNK_SIZE"):
+        assert ("shiftbounds.mc", name) in names
+    assert ("shiftbounds.lp", "simplex_max") in names
+
+
+@pytest.mark.parametrize("module, name", _micro_names())
+def test_micro_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
