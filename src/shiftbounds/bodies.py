@@ -140,6 +140,26 @@ class Slab(ConvexBody):
         }
 
 
+def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm along the last axis of a nonnegative array, p in [1, inf].
+
+    Above p = 2 the sum runs over (a_i / m)^p with m = max_i a_i, whose
+    largest term is 1: a_i^p itself overflows at moderate a_i (1.5^2000,
+    or 3^q for the dual q = 10001 of p = 1.0001).  p <= 2 keep the plain
+    sums, which overflow only when the norm itself is past 1e154.
+    """
+    if math.isinf(p):
+        return np.max(a, axis=-1)
+    if p == 1.0:
+        return np.sum(a, axis=-1)
+    if p <= 2.0:
+        return np.sum(a**p, axis=-1) ** (1.0 / p)
+    m = np.max(a, axis=-1, keepdims=True)
+    # Rows of zeros, or holding an inf or NaN, need no scaling.
+    scale = np.where((m > 0.0) & (m < math.inf), m, 1.0)
+    return scale[..., 0] * np.sum((a / scale) ** p, axis=-1) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class LpBall(ConvexBody):
     """{x : ||x||_p <= radius} for p in [1, inf]."""
@@ -160,16 +180,12 @@ class LpBall(ConvexBody):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "radius", r)
 
-    def _norms(self, p: np.ndarray) -> np.ndarray:
-        if math.isinf(self.p):
-            return np.max(np.abs(p), axis=1)
-        if self.p == 1.0:
-            return np.sum(np.abs(p), axis=1)
-        return np.sum(np.abs(p) ** self.p, axis=1) ** (1.0 / self.p)
-
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        p = _as_points(pts, self.dim)
-        return self._norms(p) <= self.radius
+        a = np.abs(_as_points(pts, self.dim))
+        if math.isinf(self.p):
+            # The predicate max_i a_i <= r (NaN rows fail both) without the max.
+            return np.all(a <= self.radius, axis=1)
+        return _lp_norm(a, self.p) <= self.radius
 
     def _dual_exponent(self) -> float:
         if self.p == 1.0:
@@ -180,13 +196,7 @@ class LpBall(ConvexBody):
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
-        q = self._dual_exponent()
-        if math.isinf(q):
-            dual = float(np.max(np.abs(w))) if w.size else 0.0
-        elif q == 1.0:
-            dual = float(np.sum(np.abs(w)))
-        else:
-            dual = float(np.sum(np.abs(w) ** q) ** (1.0 / q))
+        dual = float(_lp_norm(np.abs(w), self._dual_exponent()))
         return SupportValue(self.radius * dual, True)
 
     def support_point(self, v: np.ndarray) -> np.ndarray | None:
@@ -203,9 +213,8 @@ class LpBall(ConvexBody):
             out[i] = self.radius * signs[i]
             return out
         q = self._dual_exponent()
-        dual = float(np.sum(absw**q) ** (1.0 / q))
         # Hoelder equality case: |x_i| proportional to |v_i|^{q-1}.
-        return self.radius * signs * (absw / dual) ** (q - 1.0)
+        return self.radius * signs * (absw / _lp_norm(absw, q)) ** (q - 1.0)
 
     def to_dict(self) -> dict:
         return {

@@ -51,6 +51,12 @@ from .linalg import Covariance, Direction, identity_covariance
 
 CHUNK_SIZE = 65536
 
+# Rows per block of the indicator pass.  OpenBLAS runs a gemm on the
+# calling thread up to m*n*k = 262,144, so a 4,096-row block at dim <= 8
+# wakes no helper thread (one that then spins between calls), and every
+# temporary of the block stays in cache.
+BLOCK_ROWS = 4096
+
 # Substream roles: numerators/single estimates draw from MAIN, ratio
 # denominators from DENOM; anything a caller passes explicitly wins.
 SUBSTREAM_MAIN = 0
@@ -283,18 +289,26 @@ def _membership_hits(
 
     Each chunk is transformed once and tested at every shift (common
     random numbers); entry k has the bits of a pass at shifts[k] alone.
+    Chunks are walked in blocks of BLOCK_ROWS rows: a row's transform
+    does not depend on the rows around it and the hits are integers, so
+    the per-chunk counts do not depend on the block size.
     """
     offsets = [s * u.entries for s in shifts]
     chol_t = np.asarray(cov.chol).T
+    # Identity Sigma has an exactly-identity factor, whose product leaves
+    # every row as it is (it could only turn -0.0 into +0.0, and no body
+    # tells those apart).
+    identity = cov.is_identity()
 
     def stats(z: np.ndarray) -> np.ndarray:
-        x = z @ chol_t
-        hits = np.empty(len(offsets))
-        for k, offset in enumerate(offsets):
-            # z is not read again, so its buffer holds each shifted copy:
-            # the pass keeps no more chunk-sized arrays alive than one shift.
-            np.add(x, offset, out=z)
-            hits[k] = np.count_nonzero(body.contains_batch(z))
+        hits = np.zeros(len(offsets))
+        for start in range(0, z.shape[0], BLOCK_ROWS):
+            block = z[start : start + BLOCK_ROWS]
+            x = block.copy() if identity else block @ chol_t
+            for k, offset in enumerate(offsets):
+                # The block is not read again, so it holds each shifted copy.
+                np.add(x, offset, out=block)
+                hits[k] += np.count_nonzero(body.contains_batch(block))
         return hits
 
     return _accumulate(count, seed, substream, cov.dim, stats)

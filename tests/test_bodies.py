@@ -8,6 +8,7 @@ the adjoint law for linear images.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,12 +102,50 @@ class TestLpBall:
         want = (1.0 + 1.0) ** (2.0 / 3.0)  # ||v||_{3/2}
         assert ball.support(v).value == pytest.approx(want, rel=1e-12)
 
-    def test_membership(self):
-        ball = LpBall(dim=2, p=1.0, radius=1.0)
-        pts = np.array([[0.5, 0.5], [0.5, 0.51], [-1.0, 0.0]])
-        np.testing.assert_array_equal(ball.contains_batch(pts), [True, False, True])
+    @pytest.mark.parametrize(
+        "p, pts, want",
+        [
+            (1.0, [[0.5, 0.5], [0.5, 0.51], [-1.0, 0.0]], [True, False, True]),
+            # A NaN coordinate is outside, as max(|x_i|) <= r says.
+            (math.inf, [[1.0, -1.0], [1.0, 1.0000001], [math.nan, 0.0], [0.0, 0.0]],
+             [True, False, False, True]),
+            # 1.5^2000 overflows; ||(1, 1)||_2000 = 2^(1/2000) = 1.000347.
+            (2000.0, [[1.5, 0.0], [1.5 / 1.0003, 1.5 / 1.0003], [1.5 / 1.0004, 1.5 / 1.0004]],
+             [True, False, True]),
+        ],
+        ids=["l1", "linf", "l2000"],
+    )
+    def test_membership(self, p, pts, want):
+        ball = LpBall(dim=2, p=p, radius=1.5 if p == 2000.0 else 1.0)
+        np.testing.assert_array_equal(ball.contains_batch(np.array(pts)), want)
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0001, 1000.0, 2000.0])
+    def test_large_exponents_match_high_precision(self, p):
+        # x^p overflows at these exponents (1.5^2000), and so does |v|^q
+        # for the dual q = 10001 of p = 1.0001; the norms must not.
+        ball = LpBall(dim=3, p=p, radius=2.0)
+        q = p / (p - 1.0)
+
+        def norm(x, e):
+            with mpmath.workdps(60):
+                terms = [abs(mpmath.mpf(float(xi))) ** e for xi in x]
+                return float(mpmath.fsum(terms) ** (1 / mpmath.mpf(e)))
+
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-3.0, 3.0, size=(300, 3))
+        want = [norm(x, p) <= 2.0 for x in pts]
+        np.testing.assert_array_equal(ball.contains_batch(pts), want)
+        for v in 3.0 * rng.standard_normal((20, 3)):
+            assert ball.support(v).value == pytest.approx(2.0 * norm(v, q), rel=1e-12)
+
+    def test_near_one_exponent_support_is_finite(self):
+        # The dual exponent is 10001: |3|^10001 is inf in double.
+        ball = LpBall(dim=2, p=1.0001, radius=1.0)
+        v = np.array([3.0, 1.0])
+        assert ball.support(v).value == pytest.approx(3.0, rel=1e-12)
+        np.testing.assert_allclose(ball.support_point(v), [1.0, 0.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.0001, 1.5, 2.0, 3.0, 1000.0, 2000.0, math.inf])
     def test_support_point_attains(self, p):
         ball = LpBall(dim=3, p=p, radius=1.7)
         rng = np.random.default_rng(31)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +508,25 @@ class TestCliVerify:
             assert code == 1
         else:
             assert code in (1, 2)
+
+    @pytest.mark.parametrize("suite", ["oracles", "sandwich", "power"])
+    def test_indicator_records_do_not_depend_on_blas_threads(self, tmp_path, suite):
+        # At 20,000 samples a whole-chunk BLAS call runs threaded (a gemm
+        # at dim >= 4, any gemv or ddot), so a record that depended on the
+        # thread count would differ from the single-thread child's.
+        payload = {"dim": 2, "suite": suite, "mc": {"samples": 20000, "seed": 3}}
+        code, report, _ = run_cli(tmp_path, "verify", payload)
+        out = tmp_path / "single_thread.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "shiftbounds.cli", "verify",
+             "--config", str(tmp_path / "verify.json"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == code, child.stderr
+        assert json.loads(out.read_text())["records"] == report["records"]
 
     def test_fault_injection_fails_the_run(self, tmp_path):
         code, report, _ = run_cli(

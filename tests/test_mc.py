@@ -11,9 +11,13 @@ from shiftbounds import mc
 from shiftbounds import (
     Direction,
     DomainError,
+    Ellipsoid,
+    HPolytope,
     InsufficientHitsError,
     InsufficientMassError,
+    Intersection,
     Layer,
+    LinearImage,
     LpBall,
     Slab,
     as_layered,
@@ -66,6 +70,42 @@ TWO_LAYER = build_layered(
         Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
     ]
 )
+
+DENSE3 = build_covariance(np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.8]]))
+U3 = Direction.from_vector(np.array([1.0, -1.0, 2.0]))
+BODIES3 = {
+    "slab": Slab(normal=Direction.from_vector(np.array([0.3, 1.0, -0.5])), halfwidth=1.1),
+    "lp_ball": LpBall(dim=3, p=math.inf, radius=1.6),
+    "ellipsoid": Ellipsoid(build_covariance(np.diag([0.5, 1.0, 0.4]))),
+    "h_polytope": HPolytope(
+        normals=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.5]]),
+        offsets=np.array([2.0, 3.0, 3.0]),
+    ),
+    "intersection": Intersection(
+        parts=(LpBall(dim=3, p=2.0, radius=2.0), LpBall(dim=3, p=math.inf, radius=1.5))
+    ),
+    "linear_image": LinearImage(
+        LpBall(dim=3, p=1.0, radius=2.5),
+        np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0]]),
+    ),
+}
+# Counts of the power grid [0.7, 0.0, 1.3, 0.7] (seed 5, substream 1)
+# and of the shift probability at t = 0.9 (seed 5) at GOLDEN_COUNT,
+# captured before the indicator pass ran in row blocks.
+BLOCKED_PASS_HITS = {
+    ("ellipsoid", "dense"): [97798, 89053, 113304, 97798, 28427],
+    ("ellipsoid", "identity"): [91328, 84539, 104319, 91328, 35920],
+    ("h_polytope", "dense"): [28534, 25720, 37091, 28534, 100815],
+    ("h_polytope", "identity"): [19362, 14226, 32212, 19362, 108503],
+    ("intersection", "dense"): [66631, 56976, 87705, 66631, 58371],
+    ("intersection", "identity"): [57178, 48069, 76153, 57178, 68586],
+    ("linear_image", "dense"): [72410, 59931, 97332, 72410, 51251],
+    ("linear_image", "identity"): [67937, 58085, 87275, 67937, 57762],
+    ("lp_ball", "dense"): [57382, 48326, 77643, 57382, 68203],
+    ("lp_ball", "identity"): [47623, 38866, 66461, 47623, 78290],
+    ("slab", "dense"): [46358, 41991, 56552, 46358, 81989],
+    ("slab", "identity"): [41110, 35731, 53137, 41110, 86757],
+}
 
 
 class TestStreams:
@@ -198,6 +238,30 @@ class TestDeterminism:
             )
             assert est == single
         assert grid[0] == grid[4]
+
+    @pytest.mark.parametrize("sigma", ["dense", "identity"])
+    @pytest.mark.parametrize("kind", sorted(BODIES3))
+    def test_block_size_does_not_move_a_bit(self, monkeypatch, kind, sigma):
+        # Hits are integers and a row's transform ignores its neighbours,
+        # so no block size may move a bit.  Blocks of 1 and 7 rows loop in
+        # Python per block (seconds per call at GOLDEN_COUNT), so they run
+        # on 1,000 samples: 142 blocks of 7 and a partial one.
+        cov = DENSE3 if sigma == "dense" else identity_covariance(3)
+        body = BODIES3[kind]
+
+        def bits(count):
+            grid = estimate_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5, 1)
+            prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
+            return [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob]]
+
+        for count, sizes in ((GOLDEN_COUNT, (CHUNK_SIZE, 4096)), (1000, (CHUNK_SIZE, 7, 1))):
+            runs = []
+            for rows in sizes:
+                monkeypatch.setattr(mc, "BLOCK_ROWS", rows)
+                runs.append(bits(count))
+            assert all(run == runs[0] for run in runs)
+            if count == GOLDEN_COUNT:
+                assert [hits for *_, hits in runs[0]] == BLOCKED_PASS_HITS[kind, sigma]
 
     def test_power_grid_needs_a_theta(self):
         with pytest.raises(DomainError):
