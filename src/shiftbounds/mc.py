@@ -6,6 +6,12 @@ so each chunk depends only on its coordinates.  Uniforms are
 (53-bit integer + 0.5) * 2^-53, mapped through the inverse normal CDF;
 correlated Gaussians are L z for the covariance's Cholesky factor L.
 
+Chunks are drawn on a small thread pool (SAMPLER_WORKERS threads; the
+Philox fill and ndtri release the GIL), up to SAMPLER_WORKERS chunks
+ahead of the one being reduced.  Everything else -- membership tests,
+weights, BLAS calls and the reduction -- runs on the calling thread in
+chunk order, so no bit depends on the number of workers.
+
 Every estimator reduces a vector of per-chunk sums (sum, sum of
 squares, hits, ...) in fixed chunk order; mean = S1/N and stderr =
 sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which for
@@ -25,6 +31,11 @@ at stderr 0 a z is 0 without slack and +-inf otherwise.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -56,6 +67,14 @@ CHUNK_SIZE = 65536
 # wakes no helper thread (one that then spins between calls), and every
 # temporary of the block stays in cache.
 BLOCK_ROWS = 4096
+
+# Sampler threads, and chunks drawn ahead of the one being reduced.  The
+# cap bounds the chunks alive at once to about 1 + SAMPLER_WORKERS.
+SAMPLER_WORKERS = min(
+    4,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1,
+)
 
 # Substream roles: numerators/single estimates draw from MAIN, ratio
 # denominators from DENOM; anything a caller passes explicitly wins.
@@ -119,27 +138,66 @@ def _chunk_rng(seed: int, substream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _sampler_pool() -> ThreadPoolExecutor:
+    """The process's sampler pool, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler"
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which inherits it without its threads."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def standard_normal_chunks(
     dim: int, count: int, seed: int, substream: int = SUBSTREAM_MAIN
 ) -> Iterator[np.ndarray]:
-    """Yield standard normal chunks of shape (<=CHUNK_SIZE, dim), in order."""
+    """Yield standard normal chunks of shape (<=CHUNK_SIZE, dim), in order.
+
+    Up to SAMPLER_WORKERS later chunks are drawn on the sampler pool
+    while the caller works on the current one; closing or dropping the
+    generator cancels the draws that have not started.
+    """
     _check_stream(seed, substream, count)
-    produced = 0
-    index = 0
-    while produced < count:
-        rows = min(CHUNK_SIZE, count - produced)
-        yield _normal_chunk(seed, substream, index, rows, dim)
-        produced += rows
-        index += 1
+    pool = _sampler_pool()
+    ahead: deque[Future] = deque()
+    try:
+        for index, start in enumerate(range(0, count, CHUNK_SIZE)):
+            rows = min(CHUNK_SIZE, count - start)
+            ahead.append(pool.submit(_normal_chunk, seed, substream, index, rows, dim))
+            if len(ahead) > SAMPLER_WORKERS:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        for future in ahead:
+            future.cancel()
 
 
 def _normal_chunk(
     seed: int, substream: int, index: int, rows: int, dim: int
 ) -> np.ndarray:
-    rng = _chunk_rng(seed, substream, index)
-    bits = rng.integers(0, 1 << 53, size=(rows, dim), dtype=np.uint64)
-    uniforms = (bits.astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(uniforms)
+    # random() is (top 53 bits of a Philox word) * 2^-53, as integers(0,
+    # 2^53) is; adding 2^-54 rounds as (bits + 0.5) * 2^-53 does, because
+    # scaling by a power of two commutes with rounding.
+    uniforms = _chunk_rng(seed, substream, index).random((rows, dim))
+    uniforms += 2.0**-54
+    return ndtri(uniforms, out=uniforms)
 
 
 def sample_gaussian(
@@ -163,8 +221,9 @@ def _accumulate(
     Hit counts travel as floats; they stay exact below 2^53 samples.
     """
     total = 0.0
-    for z in standard_normal_chunks(dim, count, seed, substream):
-        total = total + chunk_sums(z)
+    with closing(standard_normal_chunks(dim, count, seed, substream)) as chunks:
+        for z in chunks:
+            total = total + chunk_sums(z)
     return [float(s) for s in total]
 
 

@@ -2,10 +2,15 @@
 against closed forms, and the verification verdicts (including the
 fault-injection path that proves violations are detectable)."""
 
+import dataclasses
 import math
+import multiprocessing
+import queue
+import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from shiftbounds import mc
 from shiftbounds import (
@@ -17,6 +22,7 @@ from shiftbounds import (
     InsufficientMassError,
     Intersection,
     Layer,
+    LayeredUnimodal,
     LinearImage,
     LpBall,
     Slab,
@@ -108,6 +114,30 @@ BLOCKED_PASS_HITS = {
 }
 
 
+def _count_draws(monkeypatch):
+    """Record the index of every chunk drawn, on a sampler pool of the test's own."""
+    draws = []
+    draw = mc._normal_chunk
+
+    def counting(seed, substream, index, rows, dim):
+        draws.append(index)
+        return draw(seed, substream, index, rows, dim)
+
+    monkeypatch.setattr(mc, "_normal_chunk", counting)
+    monkeypatch.setattr(mc, "_pool", None)
+    return draws
+
+
+def _drawn(draws):
+    """The number of chunks drawn, once every draw the pool started has ended."""
+    mc._sampler_pool().shutdown(wait=True)
+    return len(draws)
+
+
+def _hex_fields(result):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(result)]
+
+
 class TestStreams:
     def test_chunks_have_requested_shape(self):
         chunks = list(standard_normal_chunks(3, CHUNK_SIZE + 1000, seed=5))
@@ -141,6 +171,83 @@ class TestStreams:
         empirical = x.T @ x / x.shape[0]
         assert np.max(np.abs(empirical - sigma)) <= 5e-3 * np.max(np.abs(sigma)) + 5e-3
 
+    @pytest.mark.parametrize("rows", [CHUNK_SIZE, 7, 1])
+    def test_uniform_map_matches_the_integer_formula(self, rows):
+        # The stream contract: ndtri of (top 53 bits of a Philox word + 0.5)
+        # * 2^-53, as the chunks were drawn before the map ran in place.
+        for seed, substream, index in [
+            (0, SUBSTREAM_MAIN, 0), (5, SUBSTREAM_DENOM, 2), (2**64 - 1, 7, 11),
+            (123456789, 3, 0),
+        ]:
+            rng = mc._chunk_rng(seed, substream, index)
+            bits = rng.integers(0, 1 << 53, size=(rows, 3), dtype=np.uint64)
+            want = ndtri((bits.astype(np.float64) + 0.5) * 2.0**-53)
+            got = mc._normal_chunk(seed, substream, index, rows, 3)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("abandon", ["probe", "close", "raising_sums"])
+    def test_abandoned_stream_stops_drawing(self, monkeypatch, abandon):
+        # One sampler thread, held inside chunk 1, with four chunks in
+        # flight: chunks 2-4 are still queued when the 153-chunk stream is
+        # dropped after its first chunk, and must never be drawn.
+        draws = _count_draws(monkeypatch)
+        monkeypatch.setattr(mc, "SAMPLER_WORKERS", 1)
+        mc._sampler_pool()
+        monkeypatch.setattr(mc, "SAMPLER_WORKERS", 4)
+        release = threading.Event()
+        draw = mc._normal_chunk
+
+        def held(seed, substream, index, rows, dim):
+            if index > 0:
+                release.wait(timeout=30)
+            return draw(seed, substream, index, rows, dim)
+
+        monkeypatch.setattr(mc, "_normal_chunk", held)
+        count = 10_000_000
+        try:
+            if abandon == "probe":
+                assert next(standard_normal_chunks(2, count, seed=3)).shape == (CHUNK_SIZE, 2)
+            elif abandon == "close":
+                chunks = standard_normal_chunks(2, count, seed=3)
+                next(chunks)
+                chunks.close()
+            else:
+                def failing_sums(z):
+                    raise ArithmeticError("reduction failed")
+
+                with pytest.raises(ArithmeticError):
+                    mc._accumulate(count, 3, SUBSTREAM_MAIN, 2, failing_sums)
+        finally:
+            release.set()
+        assert _drawn(draws) <= 2
+        assert draws[0] == 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_samples_after_the_parent(self):
+        # The child inherits the parent's pool object but none of its
+        # threads; an estimate there must not wait on them.
+        def estimate():
+            return estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, GOLDEN_COUNT, seed=7)
+
+        parent = estimate()
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(estimate()))
+        child.start()
+        try:
+            got = results.get(timeout=30)
+            child.join(timeout=30)
+            assert not child.is_alive()
+        except queue.Empty:
+            pytest.fail("the forked child's estimate did not finish")
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert got == parent
+
     def test_seed_validation(self):
         gen = standard_normal_chunks(2, 10, seed=-1)
         with pytest.raises(DomainError):
@@ -167,13 +274,11 @@ class TestStreams:
     )
     @pytest.mark.parametrize("estimator", sorted(STREAM_CALLS))
     def test_estimators_validate_stream_before_sampling(self, monkeypatch, estimator, bad):
-        def no_sampling(*args):
-            raise AssertionError("a chunk was drawn before the stream was validated")
-
-        monkeypatch.setattr(mc, "_normal_chunk", no_sampling)
+        draws = _count_draws(monkeypatch)
         stream = {"count": 1000, "seed": 1, "substream": SUBSTREAM_MAIN, **bad}
         with pytest.raises(DomainError):
             STREAM_CALLS[estimator](**stream)
+        assert _drawn(draws) == 0
 
 
 class TestDeterminism:
@@ -262,6 +367,67 @@ class TestDeterminism:
             assert all(run == runs[0] for run in runs)
             if count == GOLDEN_COUNT:
                 assert [hits for *_, hits in runs[0]] == BLOCKED_PASS_HITS[kind, sigma]
+
+    @pytest.mark.parametrize("sigma", ["dense", "identity"])
+    def test_worker_count_does_not_move_a_bit(self, monkeypatch, sigma):
+        # Chunks are drawn ahead on the pool but reduced in chunk order, so
+        # neither the pool size nor the look-ahead may move a bit.
+        cov = DENSE3 if sigma == "dense" else identity_covariance(3)
+        ball = LpBall(dim=3, p=2.0, radius=2.0)
+        weight = build_layered(
+            [Layer(1.0, ball), Layer(0.5, LpBall(dim=3, p=1.0, radius=1.5))]
+        )
+
+        def bits(count):
+            results = [
+                estimate_shift_prob(cov, ball, U3, 0.8, count, seed=3),
+                estimate_layered_expectation(cov, weight, U3, 0.8, count, seed=3),
+                estimate_power(cov, ball, U3, 1.2, count, seed=3, substream=1),
+                *estimate_power_grid(cov, ball, U3, [0.7, 0.0, 1.3], count, 5, 1),
+                estimate_conditional_center(ball, U3, 0.8, count, seed=3),
+                verify_derivative_identity(weight, U3, 0.8, count, seed=3),
+            ]
+            return [_hex_fields(r) for r in results]
+
+        for count in (GOLDEN_COUNT, 1000):
+            runs = []
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(mc, "SAMPLER_WORKERS", workers)
+                monkeypatch.setattr(mc, "_pool", None)
+                runs.append(bits(count))
+            assert all(run == runs[0] for run in runs)
+
+    def test_only_sampling_leaves_the_calling_thread(self, monkeypatch):
+        # Membership tests, weights and the reduction stay on the caller's
+        # thread (a single span stack in a tracer stays valid); the draws
+        # run on the pool.
+        caller = threading.get_ident()
+        threads = {"sample": set(), "reduce": set()}
+
+        def on_thread(role, function):
+            def wrapper(*args):
+                threads[role].add(threading.get_ident())
+                return function(*args)
+
+            return wrapper
+
+        draw = mc._normal_chunk
+        monkeypatch.setattr(mc, "_normal_chunk", on_thread("sample", draw))
+        for kind in (LpBall, Intersection):
+            monkeypatch.setattr(kind, "contains_batch", on_thread("reduce", kind.contains_batch))
+        monkeypatch.setattr(
+            LayeredUnimodal, "evaluate_batch",
+            on_thread("reduce", LayeredUnimodal.evaluate_batch),
+        )
+        body = BODIES3["intersection"]
+        weight = as_layered(LpBall(dim=3, p=2.0, radius=2.0))
+        estimate_shift_prob(DENSE3, body, U3, 0.8, GOLDEN_COUNT, seed=3)
+        estimate_power_grid(identity_covariance(3), body, U3, [0.0, 1.0], GOLDEN_COUNT, 3)
+        estimate_layered_expectation(DENSE3, weight, U3, 0.8, GOLDEN_COUNT, seed=3)
+        estimate_conditional_center(body, U3, 0.8, GOLDEN_COUNT, seed=3)
+        verify_derivative_identity(weight, U3, 0.8, GOLDEN_COUNT, seed=3)
+        assert threads["reduce"] == {caller}
+        assert threads["sample"] and caller not in threads["sample"]
 
     def test_power_grid_needs_a_theta(self):
         with pytest.raises(DomainError):
