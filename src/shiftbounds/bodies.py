@@ -367,7 +367,7 @@ class LinearImage(ConvexBody):
 
     base: ConvexBody
     matrix: np.ndarray = field(repr=False)
-    inverse: np.ndarray = field(repr=False, default=None)
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -486,9 +486,9 @@ def validate_symmetry(body: ConvexBody, probes: int = 4096, seed: int = 0) -> Sy
 def body_from_dict(data: object, path: str = "body") -> ConvexBody:
     """Build a body from its dict form (the JSON config grammar).
 
-    Raises ConfigError naming the offending field path.  Numbers may be
-    ints or floats; the lp_ball exponent additionally accepts the string
-    "inf" (as emitted by to_dict).
+    Raises ConfigError naming the offending field path.  Every number
+    must be a JSON number (booleans and strings are refused); the lp_ball
+    exponent additionally accepts the string "inf" (as emitted by to_dict).
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
@@ -497,7 +497,7 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
         raise ConfigError(f"{path}.kind: missing")
     try:
         if kind == "slab":
-            normal = _vector(data, "normal", path)
+            normal = json_array(data.get("normal"), f"{path}.normal", (None,))
             return Slab(
                 normal=Direction.from_vector(normal),
                 halfwidth=json_number(data.get("halfwidth"), f"{path}.halfwidth"),
@@ -510,17 +510,16 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
                 p = json_number(raw_p, f"{path}.p")
             else:
                 raise ConfigError(f"{path}.p: expected a number or \"inf\", got {raw_p!r}")
-            dim = data.get("dim")
-            if not isinstance(dim, int) or isinstance(dim, bool):
-                raise ConfigError(f"{path}.dim: expected an integer, got {dim!r}")
+            dim = json_int(data.get("dim"), f"{path}.dim", 1, MAX_DIM)
             radius = json_number(data.get("radius"), f"{path}.radius")
             return LpBall(dim=dim, p=p, radius=radius)
         if kind == "ellipsoid":
-            return Ellipsoid(quadratic=build_covariance(_matrix(data, "matrix", path)))
+            matrix = json_array(data.get("matrix"), f"{path}.matrix", (None, None))
+            return Ellipsoid(quadratic=build_covariance(matrix))
         if kind == "h_polytope":
             return HPolytope(
-                normals=_matrix(data, "normals", path),
-                offsets=_vector(data, "offsets", path),
+                normals=json_array(data.get("normals"), f"{path}.normals", (None, None)),
+                offsets=json_array(data.get("offsets"), f"{path}.offsets", (None,)),
             )
         if kind == "intersection":
             raw_parts = data.get("parts")
@@ -534,10 +533,8 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
         if kind == "linear_image":
             return LinearImage(
                 base=body_from_dict(data.get("base"), f"{path}.base"),
-                matrix=_matrix(data, "matrix", path),
+                matrix=json_array(data.get("matrix"), f"{path}.matrix", (None, None)),
             )
-    except ConfigError:
-        raise
     except (DomainError, ShapeError, DefinitenessError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown body kind {kind!r}")
@@ -553,21 +550,36 @@ def json_number(raw: object, path: str) -> float:
         raise ConfigError(f"{path}: integer too large for a float") from None
 
 
-def _vector(data: dict, key: str, path: str) -> np.ndarray:
-    raw = data.get(key)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}.{key}: expected a nonempty list of numbers")
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.{key}: not numeric: {exc}") from exc
+def json_int(raw: object, path: str, lo: int, hi: int) -> int:
+    """A JSON integer in [lo, hi]; ConfigError naming `path` otherwise."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or not lo <= raw <= hi:
+        raise ConfigError(f"{path}: expected an integer in [{lo}, {hi}], got {raw!r}")
+    return raw
 
 
-def _matrix(data: dict, key: str, path: str) -> np.ndarray:
-    raw = data.get(key)
-    if not isinstance(raw, list) or not raw or not isinstance(raw[0], list):
-        raise ConfigError(f"{path}.{key}: expected a list of rows")
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.{key}: not a numeric matrix: {exc}") from exc
+def json_array(raw: object, path: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """A nonempty nested JSON list of numbers as a float array.
+
+    `shape` gives the length at each depth, None for any length; every
+    row must have the length of the first.  Each entry must be what
+    :func:`json_number` accepts.  ConfigError names `path`, then the index
+    of the offending entry.
+    """
+    lengths = list(shape)
+
+    def read(node: object, depth: int, index: str) -> list:
+        n = lengths[depth]
+        leaf = depth == len(lengths) - 1
+        if not isinstance(node, list) or not node or (n is not None and len(node) != n):
+            where = f"{path}: {index}" if index else path
+            count = "a nonempty list of" if n is None else f"a list of {n}"
+            raise ConfigError(f"{where}: expected {count} {'numbers' if leaf else 'rows'}")
+        lengths[depth] = len(node)
+        if leaf:  # a float is its own reading; only other entries need a path
+            return [
+                x if type(x) is float else json_number(x, f"{path}: {index}[{i}]")
+                for i, x in enumerate(node)
+            ]
+        return [read(row, depth + 1, f"{index}[{i}]") for i, row in enumerate(node)]
+
+    return np.array(read(raw, 0, ""), dtype=float)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import ConvexBody, body_from_dict, json_number
+from .bodies import ConvexBody, body_from_dict, json_array, json_int, json_number
 from .bounds import Layer, LayeredUnimodal, build_layered
-from .errors import ConfigError
+from .errors import ConfigError, ShiftBoundsError
 from .linalg import MAX_DIM, Covariance, Direction, build_covariance, identity_covariance
 from .mc import STREAM_CAPACITY
 from .suites import MAX_SEED, SUITES
@@ -61,21 +61,13 @@ def parse_run_config(raw: object) -> RunConfig:
         raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
     warnings: list[str] = []
 
-    dim = raw.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
-        raise ConfigError(f"dim: expected an integer in [1, {MAX_DIM}], got {dim!r}")
+    dim = json_int(raw.get("dim"), "dim", 1, MAX_DIM)
 
     cov = _parse_sigma(raw.get("sigma"), dim)
 
     u = None
     if "u" in raw:
-        u_raw = raw["u"]
-        if not isinstance(u_raw, list) or len(u_raw) != dim:
-            raise ConfigError(f"u: expected a list of {dim} numbers")
-        try:
-            vec = np.asarray(u_raw, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"u: not numeric: {exc}") from exc
+        vec = json_array(raw["u"], "u", (dim,))
         norm = float(np.linalg.norm(vec))
         if norm == 0.0 or not np.all(np.isfinite(vec)):
             raise ConfigError("u: must be a finite nonzero vector")
@@ -130,12 +122,7 @@ def parse_run_config(raw: object) -> RunConfig:
             raise ConfigError("directions: expected a nonempty list of vectors")
         collected = []
         for i, entry in enumerate(dirs_raw):
-            if not isinstance(entry, list) or len(entry) != dim:
-                raise ConfigError(f"directions[{i}]: expected a list of {dim} numbers")
-            try:
-                v = np.asarray(entry, dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"directions[{i}]: not numeric: {exc}") from exc
+            v = json_array(entry, f"directions[{i}]", (dim,))
             if not np.all(np.isfinite(v)):
                 raise ConfigError(f"directions[{i}]: entries must be finite")
             collected.append(v)
@@ -165,24 +152,18 @@ def _parse_sigma(raw: object, dim: int) -> Covariance:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("sigma: expected an object with a \"kind\" field")
     kind = raw["kind"]
+    if kind == "identity":
+        return identity_covariance(dim)
+    if kind == "diagonal":
+        matrix = np.diag(json_array(raw.get("entries"), "sigma.entries", (dim,)))
+    elif kind == "dense":
+        matrix = json_array(raw.get("matrix"), "sigma.matrix", (dim, dim))
+    else:
+        raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
     try:
-        if kind == "identity":
-            return identity_covariance(dim)
-        if kind == "diagonal":
-            entries = raw.get("entries")
-            if not isinstance(entries, list) or len(entries) != dim:
-                raise ConfigError(f"sigma.entries: expected a list of {dim} numbers")
-            return build_covariance(np.diag(np.asarray(entries, dtype=float)))
-        if kind == "dense":
-            matrix = raw.get("matrix")
-            if not isinstance(matrix, list) or len(matrix) != dim:
-                raise ConfigError(f"sigma.matrix: expected {dim} rows")
-            return build_covariance(np.asarray(matrix, dtype=float))
-    except ConfigError:
-        raise
-    except Exception as exc:  # validation errors from build_covariance
+        return build_covariance(matrix)
+    except ShiftBoundsError as exc:
         raise ConfigError(f"sigma: {exc}") from exc
-    raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
 
 
 def _parse_layers(raw: object, dim: int) -> LayeredUnimodal:
@@ -192,21 +173,19 @@ def _parse_layers(raw: object, dim: int) -> LayeredUnimodal:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"layers[{i}]: expected an object")
-        weight = entry.get("weight")
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise ConfigError(f"layers[{i}].weight: expected a number, got {weight!r}")
+        weight = json_number(entry.get("weight"), f"layers[{i}].weight")
         body = body_from_dict(entry.get("body"), f"layers[{i}].body")
         if body.dim != dim:
             raise ConfigError(
                 f"layers[{i}].body: dimension {body.dim} does not match dim {dim}"
             )
         try:
-            parsed.append(Layer(float(weight), body))
-        except Exception as exc:
+            parsed.append(Layer(weight, body))
+        except ShiftBoundsError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
     try:
         return build_layered(parsed)
-    except Exception as exc:
+    except ShiftBoundsError as exc:
         raise ConfigError(f"layers: {exc}") from exc
 
 
@@ -230,19 +209,8 @@ def _parse_mc(raw: object) -> McConfig | None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("mc: expected an object")
-    samples = raw.get("samples")
-    if (
-        not isinstance(samples, int)
-        or isinstance(samples, bool)
-        or not 1 <= samples <= STREAM_CAPACITY
-    ):
-        raise ConfigError(
-            f"mc.samples: expected an integer in [1, {STREAM_CAPACITY}] "
-            f"(the stream capacity), got {samples!r}"
-        )
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
-        raise ConfigError(f"mc.seed: expected an integer in [0, 2^64), got {seed!r}")
+    samples = json_int(raw.get("samples"), "mc.samples", 1, STREAM_CAPACITY)
+    seed = json_int(raw.get("seed", 0), "mc.seed", 0, (1 << 64) - 1)
     z = _positive_finite(raw.get("z_threshold", 4.0), "mc.z_threshold")
     return McConfig(samples=samples, seed=seed, z_threshold=z)
 

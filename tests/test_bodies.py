@@ -6,6 +6,7 @@ shared support-function contracts: symmetry, positive homogeneity, and
 the adjoint law for linear images.
 """
 
+import json
 import math
 
 import mpmath
@@ -285,6 +286,12 @@ class TestLinearImage:
         with pytest.raises(ShapeError):
             LinearImage(base=LpBall(dim=2, p=2.0, radius=1.0), matrix=np.eye(3))
 
+    def test_inverse_is_not_an_argument(self):
+        # The inverse is always computed from the matrix; passing one would
+        # be silently ignored.
+        with pytest.raises(TypeError):
+            LinearImage(LpBall(dim=2, p=2.0, radius=1.0), np.eye(2), inverse=np.eye(2))
+
 
 class TestSupportProperties:
     """Contracts every variant must satisfy, probed with seeded directions."""
@@ -387,3 +394,26 @@ class TestBodyGrammar:
             )
         with pytest.raises(ConfigError):
             body_from_dict({"kind": "ellipsoid", "matrix": [[1.0, 2.0], [2.0, 1.0]]})
+
+    @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
+    @pytest.mark.parametrize(
+        "where, data",
+        [
+            ("normal: [1]", {"kind": "slab", "normal": [1.0, "BAD"], "halfwidth": 1.0}),
+            ("normals: [1][1]", {"kind": "h_polytope", "normals": [[1.0, 0.0], [0.0, "BAD"]],
+                                 "offsets": [1.0, 1.0]}),
+            ("offsets: [0]", {"kind": "h_polytope", "normals": [[1.0, 0.0]], "offsets": ["BAD"]}),
+            ("matrix: [1][1]", {"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, "BAD"]]}),
+            ("matrix: [1][1]", {"kind": "linear_image", "base": LpBall(2, 2.0, 1.0).to_dict(),
+                                "matrix": [[1.0, 0.0], [0.0, "BAD"]]}),
+        ],
+        ids=["slab_normal", "h_polytope_normals", "h_polytope_offsets", "ellipsoid_matrix",
+             "linear_image_matrix"],
+    )
+    def test_entries_must_be_json_numbers(self, where, data, bad):
+        # A boolean or a numeric string is not a JSON number, even where
+        # float() would take it.
+        data = json.loads(json.dumps(data).replace('"BAD"', json.dumps(bad)))
+        with pytest.raises(ConfigError) as exc:
+            body_from_dict(data)
+        assert str(exc.value) == f"body.{where}: expected a number, got {bad!r}"

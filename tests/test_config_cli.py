@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftbounds import ConfigError, lp
+from shiftbounds import ConfigError, body_from_dict, lp
 from shiftbounds.cli import main
 from shiftbounds.config import encode_report, jsonable, parse_run_config
 from shiftbounds.mc import STREAM_CAPACITY
@@ -62,6 +63,13 @@ HUGE_FIELDS = {
     "body.normal": '"body": {"kind": "slab", "normal": [1.0, HUGE], "halfwidth": 1.0}',
     "body.p": '"body": {"kind": "lp_ball", "dim": 2, "p": HUGE, "radius": 1.0}',
     "body.normals": '"body": {"kind": "h_polytope", "normals": [[1.0, HUGE]], "offsets": [1.0]}',
+    "layers[0].weight": '"layers": [{"weight": HUGE, "body": %s}]' % json.dumps(SLAB_E1),
+    "sigma.entries": '"sigma": {"kind": "diagonal", "entries": [1.0, HUGE]}',
+    "sigma.matrix": '"sigma": {"kind": "dense", "matrix": [[1.0, 0.0], [0.0, HUGE]]}',
+    "body.offsets": '"body": {"kind": "h_polytope", "normals": [[1.0, 0.0]], "offsets": [HUGE]}',
+    "body.matrix": '"body": {"kind": "ellipsoid", "matrix": [[HUGE, 0.0], [0.0, 1.0]]}',
+    "layers[0].body.matrix": '"layers": [{"weight": 1.0, "body": {"kind": "linear_image",'
+    ' "base": %s, "matrix": [[1.0, HUGE], [0.0, 1.0]]}}]' % json.dumps(SLAB_E1),
 }
 
 
@@ -102,6 +110,12 @@ class TestParseRunConfig:
             ({"kind": "dense", "matrix": [[1.0, 0.5], [0.4, 1.0]]}, "sigma"),
             ({}, "kind"),
             ("identity", "kind"),
+            ({"kind": "diagonal", "entries": [True, 1.0]}, r"^sigma\.entries: \[0\]: "),
+            ({"kind": "diagonal", "entries": [1.0, "1"]}, r"^sigma\.entries: \[1\]: "),
+            ({"kind": "dense", "matrix": [[1.0, False], [0.0, 1.0]]},
+             r"^sigma\.matrix: \[0\]\[1\]: "),
+            ({"kind": "dense", "matrix": [["1", 0.0], [0.0, 1.0]]},
+             r"^sigma\.matrix: \[0\]\[0\]: "),
         ],
     )
     def test_bad_sigma(self, sigma, message):
@@ -116,9 +130,11 @@ class TestParseRunConfig:
         # A unit vector loads silently.
         assert parse_run_config(minimal(u=[0.0, 1.0])).warnings == ()
 
-    @pytest.mark.parametrize("u", [[1.0], [0.0, 0.0], [1.0, "x"], "e1"])
+    @pytest.mark.parametrize(
+        "u", [[1.0], [0.0, 0.0], [1.0, "x"], "e1", [True, 0.0], ["1", 0.0]]
+    )
     def test_bad_u(self, u):
-        with pytest.raises(ConfigError, match="u"):
+        with pytest.raises(ConfigError, match="^u: "):
             parse_run_config(minimal(u=u))
 
     def test_body_and_layers_are_exclusive(self):
@@ -232,6 +248,25 @@ class TestParseRunConfig:
             parse_run_config(minimal(directions=[[1.0]]))
         with pytest.raises(ConfigError, match="nonempty"):
             parse_run_config(minimal(directions=[]))
+        with pytest.raises(ConfigError, match=r"^directions\[1\]: \[0\]: "):
+            parse_run_config(minimal(directions=[[1.0, 0.0], [True, 0.0]]))
+        with pytest.raises(ConfigError, match=r"^directions\[0\]: \[1\]: "):
+            parse_run_config(minimal(directions=[[1.0, "0"]]))
+
+    def test_readme_examples_load(self):
+        # A tightened grammar must not leave a documented example behind.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        configs, bodies = [], []
+        for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+            try:
+                configs.append(json.loads(block))
+            except json.JSONDecodeError:  # one body per line
+                bodies += [json.loads(line) for line in block.splitlines() if "..." not in line]
+        assert (len(configs), len(bodies)) == (3, 4)
+        for raw in configs:
+            parse_run_config(raw)
+        for raw in bodies:
+            body_from_dict(raw)
 
 
 class TestSerialization:
