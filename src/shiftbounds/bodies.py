@@ -37,6 +37,12 @@ from .linalg import MAX_DIM, Covariance, Direction, build_covariance
 # slab normal" when deciding between a finite support value and +inf.
 _PARALLEL_RTOL = 1e-10
 
+# Membership kernels walk at most this many columns one at a time.  A
+# reduction over a short last axis costs numpy about as much per row as
+# the arithmetic; past 8 columns the strided column walks cost more than
+# that, so wider rows keep the plain reduction.
+_COLUMN_WALK_MAX = 8
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=float)
@@ -140,6 +146,22 @@ class Slab(ConvexBody):
         }
 
 
+def _all_columns(a: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
+    """Rows with |a[:, j]| <= bound_j in every column j: the verdict of
+    np.all(np.abs(a) <= bound, axis=1), NaN rows failing, ANDed column by
+    column.  `bound` is a scalar or holds one entry per column.
+    """
+    bounds = np.broadcast_to(bound, a.shape[1:])
+    if a.shape[1] > _COLUMN_WALK_MAX:
+        return np.all(np.abs(a) <= bounds, axis=1)
+    ok = np.abs(a[:, 0]) <= bounds[0]
+    column = np.empty(a.shape[0])
+    passed = np.empty(a.shape[0], dtype=bool)
+    for j in range(1, a.shape[1]):
+        ok &= np.less_equal(np.abs(a[:, j], out=column), bounds[j], out=passed)
+    return ok
+
+
 def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
     """The p-norm along the last axis of a nonnegative array, p in [1, inf].
 
@@ -160,6 +182,42 @@ def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
     return scale[..., 0] * np.sum((a / scale) ** p, axis=-1) ** (1.0 / p)
 
 
+def _sum_band(p: float, radius: float, dim: int) -> tuple[float, float] | None:
+    """Bounds (lo, hi) that decide ||x||_p <= radius from a row sum s.
+
+    The reference verdict is s <= T, where s is numpy's sum of the terms
+    |x_j| (p = 1) or x_j * x_j (p = 2) over the row.  For p = 1, T is the
+    radius.  For p = 2 the verdict fl(sqrt(s)) <= radius holds exactly
+    when s <= T for the largest double T whose sqrt is <= radius, since
+    sqrt is correctly rounded and monotone.  Summing n nonnegative terms
+    in any order errs by at most (n - 1) u times the exact sum, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2), so two orders differ by under 2 n u times it: a row
+    that another order puts below lo = T - 4 n u T (above hi = T + 4 n u T)
+    is inside (outside) by the reference too.  Rows in between take the
+    reference.
+
+    None (every row takes the reference) for other exponents, for rows
+    wider than _COLUMN_WALK_MAX, and when T is outside [2^-960, 2^960].
+    Near the subnormal range a rounded square errs by more than u
+    relative, and near overflow the band edge and the sums close to it
+    could overflow; the range keeps wide margins from both.
+    """
+    if p not in (1.0, 2.0) or dim > _COLUMN_WALK_MAX:
+        return None
+    bound = radius
+    if p == 2.0:
+        bound = radius * radius
+        while math.sqrt(bound) > radius:
+            bound = math.nextafter(bound, 0.0)
+        while math.sqrt(math.nextafter(bound, math.inf)) <= radius:
+            bound = math.nextafter(bound, math.inf)
+    if not 2.0**-960 <= bound <= 2.0**960:
+        return None
+    half_width = bound * (4 * dim * 2.0**-53)
+    return bound - half_width, bound + half_width
+
+
 @dataclass(frozen=True)
 class LpBall(ConvexBody):
     """{x : ||x||_p <= radius} for p in [1, inf]."""
@@ -167,6 +225,9 @@ class LpBall(ConvexBody):
     dim: int
     p: float
     radius: float
+    _band: tuple[float, float] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dim, int) and 1 <= self.dim <= MAX_DIM):
@@ -179,12 +240,40 @@ class LpBall(ConvexBody):
             raise DomainError(f"lp ball radius must be finite and > 0, got {r!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "_band", _sum_band(p, r, self.dim))
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        a = np.abs(_as_points(pts, self.dim))
+        x = _as_points(pts, self.dim)
         if math.isinf(self.p):
-            # The predicate max_i a_i <= r (NaN rows fail both) without the max.
-            return np.all(a <= self.radius, axis=1)
+            # The predicate max_i |x_i| <= r (NaN rows fail both) without the max.
+            return _all_columns(x, self.radius)
+        if self._band is None:
+            return self._norm_within_radius(x)
+        # Running sum over columns of |x_j| or x_j * x_j (see _sum_band).
+        term = np.abs if self.p == 1.0 else np.square
+        sums = term(x[:, 0])
+        column = np.empty_like(sums)
+        for j in range(1, self.dim):
+            sums += term(x[:, j], out=column)
+        lo, hi = self._band
+        inside = sums <= lo
+        near = sums <= hi
+        near ^= inside
+        if near.any():
+            inside[near] = self._norm_within_radius(x)[near]
+        return inside
+
+    def _norm_within_radius(self, x: np.ndarray) -> np.ndarray:
+        """Rows with ||x||_p <= radius, as the p-norm of each row computes it.
+
+        For p = 2 that is sqrt(sum of a * a): numpy evaluates the array
+        power ** 0.5 of _lp_norm as sqrt, and _sum_band derives T from
+        sqrt.  _lp_norm keeps the power form because support values take
+        ** 0.5 of a numpy scalar, which is libm pow, not always sqrt.
+        """
+        a = np.abs(x)
+        if self.p == 2.0:
+            return np.sqrt(np.sum(a * a, axis=-1)) <= self.radius
         return _lp_norm(a, self.p) <= self.radius
 
     def _dual_exponent(self) -> float:
@@ -292,7 +381,7 @@ class HPolytope(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         p = _as_points(pts, self.dim)
-        return np.all(np.abs(p @ self.normals.T) <= self.offsets, axis=1)
+        return _all_columns(p @ self.normals.T, self.offsets)
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)

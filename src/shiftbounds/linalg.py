@@ -51,14 +51,18 @@ def _as_square_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if scale > 0.0 and asym > SYMMETRY_RTOL * scale:
-        raise ShapeError(
-            f"{what} is not symmetric (max asymmetry {asym:.3e} "
-            f"vs scale {scale:.3e})"
-        )
-    return 0.5 * (m + m.T)
+    # Entries near the float limit overflow m - m.T and m + m.T; the inf
+    # that results is refused by the asymmetry test or by the callers'
+    # non-finite checks, not raised as a warning.
+    with np.errstate(over="ignore"):
+        scale = float(np.max(np.abs(m))) if m.size else 0.0
+        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        if scale > 0.0 and asym > SYMMETRY_RTOL * scale:
+            raise ShapeError(
+                f"{what} is not symmetric (max asymmetry {asym:.3e} "
+                f"vs scale {scale:.3e})"
+            )
+        return 0.5 * (m + m.T)
 
 
 def _sign(x: float) -> float:

@@ -31,6 +31,7 @@ from shiftbounds import (
     transform,
     validate_symmetry,
 )
+from shiftbounds.bodies import _lp_norm
 
 
 def sample_bodies():
@@ -123,6 +124,22 @@ class TestLpBall:
     def test_membership_extreme_exponents(self, p, pts, want):
         ball = LpBall(dim=2, p=p, radius=1.5 if p == 2000.0 else 1.0)
         np.testing.assert_array_equal(ball.contains_batch(np.array(pts)), want)
+
+    def test_l2_membership_norm_is_sqrt_of_sum_of_squares(self):
+        # Membership spells the p = 2 norm of rows as sqrt and a * a; it must
+        # keep the bits of the power form of _lp_norm, on random rows and
+        # on rows whose norm sits within ulps of 1.
+        rng = np.random.default_rng(13)
+        dims = (1, 2, 3, 5, 8, 9, 16, 64)
+        for dim in dims:
+            g = np.abs(rng.standard_normal((2000, dim)))
+            wide = g * np.exp(rng.uniform(-300.0, 300.0, size=(2000, 1)))
+            unit = g / np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
+            near = unit[:, None, :] * (1.0 + np.arange(-4, 5) * 2.0**-52)[None, :, None]
+            for a in (g, wide, near.reshape(-1, dim)):
+                old = np.sum(a**2.0, axis=-1) ** 0.5
+                assert old.tobytes() == _lp_norm(a, 2.0).tobytes()
+                assert old.tobytes() == np.sqrt(np.sum(a * a, axis=-1)).tobytes()
 
     @pytest.mark.parametrize("p", [1.0001, 1000.0, 2000.0])
     def test_large_exponents_match_high_precision(self, p):
@@ -291,6 +308,110 @@ class TestLinearImage:
         # be silently ignored.
         with pytest.raises(TypeError):
             LinearImage(LpBall(dim=2, p=2.0, radius=1.0), np.eye(2), inverse=np.eye(2))
+
+
+def _old_contains_batch(body, pts):
+    """Membership as each kernel computed it before the column walks."""
+    if isinstance(body, HPolytope):
+        return np.all(np.abs(pts @ body.normals.T) <= body.offsets, axis=1)
+    a = np.abs(pts)
+    if math.isinf(body.p):
+        return np.all(a <= body.radius, axis=1)
+    if body.p == 1.0:
+        return np.sum(a, axis=-1) <= body.radius
+    return np.sum(a**body.p, axis=-1) ** (1.0 / body.p) <= body.radius
+
+
+def _sqrt_bound(radius):
+    """The largest double whose sqrt is <= radius, by bisection on the bits."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.sqrt(float(np.int64(mid).view(np.float64))) <= radius:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _ulps_from(bits, steps):
+    return np.array([np.int64(bits + k).view(np.float64) for k in steps])
+
+
+def _parity_rows(dim, p, radius, rng):
+    """Gaussian rows about half inside, rows whose row sum lands within a
+    few ulps of the bound T, axis rows within ulps of the radius, and rows
+    holding NaN, +-inf, 1e200 or 1e-200."""
+    g = rng.standard_normal((600, dim))
+    radius_bits = int(np.float64(radius).view(np.int64))
+    if math.isinf(p):
+        gauss = g * (radius / 1.6)
+        norms = np.max(np.abs(g[:60]), axis=-1)
+        bounds = _ulps_from(radius_bits, range(-6, 7))
+    elif p == 1.0:
+        gauss = g * (radius / (0.8 * dim))
+        norms = np.sum(np.abs(g[:60]), axis=-1)
+        bounds = _ulps_from(radius_bits, range(-6, 7))
+    else:
+        gauss = g * (radius / math.sqrt(dim))
+        norms = np.sqrt(np.sum(g[:60] * g[:60], axis=-1))
+        # Row norms whose squares sit near T.
+        bounds = np.sqrt(_ulps_from(_sqrt_bound(radius), range(-6, 7)))
+    near = (g[:60] / norms[:, None])[:, None, :] * bounds[None, :, None]
+    axis = np.zeros((13, dim))
+    axis[:, -1] = _ulps_from(radius_bits, range(-6, 7))
+    special = gauss[:24].copy()
+    for i, value in enumerate([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200]):
+        special[4 * i : 4 * i + 4, i % dim] = value
+    return np.vstack([gauss, near.reshape(-1, dim), axis, -axis, special])
+
+
+class TestMembershipKernels:
+    """Every membership kernel gives the verdict of the expression it
+    replaced, row for row: Gaussian rows, rows at the decision boundary,
+    non-finite and huge coordinates, and radii whose bound leaves the
+    range where row sums are compared against a band."""
+
+    DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_lp_ball_matches_old_expression(self, dim, p, scale):
+        radius = scale * (0.8 * dim if p == 1.0 else 1.6 if math.isinf(p) else math.sqrt(dim))
+        ball = LpBall(dim=dim, p=p, radius=radius)
+        rng = np.random.default_rng([dim, 0 if math.isinf(p) else int(p)])
+        pts = _parity_rows(dim, p, radius, rng)
+        with np.errstate(over="ignore"):  # 1e200 squared overflows in both
+            got = ball.contains_batch(pts)
+            np.testing.assert_array_equal(got, _old_contains_batch(ball, pts))
+            # In Fortran order numpy sums wide rows in another order, so
+            # the old verdicts themselves move; the kernel must follow them.
+            fortran = np.asfortranarray(pts)
+            np.testing.assert_array_equal(
+                ball.contains_batch(fortran), _old_contains_batch(ball, fortran)
+            )
+        # The boundary rows fall on both sides.
+        assert 0 < np.count_nonzero(got) < len(got)
+
+    @pytest.mark.parametrize("rows", [1, 8, 9])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_h_polytope_matches_old_expression(self, dim, rows):
+        rng = np.random.default_rng([dim, rows])
+        normals = rng.standard_normal((rows, dim))
+        pts = rng.standard_normal((500, dim))
+        pts[1:5, 0] = [math.nan, math.inf, -math.inf, 1e200]
+        # Offsets taken from row 0 put it on the boundary of every face.
+        polytope = HPolytope(normals=normals, offsets=np.abs(pts @ normals.T)[0])
+        got = polytope.contains_batch(pts)
+        np.testing.assert_array_equal(got, _old_contains_batch(polytope, pts))
+        assert got[0] and not got[1:5].any()
+
+    @pytest.mark.parametrize("radius", [1e-160, 1e150])
+    def test_extreme_l2_radius_takes_the_plain_expression(self, radius):
+        ball = LpBall(dim=3, p=2.0, radius=radius)
+        assert ball._band is None
+        assert LpBall(dim=3, p=2.0, radius=1.0)._band is not None
 
 
 class TestSupportProperties:

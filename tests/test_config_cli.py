@@ -615,6 +615,24 @@ class TestCliErrors:
         assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize(
+        "sigma, reason",
+        [
+            ({"kind": "diagonal", "entries": [1e308, 1e308]}, "non-finite entries"),
+            ({"kind": "dense", "matrix": [[1.0, 1e308], [-1e308, 1.0]]}, "not symmetric"),
+        ],
+        ids=["diagonal", "asymmetric"],
+    )
+    def test_sigma_near_float_limit_is_a_config_error(self, tmp_path, capsys, sigma, reason):
+        # Symmetrizing overflows here; that raised a RuntimeWarning, not a
+        # ConfigError naming sigma.
+        body = {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 1.0}
+        config = {"dim": 2, "sigma": sigma, "body": body, "u": [1.0, 0.0], "t_grid": [0.5]}
+        code, _, _ = run_cli(tmp_path, "bounds", config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma: ") and reason in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err

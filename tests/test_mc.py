@@ -113,6 +113,36 @@ BLOCKED_PASS_HITS = {
     ("slab", "identity"): [41110, 35731, 53137, 41110, 86757],
 }
 
+# Rejections of the power grid [0.0, 0.8, 1.6] (seed 11) at GOLDEN_COUNT
+# on the covariance 0.5^|i-j|, captured before the membership kernels
+# walked columns.  From dim 8 numpy sums a row pairwise, in another order
+# than a running sum over columns.
+WIDE_GRID_HITS = {
+    ("l1", 8): [58694, 64656, 80412],
+    ("l2", 8): [52522, 58931, 75599],
+    ("intersection", 8): [50303, 56455, 72923],
+    ("l1", 16): [60210, 64430, 75713],
+    ("l2", 16): [55759, 60194, 72150],
+    ("intersection", 16): [48001, 52374, 64557],
+}
+
+
+def _wide_grid_case(name, dim):
+    cov = build_covariance(
+        np.array([[0.5 ** abs(i - j) for j in range(dim)] for i in range(dim)])
+    )
+    u = Direction.from_vector(np.linspace(-1.0, 2.0, dim))
+    bodies = {
+        "l1": LpBall(dim=dim, p=1.0, radius=0.8 * dim),
+        "l2": LpBall(dim=dim, p=2.0, radius=math.sqrt(dim)),
+        "intersection": Intersection(
+            parts=(
+                LpBall(dim=dim, p=2.0, radius=1.1 * math.sqrt(dim)),
+                LpBall(dim=dim, p=1.0, radius=0.85 * dim),
+            )
+        ),
+    }
+    return cov, bodies[name], u
 
 def _count_draws(monkeypatch):
     """Record the index of every chunk drawn, on a sampler pool of the test's own."""
@@ -367,6 +397,12 @@ class TestDeterminism:
             assert all(run == runs[0] for run in runs)
             if count == GOLDEN_COUNT:
                 assert [hits for *_, hits in runs[0]] == BLOCKED_PASS_HITS[kind, sigma]
+
+    @pytest.mark.parametrize("name, dim", sorted(WIDE_GRID_HITS))
+    def test_wide_ball_grid_hits_are_pinned(self, name, dim):
+        cov, body, u = _wide_grid_case(name, dim)
+        grid = estimate_power_grid(cov, body, u, [0.0, 0.8, 1.6], GOLDEN_COUNT, 11)
+        assert [est.hits for est in grid] == WIDE_GRID_HITS[name, dim]
 
     @pytest.mark.parametrize("sigma", ["dense", "identity"])
     def test_worker_count_does_not_move_a_bit(self, monkeypatch, sigma):
