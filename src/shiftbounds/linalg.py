@@ -52,8 +52,8 @@ def _as_square_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     # Entries near the float limit overflow m - m.T and m + m.T; the inf
-    # that results is refused by the asymmetry test or by the callers'
-    # non-finite checks, not raised as a warning.
+    # that results is refused here, by the asymmetry test or the finite
+    # check below, not raised as a warning or handed back.
     with np.errstate(over="ignore"):
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
@@ -62,7 +62,10 @@ def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
                 f"{what} is not symmetric (max asymmetry {asym:.3e} "
                 f"vs scale {scale:.3e})"
             )
-        return 0.5 * (m + m.T)
+        sym = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(sym)):
+        raise ShapeError(f"{what} contains non-finite entries after symmetrizing")
+    return sym
 
 
 def _sign(x: float) -> float:

@@ -352,9 +352,7 @@ def _membership_hits(
     does not depend on the rows around it and the hits are integers, so
     the per-chunk counts do not depend on the block size.
     """
-    # u repeated on every row of a block: s * tile[i, j] and x[i, j] + that
-    # are the IEEE operations of x + s * u, without a broadcast per row.
-    tile = np.tile(u.entries, (BLOCK_ROWS, 1))
+    offsets = [s * u.entries for s in shifts]
     chol_t = np.asarray(cov.chol).T
     # Identity Sigma has an exactly-identity factor, whose product leaves
     # every row as it is (it could only turn -0.0 into +0.0, and no body
@@ -362,14 +360,13 @@ def _membership_hits(
     identity = cov.is_identity()
 
     def stats(z: np.ndarray) -> np.ndarray:
-        hits = np.zeros(len(shifts))
+        hits = np.zeros(len(offsets))
         for start in range(0, z.shape[0], BLOCK_ROWS):
             block = z[start : start + BLOCK_ROWS]
             x = block.copy() if identity else block @ chol_t
-            for k, s in enumerate(shifts):
+            for k, offset in enumerate(offsets):
                 # The block is not read again, so it holds each shifted copy.
-                np.multiply(tile[: len(block)], s, out=block)
-                np.add(x, block, out=block)
+                np.add(x, offset, out=block)
                 hits[k] += np.count_nonzero(body.contains_batch(block))
         return hits
 

@@ -126,9 +126,9 @@ class TestLpBall:
         np.testing.assert_array_equal(ball.contains_batch(np.array(pts)), want)
 
     def test_l2_membership_norm_is_sqrt_of_sum_of_squares(self):
-        # Membership spells the p = 2 norm of rows as sqrt and a * a; it must
-        # keep the bits of the power form of _lp_norm, on random rows and
-        # on rows whose norm sits within ulps of 1.
+        # The l2 membership band derives its threshold from sqrt, so the
+        # array power ** 0.5 in _lp_norm must be sqrt bit for bit, on
+        # random rows and on rows whose norm sits within ulps of 1.
         rng = np.random.default_rng(13)
         dims = (1, 2, 3, 5, 8, 9, 16, 64)
         for dim in dims:

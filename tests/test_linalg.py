@@ -55,6 +55,16 @@ class TestSymEigen:
         with pytest.raises(ShapeError):
             sym_eigen(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "m", [[[1.0, 1e308], [1e308, 1.0]], [[1e308, 0.0], [0.0, 1.0]]],
+        ids=["off-diagonal", "diagonal"],
+    )
+    def test_rejects_overflow_when_symmetrizing(self, m):
+        # m + m.T overflows to inf; an inf matrix would pass the
+        # convergence test at once and return wrong eigenpairs.
+        with pytest.raises(ShapeError, match="non-finite entries after symmetrizing"):
+            sym_eigen(np.array(m))
+
 
 class TestCholeskyLower:
     def test_residual_and_triangularity(self):
