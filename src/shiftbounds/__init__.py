@@ -66,10 +66,8 @@ from .linalg import (
     Covariance,
     Direction,
     build_covariance,
-    cholesky_lower,
     identity_covariance,
     mahalanobis_norm,
-    sym_eigen,
 )
 from .mc import (
     CHUNK_SIZE,
@@ -83,7 +81,6 @@ from .mc import (
     estimate_power,
     estimate_power_grid,
     estimate_shift_prob,
-    sample_gaussian,
     verify_derivative_identity,
     verify_power_envelope,
     verify_sandwich,
@@ -132,7 +129,6 @@ __all__ = [
     "build_covariance",
     "build_layered",
     "chi_square_cdf",
-    "cholesky_lower",
     "conditional_coordinate_ceiling",
     "derivative_floor",
     "estimate_conditional_center",
@@ -150,7 +146,6 @@ __all__ = [
     "ratio_bounds_layered",
     "ratio_bounds_set",
     "regularized_gamma_p",
-    "sample_gaussian",
     "sandwich_battery",
     "shift_exponent",
     "shift_ratio",
@@ -158,7 +153,6 @@ __all__ = [
     "slab_mass",
     "std_normal_cdf",
     "std_normal_pdf",
-    "sym_eigen",
     "transform",
     "validate_symmetry",
     "verify_derivative_identity",

@@ -46,6 +46,9 @@ _PARALLEL_RTOL = 1e-10
 # keep the reduction.
 _COLUMN_WALK_MAX = 8
 
+# Random directions whose median support sets probe_scale.
+_SCALE_DIRECTIONS = 16
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=float)
@@ -516,10 +519,10 @@ class SymmetryReport:
         return self.symmetry_violations == 0 and self.convexity_violations == 0
 
 
-def probe_scale(body: ConvexBody, rng: np.random.Generator, directions: int = 16) -> float:
+def probe_scale(body: ConvexBody, rng: np.random.Generator) -> float:
     """A length scale for probing: median finite support over random directions."""
     finite: list[float] = []
-    for _ in range(directions):
+    for _ in range(_SCALE_DIRECTIONS):
         v = rng.standard_normal(body.dim)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:

@@ -14,13 +14,12 @@ with m = ||Sigma^{-1/2} u|| and the shift exponent
 
     a = delta*(Sigma^{-1} u | A) / m,
 
-where delta* is the support function of A.  The same sandwich holds
-when the indicator of A is replaced by any layered unimodal weight
-(a positive combination of indicators of nested symmetric convex sets);
-`a` is then computed from the outermost layer, the support of the
-weight.  The slab {x : |<x, u>| <= a} attains the upper bound exactly,
-so no smaller exponent can work: :func:`extremal_slab` builds that
-worst case for any covariance.
+where delta* is the support function of A.  The sandwich is linear in
+the weight, so it also holds for any layered weight (a positive
+combination of indicators of symmetric convex sets, nested or not) with
+`a` the largest exponent over its layers.  The slab {x : |<x, u>| <= a}
+attains the upper bound exactly, so no smaller exponent can work:
+:func:`extremal_slab` builds that worst case for any covariance.
 
 Everything in this module is closed-form (no sampling); the Monte Carlo
 counterparts live in :mod:`shiftbounds.mc`.
@@ -43,8 +42,8 @@ from .linalg import Covariance, Direction, mahalanobis_norm
 # broken; violations beyond this indicate a bug, not roundoff.
 CHAIN_SLACK = 1e-12
 
-# Support dominance slack for nesting validation of layered weights.
-_NESTING_SLACK = 1e-8
+# Membership probes per adjacent pair of layers in build_layered.
+_NESTING_PROBES = 4096
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,10 @@ class Layer:
 class LayeredUnimodal:
     """w(x) = sum_k weight_k * indicator(body_k), bodies nested outermost first.
 
-    Construct through :func:`build_layered`, which validates the nesting;
-    the raw constructor trusts it.  The support of w is the outermost
-    body, which is what the shift exponent is computed from.
+    Construct through :func:`build_layered`, which checks the nesting that
+    makes w unimodal.  The bounds do not rest on it: the shift exponent is
+    the largest over the layers, so they hold for any layers, and the raw
+    constructor checks only that the layers agree on dimension.
     """
 
     layers: tuple[Layer, ...]
@@ -114,14 +114,6 @@ class LayeredUnimodal:
     def dim(self) -> int:
         return self.layers[0].body.dim
 
-    @property
-    def support_body(self) -> ConvexBody:
-        return self.layers[0].body
-
-    @property
-    def max_value(self) -> float:
-        return float(sum(layer.weight for layer in self.layers))
-
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=float)
         out = np.zeros(p.shape[0])
@@ -137,41 +129,21 @@ def as_layered(target: ConvexBody | LayeredUnimodal) -> LayeredUnimodal:
     return LayeredUnimodal(layers=(Layer(1.0, target),))
 
 
-def build_layered(
-    layers: list[Layer] | tuple[Layer, ...],
-    probes: int = 4096,
-    seed: int = 0,
-) -> LayeredUnimodal:
-    """Validate nesting (outermost first) and build the layered weight.
+def build_layered(layers: list[Layer] | tuple[Layer, ...]) -> LayeredUnimodal:
+    """Check the nesting (outermost first) and build the layered weight.
 
-    Nesting is checked two ways per adjacent pair: every random probe
-    landing in the inner body must lie in the outer one, and on sampled
-    directions the inner support must not exceed the outer support
-    (applied only when the inner value is exact; an upper-bound inner
-    value cannot soundly flag anything).  Violations raise DomainError.
+    Nesting makes the weight unimodal.  Per adjacent pair, every random
+    probe landing in the inner body must lie in the outer one; an escape
+    raises DomainError.  The probing can miss a thin escape, but the
+    bounds do not depend on it (see :func:`shift_exponent`).
     """
     w = LayeredUnimodal(layers=tuple(layers))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for k in range(len(w.layers) - 1):
         outer = w.layers[k].body
         inner = w.layers[k + 1].body
-        for j in range(64):
-            v = rng.standard_normal(w.dim)
-            norm = float(np.linalg.norm(v))
-            if norm == 0.0:
-                continue
-            v /= norm
-            sv_inner = inner.support(v)
-            if not sv_inner.exact:
-                continue
-            sv_outer = outer.support(v)
-            if sv_inner.value > sv_outer.value + _NESTING_SLACK:
-                raise DomainError(
-                    f"layers {k} and {k + 1} are not nested: support "
-                    f"{sv_inner.value!r} > {sv_outer.value!r} along a probe direction"
-                )
         scale = probe_scale(inner, rng)
-        pts = rng.standard_normal((probes, w.dim)) * scale
+        pts = rng.standard_normal((_NESTING_PROBES, w.dim)) * scale
         in_inner = inner.contains_batch(pts)
         if in_inner.any() and not outer.contains_batch(pts[in_inner]).all():
             raise DomainError(
@@ -182,24 +154,35 @@ def build_layered(
 
 
 def shift_exponent(
-    cov: Covariance, body: ConvexBody, u: Direction
+    cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction
 ) -> tuple[float, bool]:
     """The exponent a = delta*(Sigma^{-1} u | A) / ||Sigma^{-1/2} u||.
 
+    For a layered weight it is the largest exponent over the layers: the
+    weight's ratio is an average of its layers' ratios, each within its
+    own bounds, and the upper bound is nondecreasing in `a`.
+
     Returns (value, exact); value may be +inf (body unbounded along the
     relevant direction), in which case the upper bound degenerates to 1.
-    The flag is False when the support value was itself only an upper
-    bound; the resulting shift_ratio is then an upper bound too.
+    The flag is False when the largest support value was itself only an
+    upper bound; the resulting shift_ratio is then an upper bound too.
+    Any other layer's true support is at most its computed value, so an
+    exact largest value is the true largest support even when it ties an
+    upper bound.
     """
-    if body.dim != cov.dim or u.dim != cov.dim:
+    weight = as_layered(target)
+    if weight.dim != cov.dim or u.dim != cov.dim:
         raise ShapeError(
-            f"dimension mismatch: cov {cov.dim}, body {body.dim}, u {u.dim}"
+            f"dimension mismatch: cov {cov.dim}, body {weight.dim}, u {u.dim}"
         )
     m = mahalanobis_norm(cov, u)
-    sv = body.support(cov.solve(u.entries))
-    if sv.value < 0.0:
-        raise NumericError(f"support function returned a negative value {sv.value!r}")
-    return sv.value / m, sv.exact
+    v = cov.solve(u.entries)
+    supports = [layer.body.support(v) for layer in weight.layers]
+    for sv in supports:
+        if sv.value < 0.0:
+            raise NumericError(f"support function returned a negative value {sv.value!r}")
+    value, exact = max((sv.value, sv.exact) for sv in supports)
+    return value / m, exact
 
 
 def ratio_bounds_grid(
@@ -210,9 +193,9 @@ def ratio_bounds_grid(
 ) -> list[BoundReport]:
     """The sandwich at every shift magnitude of a grid, one report per t.
 
-    `target` is a body (its indicator weight) or a layered unimodal
-    weight (exponent from its support).  Neither the exponent nor the
-    Mahalanobis norm depends on t, so the support is evaluated once for
+    `target` is a body (its indicator weight) or a layered weight (the
+    largest exponent over its layers).  Neither the exponent nor the
+    Mahalanobis norm depends on t, so each support is evaluated once for
     the whole grid.  The grid may be in any order and may repeat values.
     """
     if not ts:
@@ -220,7 +203,7 @@ def ratio_bounds_grid(
     for t in ts:
         if math.isnan(t) or t < 0.0:
             raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
-    a, exact = shift_exponent(cov, as_layered(target).support_body, u)
+    a, exact = shift_exponent(cov, target, u)
     m = mahalanobis_norm(cov, u)
     reports = []
     for t in ts:
@@ -246,7 +229,7 @@ def ratio_bounds_set(
 def ratio_bounds_layered(
     cov: Covariance, weight: LayeredUnimodal, u: Direction, t: float
 ) -> BoundReport:
-    """The sandwich for a layered unimodal weight (exponent from its support)."""
+    """The sandwich for a layered weight (the largest exponent over its layers)."""
     (report,) = ratio_bounds_grid(cov, weight, u, (t,))
     return report
 

@@ -17,7 +17,6 @@ from shiftbounds import (
     Ellipsoid,
     LpBall,
     build_covariance,
-    cholesky_lower,
     extremal_slab,
     identity_covariance,
     mahalanobis_norm,
@@ -27,6 +26,7 @@ from shiftbounds import (
     slab_decay_slack,
     transform,
 )
+from shiftbounds.linalg import cholesky_lower
 from shiftbounds.suites import (
     suite_conditional,
     suite_derivative,

@@ -11,8 +11,11 @@ from shiftbounds import lp
 from shiftbounds import (
     Direction,
     DomainError,
+    Ellipsoid,
     HPolytope,
+    Intersection,
     Layer,
+    LayeredUnimodal,
     LpBall,
     ShapeError,
     Slab,
@@ -30,6 +33,7 @@ from shiftbounds import (
     ratio_bounds_set,
     shift_exponent,
     shift_ratio,
+    slab_mass,
     transform,
 )
 from shiftbounds.bounds import power_bounds
@@ -67,8 +71,6 @@ class TestShiftExponent:
         assert exact
 
     def test_intersection_flags_upper_bound(self):
-        from shiftbounds import Intersection
-
         cov = identity_covariance(2)
         body = Intersection(
             parts=(LpBall(dim=2, p=2.0, radius=2.0), LpBall(dim=2, p=math.inf, radius=1.5))
@@ -177,6 +179,24 @@ class TestRatioBoundsGrid:
         ratio_bounds_grid(DENSE3, POLYTOPE3, u, MIXED_GRID)
         assert len(calls) == 1
 
+    def test_layered_grid_solves_only_the_layer_lps(self, monkeypatch):
+        # Building and bounding a polytope around a ball needs the one
+        # support LP of the polytope: nesting is probed by membership only.
+        calls = []
+        original = lp.simplex_max
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "simplex_max", counting)
+        weight = build_layered(
+            [Layer(1.0, POLYTOPE3), Layer(0.5, LpBall(dim=3, p=2.0, radius=1.0))]
+        )
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        ratio_bounds_grid(DENSE3, weight, u, (0.0, 0.5, 1.0, 2.0, 4.0))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bad", [-0.5, math.nan])
     def test_bad_t_anywhere_is_rejected_before_the_support(self, monkeypatch, bad):
         def fail(*args, **kwargs):
@@ -214,11 +234,84 @@ class TestLayered:
                 Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
             ]
         )
+        report = ratio_bounds_layered(identity_covariance(2), w, Direction.axis(2), 1.0)
+        assert report.exponent_a == pytest.approx(2.0, rel=1e-12)
+        assert report.exponent_exact
+
+    def test_exponent_is_the_largest_over_unnested_layers(self):
+        # The raw constructor takes the inner slab first; the bound must
+        # still hold, so the exponent is the wider slab's.
+        u = Direction.axis(2)
+        w = LayeredUnimodal(
+            layers=(
+                Layer(1.0, Slab(normal=u, halfwidth=1.0)),
+                Layer(1.0, Slab(normal=u, halfwidth=3.0)),
+            )
+        )
         cov = identity_covariance(2)
-        a, exact = shift_exponent(cov, w.support_body, Direction.axis(2))
-        assert a == pytest.approx(2.0, rel=1e-12)
-        assert exact
-        assert w.max_value == pytest.approx(1.5)
+        mass0 = slab_mass(1.0, 0.0).value + slab_mass(3.0, 0.0).value
+        for report in ratio_bounds_grid(cov, w, u, (1.0, 2.0, 4.0)):
+            assert report.exponent_a == 3.0
+            assert report.exponent_exact
+            true_ratio = (slab_mass(1.0, report.t).value + slab_mass(3.0, report.t).value) / mass0
+            assert report.lower <= true_ratio <= report.upper
+        assert shift_exponent(cov, w, u) == (3.0, True)
+
+    def test_largest_intersection_layer_flags_upper_bound(self):
+        u = Direction.axis(2)
+        w = LayeredUnimodal(
+            layers=(
+                Layer(1.0, LpBall(dim=2, p=2.0, radius=1.0)),
+                Layer(1.0, Intersection(parts=(
+                    LpBall(dim=2, p=2.0, radius=2.0), LpBall(dim=2, p=2.0, radius=3.0),
+                ))),
+            )
+        )
+        report = ratio_bounds_layered(identity_covariance(2), w, u, 1.0)
+        assert report.exponent_a == pytest.approx(2.0, rel=1e-12)
+        assert not report.exponent_exact
+
+    def test_exact_layer_tying_an_upper_bound_is_exact(self):
+        # The intersection's upper bound is the ball's own support, bit for
+        # bit, and no layer's true support exceeds its computed value.
+        cov = DENSE3
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        ball = LpBall(dim=3, p=2.0, radius=1.2)
+        w = build_layered(
+            [
+                Layer(1.0, Intersection(parts=(ball, LpBall(dim=3, p=2.0, radius=50.0)))),
+                Layer(0.5, ball),
+            ]
+        )
+        report = ratio_bounds_layered(cov, w, u, 1.0)
+        assert (report.exponent_a, report.exponent_exact) == shift_exponent(cov, ball, u)
+        assert report.exponent_exact
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nested_polytope_ball_ellipsoid_matches_outer_body(self, seed):
+        # An H-polytope with offsets >= 2 on unit normals, the l2 ball of
+        # radius 1.9 inside it, and an ellipsoid with semi-axes in
+        # [1.0, 1.5] inside that: the outer body's bounds, bit for bit.
+        rng = np.random.default_rng(seed)
+        dim = 6
+        normals = rng.standard_normal((2 * dim, dim))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        outer = HPolytope(normals=normals, offsets=rng.uniform(2.0, 2.5, 2 * dim))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        m = (q / rng.uniform(1.0, 1.5, dim) ** 2) @ q.T
+        w = build_layered(
+            [
+                Layer(1.0, outer),
+                Layer(0.5, LpBall(dim=dim, p=2.0, radius=1.9)),
+                Layer(0.25, Ellipsoid(quadratic=build_covariance(0.5 * (m + m.T)))),
+            ]
+        )
+        u = Direction.from_vector(rng.standard_normal(dim))
+        for cov in (identity_covariance(dim), random_spd_cov(rng, dim)):
+            grid = ratio_bounds_grid(cov, w, u, MIXED_GRID)
+            assert [report_bits(r) for r in grid] == [
+                report_bits(ratio_bounds_set(cov, outer, u, t)) for t in MIXED_GRID
+            ]
 
     def test_evaluate_batch_sums_layers(self):
         w = build_layered(

@@ -37,7 +37,6 @@ from shiftbounds import (
     identity_covariance,
     oracle_slab,
     ratio_bounds_set,
-    sample_gaussian,
     verify_derivative_identity,
     verify_power_envelope,
     verify_sandwich,
@@ -46,6 +45,7 @@ from shiftbounds.mc import (
     CHUNK_SIZE,
     SUBSTREAM_DENOM,
     SUBSTREAM_MAIN,
+    sample_gaussian,
     standard_normal_chunks,
 )
 
