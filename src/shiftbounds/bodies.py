@@ -4,12 +4,13 @@ Six variants share one small interface:
 
 * ``contains_batch(points)``: vectorized membership (closed sets, <=).
 * ``support(v)``: the support function sup_{x in A} <x, v> as a
-  :class:`SupportValue` carrying an exactness flag.  Slabs, p-balls,
-  ellipsoids and H-polytopes are exact; intersections fall back to the
-  min over parts, which is only an upper bound (flagged) unless the
+  :class:`SupportValue`: one call gives the value, its exactness flag and
+  a point attaining it, all from one evaluation (the Hoelder equality
+  case, the ellipsoid solve, the LP vertex).  Slabs, p-balls, ellipsoids
+  and H-polytopes are exact; intersections fall back to the min over
+  parts, which is only an upper bound (flagged, with no point) unless the
   intersection is trivial.
-* ``support_point(v)``: an attaining point when one is cheaply available
-  (None otherwise; never wrong, just absent).
+* ``support_point(v)``: the point of ``support(v)``.
 
 Support values may be +inf (slabs and degenerate polytopes are
 unbounded); +inf is exact when the body really is unbounded along v.
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import lp
 from .errors import ConfigError, DefinitenessError, DomainError, ShapeError
-from .linalg import MAX_DIM, Covariance, Direction, build_covariance
+from .linalg import MAX_DIM, Covariance, Direction, build_covariance, readonly_copy
 
 # Orthogonal residual below this (relative) counts as "parallel to the
 # slab normal" when deciding between a finite support value and +inf.
@@ -48,12 +49,6 @@ _COLUMN_WALK_MAX = 8
 
 # Random directions whose median support sets probe_scale.
 _SCALE_DIRECTIONS = 16
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def _as_points(pts: np.ndarray, dim: int) -> np.ndarray:
@@ -74,10 +69,17 @@ def _as_direction_vector(v: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportValue:
-    """Support function value with its exactness flag."""
+    """Support value, exactness flag and attaining point, from one call.
+
+    `point` is a point of the body where <x, v> reaches `value` (a
+    subgradient of the support function at v), or None when the value is
+    +inf or the body is an intersection of two or more parts.  It takes no
+    part in equality or hashing.
+    """
 
     value: float
     exact: bool
+    point: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def exactness(self) -> str:
@@ -99,7 +101,7 @@ class ConvexBody:
         raise NotImplementedError
 
     def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        return None
+        return self.support(v).point
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -134,15 +136,10 @@ class Slab(ConvexBody):
             float(np.linalg.norm(w)), 1e-300
         ):
             return SupportValue(math.inf, True)
-        return SupportValue(self.halfwidth * abs(along), True)
-
-    def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        sv = self.support(v)
-        if math.isinf(sv.value):
-            return None
-        along = float(np.asarray(v, dtype=float) @ self.normal.entries)
         sign = 1.0 if along >= 0.0 else -1.0
-        return sign * self.halfwidth * self.normal.entries
+        return SupportValue(
+            self.halfwidth * abs(along), True, sign * self.halfwidth * self.normal.entries
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -174,14 +171,29 @@ def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
     Above p = 2 the sum runs over (a_i / m)^p with m = max_i a_i, whose
     largest term is 1: a_i^p itself overflows at moderate a_i (1.5^2000,
     or 3^q for the dual q = 10001 of p = 1.0001).  p <= 2 keep the plain
-    sums, which overflow only when the norm itself is past 1e154.
+    sums, which overflow only past norms of about 1e154; a row whose sum
+    overflowed while all its entries are finite takes the scaled form.
+    Only the row results are checked, so the other rows pay almost nothing.
     """
     if math.isinf(p):
         return np.max(a, axis=-1)
     if p == 1.0:
         return np.sum(a, axis=-1)
-    if p <= 2.0:
-        return np.sum(a**p, axis=-1) ** (1.0 / p)
+    if p > 2.0:
+        return _max_scaled_norm(a, p)
+    with np.errstate(over="ignore"):
+        norms = np.sum(a**p, axis=-1) ** (1.0 / p)
+    over = np.isinf(norms)
+    if not over.any():
+        return norms
+    over &= np.all(np.isfinite(a), axis=-1)
+    norms = np.asarray(norms)
+    norms[over] = _max_scaled_norm(a[over], p)
+    return norms
+
+
+def _max_scaled_norm(a: np.ndarray, p: float) -> np.ndarray:
+    """_lp_norm as m * ||a / m||_p with m = max_i a_i, which cannot overflow."""
     m = np.max(a, axis=-1, keepdims=True)
     # Rows of zeros, or holding an inf or NaN, need no scaling.
     scale = np.where((m > 0.0) & (m < math.inf), m, 1.0)
@@ -279,25 +291,23 @@ class LpBall(ConvexBody):
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
-        dual = float(_lp_norm(np.abs(w), self._dual_exponent()))
-        return SupportValue(self.radius * dual, True)
-
-    def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        w = _as_direction_vector(v, self.dim)
         absw = np.abs(w)
-        if float(np.max(absw)) == 0.0:
-            return np.zeros(self.dim)
+        q = self._dual_exponent()
+        dual = _lp_norm(absw, q)
+        value = self.radius * float(dual)
+        if dual == 0.0:  # w = 0, or its dual norm underflowed
+            return SupportValue(value, True, np.zeros(self.dim))
         signs = np.where(w >= 0.0, 1.0, -1.0)
         if math.isinf(self.p):
-            return self.radius * signs
-        if self.p == 1.0:
+            point = self.radius * signs
+        elif self.p == 1.0:
             i = int(np.argmax(absw))
-            out = np.zeros(self.dim)
-            out[i] = self.radius * signs[i]
-            return out
-        q = self._dual_exponent()
-        # Hoelder equality case: |x_i| proportional to |v_i|^{q-1}.
-        return self.radius * signs * (absw / _lp_norm(absw, q)) ** (q - 1.0)
+            point = np.zeros(self.dim)
+            point[i] = self.radius * signs[i]
+        else:
+            # Hoelder equality case: |x_i| proportional to |v_i|^{q-1}.
+            point = self.radius * signs * (absw / dual) ** (q - 1.0)
+        return SupportValue(value, True, point)
 
     def to_dict(self) -> dict:
         return {
@@ -325,14 +335,10 @@ class Ellipsoid(ConvexBody):
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
-        return SupportValue(float(np.sqrt(self.quadratic.quad_form_inv(w))), True)
-
-    def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        w = _as_direction_vector(v, self.dim)
         value = float(np.sqrt(self.quadratic.quad_form_inv(w)))
         if value == 0.0:
-            return np.zeros(self.dim)
-        return self.quadratic.solve(w) / value
+            return SupportValue(value, True, np.zeros(self.dim))
+        return SupportValue(value, True, self.quadratic.solve(w) / value)
 
     def to_dict(self) -> dict:
         return {"kind": "ellipsoid", "matrix": self.quadratic.matrix.tolist()}
@@ -366,8 +372,8 @@ class HPolytope(ConvexBody):
             raise DomainError("polytope offsets must all be finite and > 0")
         if np.any(np.all(a == 0.0, axis=1)):
             raise ShapeError("polytope has an all-zero normal row")
-        object.__setattr__(self, "normals", _readonly(a))
-        object.__setattr__(self, "offsets", _readonly(b))
+        object.__setattr__(self, "normals", readonly_copy(a))
+        object.__setattr__(self, "offsets", readonly_copy(b))
 
     @property
     def dim(self) -> int:
@@ -379,18 +385,10 @@ class HPolytope(ConvexBody):
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
-        result = self._support_lp(w)
-        return SupportValue(result.value, True)
-
-    def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        w = _as_direction_vector(v, self.dim)
-        result = self._support_lp(w)
-        return result.point
-
-    def _support_lp(self, w: np.ndarray) -> lp.SimplexResult:
         a = np.vstack([self.normals, -self.normals])
         b = np.concatenate([self.offsets, self.offsets])
-        return lp.simplex_max(w, a, b)
+        result = lp.simplex_max(w, a, b)
+        return SupportValue(result.value, True, result.point)
 
     def to_dict(self) -> dict:
         return {
@@ -428,17 +426,10 @@ class Intersection(ConvexBody):
         return mask
 
     def support(self, v: np.ndarray) -> SupportValue:
-        values = [part.support(v) for part in self.parts]
-        best = min(values, key=lambda sv: sv.value)
         if len(self.parts) == 1:
-            return best
+            return self.parts[0].support(v)
         # min over parts only bounds the true support from above.
-        return SupportValue(best.value, False)
-
-    def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        if len(self.parts) == 1:
-            return self.parts[0].support_point(v)
-        return None
+        return SupportValue(min(part.support(v).value for part in self.parts), False)
 
     def to_dict(self) -> dict:
         return {"kind": "intersection", "parts": [p.to_dict() for p in self.parts]}
@@ -467,8 +458,8 @@ class LinearImage(ConvexBody):
                 "linear image matrix is numerically singular "
                 f"(singular values {singular_values[0]:.3e}..{singular_values[-1]:.3e})"
             )
-        object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(self, "inverse", _readonly(np.linalg.inv(m)))
+        object.__setattr__(self, "matrix", readonly_copy(m))
+        object.__setattr__(self, "inverse", readonly_copy(np.linalg.inv(m)))
 
     @property
     def dim(self) -> int:
@@ -480,14 +471,10 @@ class LinearImage(ConvexBody):
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
-        return self.base.support(self.matrix.T @ w)
-
-    def support_point(self, v: np.ndarray) -> np.ndarray | None:
-        w = _as_direction_vector(v, self.dim)
-        base_point = self.base.support_point(self.matrix.T @ w)
-        if base_point is None:
-            return None
-        return self.matrix @ base_point
+        base = self.base.support(self.matrix.T @ w)
+        if base.point is None:
+            return base
+        return SupportValue(base.value, base.exact, self.matrix @ base.point)
 
     def to_dict(self) -> dict:
         return {
@@ -495,6 +482,11 @@ class LinearImage(ConvexBody):
             "base": self.base.to_dict(),
             "matrix": self.matrix.tolist(),
         }
+
+
+# perfbench/tracing.py wraps support_point per variant, from each class dict.
+for _variant in (Slab, LpBall, Ellipsoid, HPolytope, Intersection, LinearImage):
+    _variant.support_point = ConvexBody.support_point
 
 
 def transform(body: ConvexBody, matrix: np.ndarray) -> ConvexBody:

@@ -176,14 +176,13 @@ def cmd_support(cfg: RunConfig) -> tuple[dict, int]:
     records = []
     for v in cfg.directions:
         sv = cfg.body.support(v)
-        point = cfg.body.support_point(v)
         records.append(
             {
                 "provenance": "analytic",
                 "direction": v.tolist(),
                 "value": sv.value,
                 "exactness": sv.exactness,
-                "point": None if point is None else point.tolist(),
+                "point": None if sv.point is None else sv.point.tolist(),
             }
         )
     return _envelope("support", cfg, records), 0
@@ -276,13 +275,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     text = encode_report(envelope)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-    if args.csv:
-        _write_csv(args.csv, args.command, envelope["records"])
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
+        if args.csv:
+            _write_csv(args.csv, args.command, envelope["records"])
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return exit_code
 
 

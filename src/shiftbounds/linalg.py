@@ -146,8 +146,9 @@ def cholesky_lower(matrix: np.ndarray) -> np.ndarray:
     return low
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
+def readonly_copy(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered float copy; the caller's array stays as it was."""
+    out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -218,11 +219,11 @@ def build_covariance(matrix: np.ndarray) -> Covariance:
         inv_cols[:, j] = solve_triangular(chol.T, y, lower=False)
     inverse = 0.5 * (inv_cols + inv_cols.T)
     return Covariance(
-        matrix=_frozen(s),
-        chol=_frozen(chol),
-        inverse=_frozen(inverse),
-        sqrt=_frozen(0.5 * (sqrt_s + sqrt_s.T)),
-        inv_sqrt=_frozen(0.5 * (inv_sqrt_s + inv_sqrt_s.T)),
+        matrix=readonly_copy(s),
+        chol=readonly_copy(chol),
+        inverse=readonly_copy(inverse),
+        sqrt=readonly_copy(0.5 * (sqrt_s + sqrt_s.T)),
+        inv_sqrt=readonly_copy(0.5 * (inv_sqrt_s + inv_sqrt_s.T)),
     )
 
 
@@ -254,7 +255,7 @@ class Direction:
                 f"direction must be unit length (||u|| = {norm!r}); "
                 "use Direction.from_vector to normalize"
             )
-        object.__setattr__(self, "entries", _frozen(e))
+        object.__setattr__(self, "entries", readonly_copy(e))
 
     @property
     def dim(self) -> int:

@@ -31,7 +31,7 @@ from shiftbounds import (
     transform,
     validate_symmetry,
 )
-from shiftbounds.bodies import _lp_norm
+from shiftbounds.bodies import SupportValue, _lp_norm
 
 
 def sample_bodies():
@@ -110,19 +110,23 @@ class TestLpBall:
         np.testing.assert_array_equal(ball.contains_batch(pts), [True, False, True])
 
     @pytest.mark.parametrize(
-        "p, pts, want",
+        "p, radius, pts, want",
         [
             # A NaN coordinate is outside, as max(|x_i|) <= r says.
-            (math.inf, [[1.0, -1.0], [1.0, 1.0000001], [math.nan, 0.0], [0.0, 0.0]],
+            (math.inf, 1.0, [[1.0, -1.0], [1.0, 1.0000001], [math.nan, 0.0], [0.0, 0.0]],
              [True, False, False, True]),
             # 1.5^2000 overflows; ||(1, 1)||_2000 = 2^(1/2000) = 1.000347.
-            (2000.0, [[1.5, 0.0], [1.5 / 1.0003, 1.5 / 1.0003], [1.5 / 1.0004, 1.5 / 1.0004]],
+            (2000.0, 1.5,
+             [[1.5, 0.0], [1.5 / 1.0003, 1.5 / 1.0003], [1.5 / 1.0004, 1.5 / 1.0004]],
              [True, False, True]),
+            # x^p overflows although ||(x, 0)||_p = x is far inside the radius.
+            (2.0, 1e250, [[1e200, 0.0], [1.0000001e250, 0.0]], [True, False]),
+            (1.5, 1e250, [[1e240, 0.0], [1.0000001e250, 0.0]], [True, False]),
         ],
-        ids=["linf", "l2000"],
+        ids=["linf", "l2000", "l2_past_1e154", "l1.5_past_1e205"],
     )
-    def test_membership_extreme_exponents(self, p, pts, want):
-        ball = LpBall(dim=2, p=p, radius=1.5 if p == 2000.0 else 1.0)
+    def test_membership_extreme_exponents(self, p, radius, pts, want):
+        ball = LpBall(dim=2, p=p, radius=radius)
         np.testing.assert_array_equal(ball.contains_batch(np.array(pts)), want)
 
     def test_l2_membership_norm_is_sqrt_of_sum_of_squares(self):
@@ -166,6 +170,37 @@ class TestLpBall:
         v = np.array([3.0, 1.0])
         assert ball.support(v).value == pytest.approx(3.0, rel=1e-12)
         np.testing.assert_allclose(ball.support_point(v), [1.0, 0.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("p, x", [(2.0, 1e200), (3.0, 1e300)], ids=["l2", "l3"])
+    def test_support_where_the_dual_sum_overflows(self, p, x):
+        # |v_1|^q overflows for the dual q of p; the dual norm is |v_1|.
+        sv = LpBall(dim=2, p=p, radius=1.0).support(np.array([x, 0.0]))
+        assert sv.value == x and sv.exact
+        np.testing.assert_array_equal(sv.point, [1.0, 0.0])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_support_of_a_tiny_direction_attains_its_value(self, p):
+        # The dual sum underflows at p = 2; no division by it may warn.
+        v = np.array([1e-200, 0.0])
+        sv = LpBall(dim=2, p=p, radius=1.0).support(v)
+        assert np.all(np.isfinite(sv.point))
+        assert float(sv.point @ v) == pytest.approx(sv.value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_only_overflowing_rows_are_rescaled(self, p):
+        rng = np.random.default_rng(5)
+        a = np.abs(rng.standard_normal((64, 9)))
+        a[3] *= 1e250
+        a[10, 0] = math.inf
+        a[11, 2] = math.nan
+        with np.errstate(over="ignore"):
+            plain = np.sum(a**p, axis=-1) ** (1.0 / p)
+        got = _lp_norm(a, p)
+        kept = np.arange(64) != 3
+        assert got[kept].tobytes() == plain[kept].tobytes()
+        with mpmath.workdps(60):
+            want = mpmath.fsum(mpmath.mpf(float(x)) ** p for x in a[3]) ** (1 / mpmath.mpf(p))
+        assert got[3] == pytest.approx(float(want), rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 1.0001, 1.5, 2.0, 3.0, 1000.0, 2000.0, math.inf])
     def test_support_point_attains(self, p):
@@ -445,6 +480,29 @@ class TestSupportProperties:
                 assert b == pytest.approx(c * a, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(sample_bodies()))
+    def test_support_carries_its_attaining_point(self, name):
+        body = sample_bodies()[name]
+        rng = np.random.default_rng(61)
+        directions = [np.zeros(body.dim), *rng.standard_normal((25, body.dim))]
+        if isinstance(body, Slab):
+            directions.append(-1.3 * body.normal.entries)
+        for v in directions:
+            sv = body.support(v)
+            point = body.support_point(v)
+            if sv.point is None:
+                assert point is None
+                assert math.isinf(sv.value) or isinstance(body, Intersection)
+                continue
+            assert [x.hex() for x in sv.point.tolist()] == [x.hex() for x in point.tolist()]
+            assert float(sv.point @ v) == pytest.approx(sv.value, rel=1e-10, abs=1e-12)
+
+    def test_point_takes_no_part_in_equality(self):
+        with_point = SupportValue(1.5, True, np.array([1.0, 0.5]))
+        assert with_point == SupportValue(1.5, True)
+        assert hash(with_point) == hash(SupportValue(1.5, True))
+        assert with_point != SupportValue(1.5, False, np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("name", sorted(sample_bodies()))
     def test_membership_symmetry_probe(self, name):
         report = validate_symmetry(sample_bodies()[name], probes=2048, seed=3)
         assert report.ok
@@ -466,6 +524,32 @@ class TestSupportProperties:
         report = validate_symmetry(ShiftedBall(), probes=2048, seed=3)
         assert report.symmetry_violations > 0
         assert not report.ok
+
+
+class TestCallerArrays:
+    def test_constructors_copy_what_they_are_given(self):
+        # A unit vector goes into Direction.from_vector as it is.
+        v = np.array([0.6, 0.8])
+        normals = np.array([[1.0, 0.0], [1.0, 1.0]])
+        offsets = np.array([1.0, 2.0])
+        matrix = np.array([[2.0, 0.5], [0.0, 1.0]])
+        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+        slab = Slab(normal=Direction.from_vector(v), halfwidth=1.0)
+        poly = HPolytope(normals=normals, offsets=offsets)
+        image = LinearImage(base=poly, matrix=matrix)
+        ellipsoid = Ellipsoid(quadratic=build_covariance(sigma))
+        callers = (v, normals, offsets, matrix, sigma)
+        assert all(arr.flags.writeable for arr in callers)
+        held = (slab.normal.entries, poly.normals, poly.offsets, image.matrix,
+                ellipsoid.quadratic.matrix)
+        assert not any(arr.flags.writeable for arr in held)
+        w = np.array([0.3, -1.1])
+        before = [body.support(w) for body in (slab, poly, image, ellipsoid)]
+        for arr in callers:
+            arr *= 3.0
+        assert [body.support(w) for body in (slab, poly, image, ellipsoid)] == before
+        assert slab.normal.entries.tolist() == [0.6, 0.8]
+        assert poly.offsets.tolist() == [1.0, 2.0]
 
 
 class TestBodyGrammar:

@@ -49,6 +49,13 @@ PINNED_VERIFY = json.loads(
     (Path(__file__).parent / "data" / "cli_verify_records.json").read_text()
 )
 
+# Full `support` reports captured before a support call returned its
+# attaining point: every body kind, zero directions, unbounded values
+# with a null point, and intersections of one and of two parts.
+PINNED_SUPPORT = json.loads(
+    (Path(__file__).parent / "data" / "cli_support_records.json").read_text()
+)
+
 # A JSON integer past the float range, which float() cannot convert, and
 # the config fragment that places it in each numeric field.
 HUGE_INT = 10**400
@@ -364,6 +371,18 @@ class TestCliBounds:
         assert report["records"][0]["upper"] == pytest.approx(0.6990731123718361, rel=1e-12)
 
 
+def count_simplex_calls(monkeypatch) -> list:
+    calls = []
+    original = lp.simplex_max
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "simplex_max", counting)
+    return calls
+
+
 class TestCliBoundsGrid:
     @pytest.mark.parametrize("name", sorted(PINNED_BOUNDS))
     def test_records_are_pinned(self, tmp_path, name):
@@ -383,14 +402,7 @@ class TestCliBoundsGrid:
     def test_h_polytope_support_is_solved_once(self, tmp_path, monkeypatch, command, payload):
         # Every t (every theta, and every theta's Monte Carlo verdict)
         # shares the one exponent, so the support LP runs once per run.
-        calls = []
-        original = lp.simplex_max
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "simplex_max", counting)
+        calls = count_simplex_calls(monkeypatch)
         code, report, _ = run_cli(tmp_path, command, payload)
         assert code == 0
         grid = payload.get("t_grid") or payload["theta_grid"]
@@ -464,6 +476,22 @@ class TestCliPower:
 
 
 class TestCliSupport:
+    @pytest.mark.parametrize("name", sorted(PINNED_SUPPORT))
+    def test_records_are_pinned(self, tmp_path, name):
+        # Shortest-repr floats round-trip, so list equality is bit-exact.
+        code, report, _ = run_cli(tmp_path, "support", PINNED_SUPPORT[name]["config"])
+        assert code == 0
+        assert report["records"] == PINNED_SUPPORT[name]["records"]
+
+    def test_h_polytope_direction_is_solved_once(self, tmp_path, monkeypatch):
+        # One LP gives each direction's value and its vertex.
+        payload = PINNED_SUPPORT["h_polytope"]["config"]
+        calls = count_simplex_calls(monkeypatch)
+        code, report, _ = run_cli(tmp_path, "support", payload)
+        assert code == 0
+        assert len(report["records"]) == len(payload["directions"]) > 1
+        assert len(calls) == len(payload["directions"])
+
     def test_support_values(self, tmp_path):
         code, report, _ = run_cli(
             tmp_path,
@@ -632,6 +660,17 @@ class TestCliErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sigma: ") and reason in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
+        # Exit 1 means a verification failed; a failed write is exit 2.
+        payload = {"dim": 2, "u": [1.0, 0.0], "body": SLAB_E1, "t_grid": [1.0]}
+        argv = ["bounds", "--config", write_config(tmp_path, "bounds.json", payload)]
+        argv += ["--out", str(tmp_path / "report.json")]
+        argv += [flag, str(tmp_path / "missing_dir" / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "missing_dir" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
