@@ -171,9 +171,10 @@ def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
     Above p = 2 the sum runs over (a_i / m)^p with m = max_i a_i, whose
     largest term is 1: a_i^p itself overflows at moderate a_i (1.5^2000,
     or 3^q for the dual q = 10001 of p = 1.0001).  p <= 2 keep the plain
-    sums, which overflow only past norms of about 1e154; a row whose sum
-    overflowed while all its entries are finite takes the scaled form.
-    Only the row results are checked, so the other rows pay almost nothing.
+    sums.  A row whose sum overflowed while all its entries are finite
+    takes the scaled form; one whose sum fell below the normal range, so
+    that its terms underflowed, is summed again scaled by 2^600, exactly.
+    Only the row sums are checked, so the other rows pay almost nothing.
     """
     if math.isinf(p):
         return np.max(a, axis=-1)
@@ -182,13 +183,17 @@ def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
     if p > 2.0:
         return _max_scaled_norm(a, p)
     with np.errstate(over="ignore"):
-        norms = np.sum(a**p, axis=-1) ** (1.0 / p)
+        sums = np.sum(a**p, axis=-1)
+        norms = np.asarray(sums ** (1.0 / p))
+        under = sums < 2.0**-1022
+        if under.any():
+            # Their entries are below 2^-511, so their scaled terms are finite.
+            # Scaling every row keeps numpy's order of summation.
+            norms[under] = (np.sum((a * 2.0**600) ** p, axis=-1) ** (1.0 / p))[under] * 2.0**-600
     over = np.isinf(norms)
-    if not over.any():
-        return norms
-    over &= np.all(np.isfinite(a), axis=-1)
-    norms = np.asarray(norms)
-    norms[over] = _max_scaled_norm(a[over], p)
+    if over.any():
+        over &= np.all(np.isfinite(a), axis=-1)
+        norms[over] = _max_scaled_norm(a[over], p)
     return norms
 
 
@@ -295,7 +300,7 @@ class LpBall(ConvexBody):
         q = self._dual_exponent()
         dual = _lp_norm(absw, q)
         value = self.radius * float(dual)
-        if dual == 0.0:  # w = 0, or its dual norm underflowed
+        if dual == 0.0:  # w = 0
             return SupportValue(value, True, np.zeros(self.dim))
         signs = np.where(w >= 0.0, 1.0, -1.0)
         if math.isinf(self.p):

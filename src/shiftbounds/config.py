@@ -68,12 +68,13 @@ def parse_run_config(raw: object) -> RunConfig:
     u = None
     if "u" in raw:
         vec = json_array(raw["u"], "u", (dim,))
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.all(np.isfinite(vec)):
-            raise ConfigError("u: must be a finite nonzero vector")
+        try:
+            u = Direction.from_vector(vec)
+        except ShiftBoundsError as exc:
+            raise ConfigError(f"u: {exc}") from exc
+        norm = float(vec @ u.entries)  # ||vec||, as u = vec / ||vec||, without squares
         if abs(norm - 1.0) > _NORMALIZE_WARN_TOL:
             warnings.append(f"u normalized on load (input norm was {norm!r})")
-        u = Direction.from_vector(vec)
 
     body = None
     if "body" in raw:

@@ -268,7 +268,11 @@ class Direction:
             raise ShapeError(f"direction must be a nonempty vector, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise DomainError("direction contains non-finite entries")
-        norm = float(np.linalg.norm(e))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(e))
+        if e.any() and not 2.0**-1022 <= norm < np.inf:  # the squares under/overflowed
+            e = e / np.max(np.abs(e))  # whose norm lies in [1, sqrt(dim)]
+            norm = float(np.linalg.norm(e))
         if norm == 0.0:
             raise DomainError("cannot normalize the zero vector into a direction")
         if abs(norm - 1.0) <= 1e-12:

@@ -12,10 +12,10 @@ ahead of the one being reduced.  Everything else -- membership tests,
 weights, BLAS calls and the reduction -- runs on the calling thread in
 chunk order, so no bit depends on the number of workers.
 
-Every estimator reduces a vector of per-chunk sums (sum, sum of
-squares, hits, ...) in fixed chunk order; mean = S1/N and stderr =
-sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which for
-indicator weights is exactly the binomial stderr.
+Every estimator reduces per-chunk sums in fixed chunk order (exact
+counts for indicator and layered weights, weighted after the pass);
+mean = S1/N and stderr = sqrt((S2/N - mean^2)/N), the plug-in (ddof=0)
+form, which for indicator weights is exactly the binomial stderr.
 
 Verdicts score bound violations in numerator units:
 
@@ -62,7 +62,7 @@ from .linalg import Covariance, Direction, identity_covariance
 
 CHUNK_SIZE = 65536
 
-# Rows per block of the indicator pass.  OpenBLAS runs a gemm on the
+# Rows per block of the membership pass.  OpenBLAS runs a gemm on the
 # calling thread up to m*n*k = 262,144, so a 4,096-row block at dim <= 8
 # wakes no helper thread (one that then spins between calls), and every
 # temporary of the block stays in cache.
@@ -215,16 +215,13 @@ def _accumulate(
     substream: int,
     dim: int,
     chunk_sums: Callable[[np.ndarray], np.ndarray],
-) -> list[float]:
-    """Sum the vectors chunk_sums(normal_chunk) over the stream, in chunk order.
-
-    Hit counts travel as floats; they stay exact below 2^53 samples.
-    """
-    total = 0.0
+) -> list:
+    """Sum chunk_sums(normal_chunk) over the stream in chunk order, as Python numbers."""
+    total = 0
     with closing(standard_normal_chunks(dim, count, seed, substream)) as chunks:
         for z in chunks:
             total = total + chunk_sums(z)
-    return [float(s) for s in total]
+    return total.tolist()
 
 
 def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
@@ -265,34 +262,26 @@ def estimate_shift_prob(
     substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
     """Estimate P(X in t u + A) for X ~ N(0, Sigma)."""
-    _check_geometry(cov, body.dim, u, t)
-    (hits,) = _membership_hits(cov, body, u, (-t,), count, seed, substream)
-    # Indicator integrand: sum of squares equals the sum.
-    return _mean_estimate(hits, hits, hits, count, seed, substream)
+    return estimate_layered_expectation(cov, body, u, t, count, seed, substream)
 
 
 def estimate_layered_expectation(
     cov: Covariance,
-    weight: LayeredUnimodal,
+    target: ConvexBody | LayeredUnimodal,
     u: Direction,
     t: float,
     count: int,
     seed: int,
     substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
-    """Estimate E w(X - t u) for a layered unimodal weight."""
-    _check_geometry(cov, weight.dim, u, t)
-    shift = t * u.entries
-    chol_t = np.asarray(cov.chol).T
-
-    def stats(z: np.ndarray) -> np.ndarray:
-        values = weight.evaluate_batch(z @ chol_t - shift)
-        return np.array(
-            [values.sum(), values @ values, np.count_nonzero(values > 0.0)],
-            dtype=float,
-        )
-
-    s1, s2, hits = _accumulate(count, seed, substream, cov.dim, stats)
+    """Estimate E w(X - t u) for w = sum_k c_k 1{A_k}, or a body's indicator."""
+    w = as_layered(target)
+    _check_geometry(cov, w.dim, u, t)
+    ((both, hits),) = _membership_hits(cov, w, u, (-t,), count, seed, substream)
+    c = [layer.weight for layer in w.layers]
+    s1 = math.fsum(c[i] * n for (i, j), n in both.items() if i == j)
+    # Off the diagonal, (i, j) stands for both N_ij and N_ji.
+    s2 = math.fsum((1.0 if i == j else 2.0) * c[i] * c[j] * n for (i, j), n in both.items())
     return _mean_estimate(s1, s2, hits, count, seed, substream)
 
 
@@ -335,22 +324,21 @@ def estimate_power_grid(
     for theta in thetas:
         _check_geometry(cov, body.dim, u, theta)
     hits = _membership_hits(cov, body, u, thetas, count, seed, substream)
-    # Rejections are the complement; integer counts are exact in floats.
-    misses = [count - h for h in hits]
+    misses = [count - union for _, union in hits]
     return [_mean_estimate(m, m, m, count, seed, substream) for m in misses]
 
 
 def _membership_hits(
-    cov: Covariance, body: ConvexBody, u: Direction, shifts: Sequence[float],
-    count: int, seed: int, substream: int,
-) -> list[float]:
-    """Count X + s u in A at every signed shift s, from one pass over the stream.
+    cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction,
+    shifts: Sequence[float], count: int, seed: int, substream: int,
+) -> list[tuple[dict[tuple[int, int], int], int]]:
+    """Per signed shift s, ({(i, j): N_ij for i <= j}, rows in any layer) for
+    X + s u, from one pass; N_ij counts the rows in both A_i and A_j of the
+    target's layers (a body is one layer).
 
-    Each chunk is transformed once and tested at every shift (common
-    random numbers); entry k has the bits of a pass at shifts[k] alone.
-    Chunks are walked in blocks of BLOCK_ROWS rows: a row's transform
-    does not depend on the rows around it and the hits are integers, so
-    the per-chunk counts do not depend on the block size.
+    Entry k has the bits of a pass at shifts[k] alone.  Chunks are walked
+    in blocks of BLOCK_ROWS rows: a row's transform ignores its neighbours
+    and the counts are integers, so they do not depend on the block size.
     """
     offsets = [s * u.entries for s in shifts]
     chol_t = np.asarray(cov.chol).T
@@ -358,19 +346,27 @@ def _membership_hits(
     # every row as it is (it could only turn -0.0 into +0.0, and no body
     # tells those apart).
     identity = cov.is_identity()
+    bodies = [layer.body for layer in as_layered(target).layers]
+    pairs = [(i, j) for i in range(len(bodies)) for j in range(i, len(bodies))]
 
     def stats(z: np.ndarray) -> np.ndarray:
-        hits = np.zeros(len(offsets))
+        # Per shift: the pair counts, then the union's (one layer's pair count).
+        hits = np.zeros((len(offsets), len(pairs) + (len(bodies) > 1)), dtype=np.int64)
         for start in range(0, z.shape[0], BLOCK_ROWS):
             block = z[start : start + BLOCK_ROWS]
             x = block.copy() if identity else block @ chol_t
-            for k, offset in enumerate(offsets):
+            for row, offset in zip(hits, offsets):
                 # The block is not read again, so it holds each shifted copy.
                 np.add(x, offset, out=block)
-                hits[k] += np.count_nonzero(body.contains_batch(block))
+                inside = [body.contains_batch(block) for body in bodies]
+                for k, (i, j) in enumerate(pairs):
+                    row[k] += np.count_nonzero(inside[i] if i == j else inside[i] & inside[j])
+                if len(inside) > 1:
+                    row[-1] += np.count_nonzero(np.logical_or.reduce(inside))
         return hits
 
-    return _accumulate(count, seed, substream, cov.dim, stats)
+    counts = _accumulate(count, seed, substream, cov.dim, stats)
+    return [(dict(zip(pairs, row)), row[-1]) for row in counts]
 
 
 def estimate_conditional_center(
@@ -478,16 +474,8 @@ def verify_sandwich(
     in the report); leave it at 1.0 for real checks.
     """
     (report,) = ratio_bounds_grid(cov, target, u, (t,))
-    if isinstance(target, LayeredUnimodal):
-        num = estimate_layered_expectation(
-            cov, target, u, t, count, seed, SUBSTREAM_MAIN
-        )
-        den = estimate_layered_expectation(
-            cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM
-        )
-    else:
-        num = estimate_shift_prob(cov, target, u, t, count, seed, SUBSTREAM_MAIN)
-        den = estimate_shift_prob(cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM)
+    num = estimate_layered_expectation(cov, target, u, t, count, seed, SUBSTREAM_MAIN)
+    den = estimate_layered_expectation(cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM)
     if den.hits < MIN_DENOMINATOR_HITS:
         raise InsufficientMassError(
             f"denominator starved: {den.hits} hits < {MIN_DENOMINATOR_HITS} "

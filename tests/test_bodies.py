@@ -122,8 +122,12 @@ class TestLpBall:
             # x^p overflows although ||(x, 0)||_p = x is far inside the radius.
             (2.0, 1e250, [[1e200, 0.0], [1.0000001e250, 0.0]], [True, False]),
             (1.5, 1e250, [[1e240, 0.0], [1.0000001e250, 0.0]], [True, False]),
+            # x^p underflows although ||(x, 0)||_p = x is far outside the radius.
+            (2.0, 1e-250, [[1e-240, 0.0], [0.9999999e-250, 0.0]], [False, True]),
+            (1.5, 1e-250, [[1e-240, 0.0], [0.9999999e-250, 0.0]], [False, True]),
         ],
-        ids=["linf", "l2000", "l2_past_1e154", "l1.5_past_1e205"],
+        ids=["linf", "l2000", "l2_past_1e154", "l1.5_past_1e205", "l2_below_1e-154",
+             "l1.5_below_1e-205"],
     )
     def test_membership_extreme_exponents(self, p, radius, pts, want):
         ball = LpBall(dim=2, p=p, radius=radius)
@@ -144,6 +148,24 @@ class TestLpBall:
                 old = np.sum(a**2.0, axis=-1) ** 0.5
                 assert old.tobytes() == _lp_norm(a, 2.0).tobytes()
                 assert old.tobytes() == np.sqrt(np.sum(a * a, axis=-1)).tobytes()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_only_underflowing_rows_are_rescaled(self, p):
+        rng = np.random.default_rng(6)
+        a = np.abs(rng.standard_normal((64, 9)))
+        a[3] *= 1e-250
+        a[4] = 0.0
+        a[5, 1] = 5e-324
+        a[11, 2] = math.nan
+        plain = np.sum(a**p, axis=-1) ** (1.0 / p)
+        got = _lp_norm(a, p)
+        kept = (np.arange(64) != 3) & (np.arange(64) != 5)
+        assert got[kept].tobytes() == plain[kept].tobytes()
+        for row in (3, 5):
+            with mpmath.workdps(60):
+                terms = (mpmath.mpf(float(x)) ** p for x in a[row])
+                want = mpmath.fsum(terms) ** (1 / mpmath.mpf(p))
+            assert got[row] == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0001, 1000.0, 2000.0])
     def test_large_exponents_match_high_precision(self, p):
@@ -183,6 +205,7 @@ class TestLpBall:
         # The dual sum underflows at p = 2; no division by it may warn.
         v = np.array([1e-200, 0.0])
         sv = LpBall(dim=2, p=p, radius=1.0).support(v)
+        assert sv.value == pytest.approx(1e-200, rel=1e-13, abs=0.0)
         assert np.all(np.isfinite(sv.point))
         assert float(sv.point @ v) == pytest.approx(sv.value, rel=1e-12)
 
@@ -417,14 +440,18 @@ class TestMembershipKernels:
         ball = LpBall(dim=dim, p=p, radius=radius)
         rng = np.random.default_rng([dim, 0 if math.isinf(p) else int(p)])
         pts = _parity_rows(dim, p, radius, rng)
+        # The old l2 sums underflow at 1e-160; the reference runs the old
+        # expression on the problem scaled by 2^600, which is exact.
+        up = 2.0**600 if p == 2.0 and scale == 1e-160 else 1.0
+        reference = LpBall(dim=dim, p=p, radius=radius * up)
         with np.errstate(over="ignore"):  # 1e200 squared overflows in both
             got = ball.contains_batch(pts)
-            np.testing.assert_array_equal(got, _old_contains_batch(ball, pts))
+            np.testing.assert_array_equal(got, _old_contains_batch(reference, pts * up))
             # In Fortran order numpy sums wide rows in another order, so
             # the old verdicts themselves move; the kernel must follow them.
             fortran = np.asfortranarray(pts)
             np.testing.assert_array_equal(
-                ball.contains_batch(fortran), _old_contains_batch(ball, fortran)
+                ball.contains_batch(fortran), _old_contains_batch(reference, fortran * up)
             )
         # The boundary rows fall on both sides.
         assert 0 < np.count_nonzero(got) < len(got)

@@ -370,6 +370,22 @@ class TestCliBounds:
         assert report["warnings"]
         assert report["records"][0]["upper"] == pytest.approx(0.6990731123718361, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tiny_and_huge_directions_load(self, tmp_path, scale):
+        # Their squares underflow or overflow; the direction does not.
+        def payload(x):
+            body = {"kind": "slab", "normal": [x, x], "halfwidth": 1.0}
+            return {"dim": 2, "u": [x, -x], "body": body, "t_grid": [0.5]}
+
+        code, report, _ = run_cli(tmp_path, "bounds", payload(scale))
+        assert code == 0
+        (warning,) = report["warnings"]
+        norm = float(warning.removeprefix("u normalized on load (input norm was ")[:-1])
+        assert norm == pytest.approx(scale * math.sqrt(2.0), rel=1e-15)
+        _, unit, _ = run_cli(tmp_path, "bounds", payload(1.0))
+        assert report["records"] == unit["records"]
+
 
 def count_simplex_calls(monkeypatch) -> list:
     calls = []

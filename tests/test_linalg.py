@@ -179,6 +179,19 @@ class TestDirection:
         with pytest.raises(DomainError):
             Direction.from_vector(np.array([1.0, np.nan]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200, 1e308])
+    def test_normalizes_past_the_range_of_squares(self, scale):
+        u = Direction.from_vector(np.array([scale, -scale]))
+        want = Direction.from_vector(np.array([1.0, -1.0]))
+        assert u.entries.tobytes() == want.entries.tobytes()
+
+    def test_keeps_the_bits_of_normal_vectors(self):
+        rng = np.random.default_rng(3)
+        for e in rng.standard_normal((50, 4)) * np.logspace(-150, 150, 50)[:, None]:
+            u = Direction.from_vector(e)
+            assert u.entries.tobytes() == (e / float(np.linalg.norm(e))).tobytes()
+
 
 class TestMahalanobisNorm:
     def test_identity(self):

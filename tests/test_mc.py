@@ -5,8 +5,12 @@ fault-injection path that proves violations are detectable)."""
 import dataclasses
 import math
 import multiprocessing
+import os
 import queue
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,12 @@ BODIES3 = {
         np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0]]),
     ),
 }
+# Non-dyadic weights, so the layered sums round, on layers that cross:
+# the ball reaches (2, 0, 0) outside the box, and the box's corners lie
+# outside the ball.
+BOX3 = LpBall(dim=3, p=math.inf, radius=1.5)
+CROSSING = LayeredUnimodal((Layer(0.3, LpBall(dim=3, p=2.0, radius=2.0)), Layer(0.7, BOX3)))
+
 # Counts of the power grid [0.7, 0.0, 1.3, 0.7] (seed 5, substream 1)
 # and of the shift probability at t = 0.9 (seed 5) at GOLDEN_COUNT,
 # captured before the indicator pass ran in row blocks.
@@ -380,14 +390,17 @@ class TestDeterminism:
         # Hits are integers and a row's transform ignores its neighbours,
         # so no block size may move a bit.  Blocks of 1 and 7 rows loop in
         # Python per block (seconds per call at GOLDEN_COUNT), so they run
-        # on 1,000 samples: 142 blocks of 7 and a partial one.
+        # on 1,000 samples: 142 blocks of 7 and a partial one.  The layered
+        # estimate pairs the body with a box under non-dyadic weights.
         cov = DENSE3 if sigma == "dense" else identity_covariance(3)
         body = BODIES3[kind]
+        weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
 
         def bits(count):
             grid = estimate_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5, 1)
             prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
-            return [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob]]
+            layered = estimate_layered_expectation(cov, weight, U3, 0.9, count, seed=5)
+            return [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
 
         for count, sizes in ((GOLDEN_COUNT, (CHUNK_SIZE, 4096)), (1000, (CHUNK_SIZE, 7, 1))):
             runs = []
@@ -396,7 +409,8 @@ class TestDeterminism:
                 runs.append(bits(count))
             assert all(run == runs[0] for run in runs)
             if count == GOLDEN_COUNT:
-                assert [hits for *_, hits in runs[0]] == BLOCKED_PASS_HITS[kind, sigma]
+                hits = [hits for *_, hits in runs[0][:-1]]
+                assert hits == BLOCKED_PASS_HITS[kind, sigma]
 
     @pytest.mark.parametrize("name, dim", sorted(WIDE_GRID_HITS))
     def test_wide_ball_grid_hits_are_pinned(self, name, dim):
@@ -418,6 +432,7 @@ class TestDeterminism:
             results = [
                 estimate_shift_prob(cov, ball, U3, 0.8, count, seed=3),
                 estimate_layered_expectation(cov, weight, U3, 0.8, count, seed=3),
+                estimate_layered_expectation(cov, CROSSING, U3, 0.8, count, seed=3),
                 estimate_power(cov, ball, U3, 1.2, count, seed=3, substream=1),
                 *estimate_power_grid(cov, ball, U3, [0.7, 0.0, 1.3], count, 5, 1),
                 estimate_conditional_center(ball, U3, 0.8, count, seed=3),
@@ -432,6 +447,28 @@ class TestDeterminism:
                 monkeypatch.setattr(mc, "_pool", None)
                 runs.append(bits(count))
             assert all(run == runs[0] for run in runs)
+
+    def test_blas_thread_count_does_not_move_a_bit(self):
+        # A whole-chunk dot product splits its sum over OpenBLAS threads;
+        # layer counts summed once after the pass do not.
+        script = (
+            "from test_mc import CROSSING, DENSE3, GOLDEN_COUNT, U3\n"
+            "from shiftbounds import estimate_layered_expectation\n"
+            "e = estimate_layered_expectation(DENSE3, CROSSING, U3, 0.8, GOLDEN_COUNT, 3)\n"
+            "print(e.value.hex(), e.stderr.hex(), e.hits)\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        est = estimate_layered_expectation(DENSE3, CROSSING, U3, 0.8, GOLDEN_COUNT, 3)
+        want = f"{est.value.hex()} {est.stderr.hex()} {est.hits}\n"
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            child = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=300,
+            )
+            assert (child.returncode, child.stdout) == (0, want), child.stderr
 
     def test_only_sampling_leaves_the_calling_thread(self, monkeypatch):
         # Membership tests, weights and the reduction stay on the caller's
@@ -531,6 +568,21 @@ class TestEstimators:
         )
         direct = estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.7, 200000, seed=29)
         assert layered == direct
+
+    def test_crossing_weight_matches_its_pointwise_values(self):
+        # Summed from counts, the estimate still agrees with the weight's
+        # values on the same stream, up to the rounding of each row's sum.
+        est = estimate_layered_expectation(DENSE3, CROSSING, U3, 0.8, GOLDEN_COUNT, 3)
+        values = np.concatenate([
+            CROSSING.evaluate_batch(x - 0.8 * U3.entries)
+            for x in sample_gaussian(DENSE3, GOLDEN_COUNT, 3)
+        ])
+        mean = math.fsum(values) / GOLDEN_COUNT
+        second = math.fsum(values * values) / GOLDEN_COUNT
+        assert est.hits == np.count_nonzero(values)
+        assert abs(est.value - mean) <= 4 * math.ulp(mean)
+        stderr = math.sqrt((second - mean * mean) / GOLDEN_COUNT)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_weight_scaling_is_exact(self):
         doubled = build_layered(
