@@ -14,6 +14,11 @@ Six variants share one small interface:
 
 Support values may be +inf (slabs and degenerate polytopes are
 unbounded); +inf is exact when the body really is unbounded along v.
+Slabs, ellipsoids and H-polytopes evaluate at v scaled by a power of
+two to unit size and scale the value back, so their support values are
+exact at every finite scale: the value at 2^k v is 2^k times the value
+at v, bit for bit, with the same flag and point.  p-balls keep their own
+range handling (:func:`_lp_norm`), since pow does not scale exactly.
 
 Linear images L(A) delegate everything through L: membership via
 L^{-1} x, support via delta*(v | L A) = delta*(L^T v | A).
@@ -32,7 +37,9 @@ import numpy as np
 
 from . import lp
 from .errors import ConfigError, DefinitenessError, DomainError, ShapeError
-from .linalg import MAX_DIM, Covariance, Direction, build_covariance, readonly_copy
+from .linalg import (
+    MAX_DIM, Covariance, Direction, build_covariance, readonly_copy, unit_scale, unscale,
+)
 
 # Orthogonal residual below this (relative) counts as "parallel to the
 # slab normal" when deciding between a finite support value and +inf.
@@ -129,16 +136,15 @@ class Slab(ConvexBody):
         return np.abs(p @ self.normal.entries) <= self.halfwidth
 
     def support(self, v: np.ndarray) -> SupportValue:
-        w = _as_direction_vector(v, self.dim)
+        w, k = unit_scale(_as_direction_vector(v, self.dim))
         along = float(w @ self.normal.entries)
         residual = w - along * self.normal.entries
-        if float(np.linalg.norm(residual)) > _PARALLEL_RTOL * max(
-            float(np.linalg.norm(w)), 1e-300
-        ):
+        if float(np.linalg.norm(residual)) > _PARALLEL_RTOL * float(np.linalg.norm(w)):
             return SupportValue(math.inf, True)
         sign = 1.0 if along >= 0.0 else -1.0
         return SupportValue(
-            self.halfwidth * abs(along), True, sign * self.halfwidth * self.normal.entries
+            unscale(self.halfwidth * abs(along), k), True,
+            sign * self.halfwidth * self.normal.entries,
         )
 
     def to_dict(self) -> dict:
@@ -339,11 +345,11 @@ class Ellipsoid(ConvexBody):
         return forms <= 1.0
 
     def support(self, v: np.ndarray) -> SupportValue:
-        w = _as_direction_vector(v, self.dim)
+        w, k = unit_scale(_as_direction_vector(v, self.dim))
         value = float(np.sqrt(self.quadratic.quad_form_inv(w)))
         if value == 0.0:
             return SupportValue(value, True, np.zeros(self.dim))
-        return SupportValue(value, True, self.quadratic.solve(w) / value)
+        return SupportValue(unscale(value, k), True, self.quadratic.solve(w) / value)
 
     def to_dict(self) -> dict:
         return {"kind": "ellipsoid", "matrix": self.quadratic.matrix.tolist()}

@@ -116,9 +116,13 @@ class LayeredUnimodal:
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=float)
-        out = np.zeros(p.shape[0])
-        for layer in self.layers:
-            out += layer.weight * layer.body.contains_batch(p)
+        return self.weigh([layer.body.contains_batch(p) for layer in self.layers])
+
+    def weigh(self, inside: Sequence[np.ndarray]) -> np.ndarray:
+        """Rows of w from their memberships: inside[k] is the mask of layer k."""
+        out = np.zeros(len(inside[0]))
+        for layer, mask in zip(self.layers, inside):
+            out += layer.weight * mask
         return out
 
 
@@ -168,8 +172,31 @@ def shift_exponent(
     upper bound; the resulting shift_ratio is then an upper bound too.
     Any other layer's true support is at most its computed value, so an
     exact largest value is the true largest support even when it ties an
-    upper bound.
+    upper bound.  It is the exponent of :func:`ratio_bounds_grid`'s report.
     """
+    (report,) = ratio_bounds_grid(cov, target, u, (0.0,))
+    return report.exponent_a, report.exponent_exact
+
+
+def ratio_bounds_grid(
+    cov: Covariance,
+    target: ConvexBody | LayeredUnimodal,
+    u: Direction,
+    ts: Sequence[float],
+) -> list[BoundReport]:
+    """The sandwich at every shift magnitude of a grid, one report per t.
+
+    `target` is a body (its indicator weight) or a layered weight (the
+    largest exponent over its layers, see :func:`shift_exponent`).
+    Neither the exponent nor the Mahalanobis norm depends on t, so each
+    support and the norm are evaluated once for the whole grid.  The grid
+    may be in any order and may repeat values.
+    """
+    if not ts:
+        raise DomainError("bound grid needs at least one t")
+    for t in ts:
+        if math.isnan(t) or t < 0.0:
+            raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
     weight = as_layered(target)
     if weight.dim != cov.dim or u.dim != cov.dim:
         raise ShapeError(
@@ -182,29 +209,7 @@ def shift_exponent(
         if sv.value < 0.0:
             raise NumericError(f"support function returned a negative value {sv.value!r}")
     value, exact = max((sv.value, sv.exact) for sv in supports)
-    return value / m, exact
-
-
-def ratio_bounds_grid(
-    cov: Covariance,
-    target: ConvexBody | LayeredUnimodal,
-    u: Direction,
-    ts: Sequence[float],
-) -> list[BoundReport]:
-    """The sandwich at every shift magnitude of a grid, one report per t.
-
-    `target` is a body (its indicator weight) or a layered weight (the
-    largest exponent over its layers).  Neither the exponent nor the
-    Mahalanobis norm depends on t, so each support is evaluated once for
-    the whole grid.  The grid may be in any order and may repeat values.
-    """
-    if not ts:
-        raise DomainError("bound grid needs at least one t")
-    for t in ts:
-        if math.isnan(t) or t < 0.0:
-            raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
-    a, exact = shift_exponent(cov, target, u)
-    m = mahalanobis_norm(cov, u)
+    a = value / m
     reports = []
     for t in ts:
         t_eff = t * m

@@ -13,6 +13,7 @@ All cached arrays are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,27 @@ def readonly_copy(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
     return out
+
+
+def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2^k, k) with the largest |x_i| * 2^k in [1, 2); k = 0 for x = 0.
+
+    Scaling by a power of two commutes with rounding, so a positively
+    homogeneous computation on x * 2^k, scaled back by :func:`unscale`,
+    keeps the bits it has on x wherever no step leaves the normal range,
+    and tiny or huge x no longer under- or overflow on the way.
+    """
+    top = float(np.max(np.abs(x)))
+    k = 1 - math.frexp(top)[1] if top > 0.0 else 0
+    return np.ldexp(x, k), k
+
+
+def unscale(value: float, k: int) -> float:
+    """value * 2^-k, +-inf past the largest double."""
+    try:
+        return math.ldexp(value, -k)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 @dataclass(frozen=True)

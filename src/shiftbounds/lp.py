@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
+from .linalg import unit_scale, unscale
 
 # Reduced costs below this are treated as nonpositive (optimality);
-# pivots below it are treated as zero in the ratio test.
+# pivots below it are treated as zero in the ratio test.  The objective
+# and the right-hand side are scaled first, so the cost test and the
+# ratio ties are relative to them.
 _TOL = 1e-9
 
 _ITER_FACTOR = 50
@@ -63,6 +66,11 @@ def simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexRes
         if np.all(c == 0.0):
             return SimplexResult("optimal", 0.0, np.zeros(dim))
         return SimplexResult("unbounded", np.inf, None)
+
+    # Scale c and b by powers of two to put their largest entries in [1, 2).
+    # Every tableau entry then scales exactly, and so do the value and x.
+    c, kc = unit_scale(c)
+    b, kb = unit_scale(b)
 
     # Standard form: y = [x+, x-] >= 0, G y + s = b.
     ncols = 2 * dim
@@ -118,4 +126,5 @@ def simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexRes
     for i, var in enumerate(basis):
         y[var] = tab[i, -1]
     x = y[:dim] - y[dim:ncols]
-    return SimplexResult("optimal", float(c @ x), x)
+    with np.errstate(over="ignore"):
+        return SimplexResult("optimal", unscale(float(c @ x), kc + kb), np.ldexp(x, -kb))

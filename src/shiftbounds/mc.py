@@ -12,10 +12,14 @@ ahead of the one being reduced.  Everything else -- membership tests,
 weights, BLAS calls and the reduction -- runs on the calling thread in
 chunk order, so no bit depends on the number of workers.
 
-Every estimator reduces per-chunk sums in fixed chunk order (exact
-counts for indicator and layered weights, weighted after the pass);
-mean = S1/N and stderr = sqrt((S2/N - mean^2)/N), the plug-in (ddof=0)
-form, which for indicator weights is exactly the binomial stderr.
+All five estimators run on one walk over the chunks (:func:`_accumulate`):
+it tests each (shift, layer) pair once per row, in blocks of BLOCK_ROWS
+rows, into a whole-chunk mask, and each estimator reduces the chunk and
+its masks to per-chunk sums, added in fixed chunk order (exact counts for
+indicator and layered weights, weighted after the pass; whole-chunk
+float sums for the conditional and derivative estimators).  mean = S1/N
+and stderr = sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which
+for indicator weights is exactly the binomial stderr.
 
 Verdicts score bound violations in numerator units:
 
@@ -210,17 +214,45 @@ def sample_gaussian(
 
 
 def _accumulate(
-    count: int,
-    seed: int,
-    substream: int,
-    dim: int,
-    chunk_sums: Callable[[np.ndarray], np.ndarray],
+    cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction,
+    shifts: Sequence[float], count: int, seed: int, substream: int,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> list:
-    """Sum chunk_sums(normal_chunk) over the stream in chunk order, as Python numbers."""
+    """Sum reduce(z, inside) over the stream in chunk order, as Python numbers.
+
+    z is a standard normal chunk, and inside[k, i, r] says whether row r
+    of X + shifts[k] u, X = L z, lies in layer i of the target (a body is
+    one layer); it is a buffer that the next chunk overwrites.  This is the
+    package's one walk over chunks: it transforms and shifts each chunk in
+    blocks of BLOCK_ROWS rows, and a row's transform and verdict ignore its
+    neighbours, so `inside` does not depend on the block size.
+    """
+    w = as_layered(target)
+    if not cov.dim == w.dim == u.dim:
+        raise ShapeError(f"dimension mismatch: cov {cov.dim}, body {w.dim}, u {u.dim}")
+    _check_stream(seed, substream, count)
+    offsets = [s * u.entries for s in shifts]
+    chol_t = np.asarray(cov.chol).T
+    # Identity Sigma has an exactly-identity factor, whose product leaves
+    # every row as it is (it could only turn -0.0 into +0.0, and no body
+    # tells those apart).
+    identity = cov.is_identity()
+    # One mask buffer and one shifted block per pass.
+    inside = np.empty((len(offsets), len(w.layers), min(count, CHUNK_SIZE)), dtype=bool)
+    shifted = np.empty((min(count, CHUNK_SIZE, BLOCK_ROWS), cov.dim))
     total = 0
-    with closing(standard_normal_chunks(dim, count, seed, substream)) as chunks:
+    with closing(standard_normal_chunks(cov.dim, count, seed, substream)) as chunks:
         for z in chunks:
-            total = total + chunk_sums(z)
+            masks = inside[:, :, : len(z)]
+            for start in range(0, len(z), BLOCK_ROWS):
+                block = z[start : start + BLOCK_ROWS]
+                x = block if identity else block @ chol_t
+                out = shifted[: len(block)]
+                for k, offset in enumerate(offsets):
+                    np.add(x, offset, out=out)
+                    for i, layer in enumerate(w.layers):
+                        masks[k, i, start : start + BLOCK_ROWS] = layer.body.contains_batch(out)
+            total = total + reduce(z, masks)
     return total.tolist()
 
 
@@ -242,14 +274,6 @@ def _mean_estimate(
 def _check_shift(t: float) -> None:
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"shift magnitude t must be finite and >= 0, got {t!r}")
-
-
-def _check_geometry(cov: Covariance, dim: int, u: Direction, t: float) -> None:
-    if dim != cov.dim or u.dim != cov.dim:
-        raise ShapeError(
-            f"dimension mismatch: cov {cov.dim}, body {dim}, u {u.dim}"
-        )
-    _check_shift(t)
 
 
 def estimate_shift_prob(
@@ -276,7 +300,7 @@ def estimate_layered_expectation(
 ) -> McEstimate:
     """Estimate E w(X - t u) for w = sum_k c_k 1{A_k}, or a body's indicator."""
     w = as_layered(target)
-    _check_geometry(cov, w.dim, u, t)
+    _check_shift(t)
     ((both, hits),) = _membership_hits(cov, w, u, (-t,), count, seed, substream)
     c = [layer.weight for layer in w.layers]
     s1 = math.fsum(c[i] * n for (i, j), n in both.items() if i == j)
@@ -322,7 +346,7 @@ def estimate_power_grid(
     if not thetas:
         raise DomainError("power grid needs at least one theta")
     for theta in thetas:
-        _check_geometry(cov, body.dim, u, theta)
+        _check_shift(theta)
     hits = _membership_hits(cov, body, u, thetas, count, seed, substream)
     misses = [count - union for _, union in hits]
     return [_mean_estimate(m, m, m, count, seed, substream) for m in misses]
@@ -336,37 +360,24 @@ def _membership_hits(
     X + s u, from one pass; N_ij counts the rows in both A_i and A_j of the
     target's layers (a body is one layer).
 
-    Entry k has the bits of a pass at shifts[k] alone.  Chunks are walked
-    in blocks of BLOCK_ROWS rows: a row's transform ignores its neighbours
-    and the counts are integers, so they do not depend on the block size.
+    Entry k has the bits of a pass at shifts[k] alone: the counts are
+    integers, so neither the grid nor the block size moves them.
     """
-    offsets = [s * u.entries for s in shifts]
-    chol_t = np.asarray(cov.chol).T
-    # Identity Sigma has an exactly-identity factor, whose product leaves
-    # every row as it is (it could only turn -0.0 into +0.0, and no body
-    # tells those apart).
-    identity = cov.is_identity()
-    bodies = [layer.body for layer in as_layered(target).layers]
-    pairs = [(i, j) for i in range(len(bodies)) for j in range(i, len(bodies))]
+    layers = len(as_layered(target).layers)
+    pairs = [(i, j) for i in range(layers) for j in range(i, layers)]
 
-    def stats(z: np.ndarray) -> np.ndarray:
+    def counts(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
         # Per shift: the pair counts, then the union's (one layer's pair count).
-        hits = np.zeros((len(offsets), len(pairs) + (len(bodies) > 1)), dtype=np.int64)
-        for start in range(0, z.shape[0], BLOCK_ROWS):
-            block = z[start : start + BLOCK_ROWS]
-            x = block.copy() if identity else block @ chol_t
-            for row, offset in zip(hits, offsets):
-                # The block is not read again, so it holds each shifted copy.
-                np.add(x, offset, out=block)
-                inside = [body.contains_batch(block) for body in bodies]
-                for k, (i, j) in enumerate(pairs):
-                    row[k] += np.count_nonzero(inside[i] if i == j else inside[i] & inside[j])
-                if len(inside) > 1:
-                    row[-1] += np.count_nonzero(np.logical_or.reduce(inside))
+        hits = np.zeros((len(inside), len(pairs) + (layers > 1)), dtype=np.int64)
+        for row, masks in zip(hits, inside):
+            for k, (i, j) in enumerate(pairs):
+                row[k] = np.count_nonzero(masks[i] if i == j else masks[i] & masks[j])
+            if layers > 1:
+                row[-1] = np.count_nonzero(masks.any(axis=0))
         return hits
 
-    counts = _accumulate(count, seed, substream, cov.dim, stats)
-    return [(dict(zip(pairs, row)), row[-1]) for row in counts]
+    rows = _accumulate(cov, target, u, shifts, count, seed, substream, counts)
+    return [(dict(zip(pairs, row)), row[-1]) for row in rows]
 
 
 def estimate_conditional_center(
@@ -382,17 +393,15 @@ def estimate_conditional_center(
     Raises InsufficientHitsError below MIN_CONDITIONAL_HITS conditioning
     hits; the stderr is the within-hits plug-in form.
     """
-    if body.dim != u.dim:
-        raise ShapeError(f"dimension mismatch: body {body.dim}, u {u.dim}")
     _check_shift(t)
-    shift = t * u.entries
 
-    def stats(z: np.ndarray) -> np.ndarray:
-        mask = body.contains_batch(z - shift)
+    def sums(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        mask = inside[0, 0]
         coords = (z @ u.entries)[mask]
         return np.array([coords.sum(), coords @ coords, mask.sum()], dtype=float)
 
-    s1, s2, hits = _accumulate(count, seed, substream, u.dim, stats)
+    cov = identity_covariance(u.dim)
+    s1, s2, hits = _accumulate(cov, body, u, (-t,), count, seed, substream, sums)
     hits = int(hits)
     if hits < MIN_CONDITIONAL_HITS:
         raise InsufficientHitsError(
@@ -551,7 +560,6 @@ def verify_derivative_identity(
     count: int,
     seed: int,
     step: float = 1e-2,
-    allowance: float = DERIVATIVE_ALLOWANCE,
     substream: int = SUBSTREAM_MAIN,
     z_threshold: float = 4.0,
 ) -> DerivativeCheck:
@@ -559,51 +567,40 @@ def verify_derivative_identity(
 
     Central difference with the given step vs the direct estimator, on
     common random numbers; `tolerance` = z_threshold * sigma_diff +
-    allowance, where the allowance absorbs the O(step^2) discretization
+    DERIVATIVE_ALLOWANCE, which absorbs the O(step^2) discretization
     bias.  Also checks both estimates against the analytic decay floor
     (:func:`derivative_floor` for the identity covariance), each within
     z_threshold of its own stderr.
     """
     w = as_layered(weight)
-    if w.dim != u.dim:
-        raise ShapeError(f"dimension mismatch: weight {w.dim}, u {u.dim}")
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"derivative check needs a finite t > 0, got {t!r}")
     if not 0.0 < step < t:
         raise DomainError(f"step must lie in (0, t), got {step!r}")
-    ue = u.entries
-    up_shift = (t + step) * ue
-    down_shift = (t - step) * ue
-    mid_shift = t * ue
     inv_2h = 0.5 / step
 
-    def stats(z: np.ndarray) -> np.ndarray:
-        coords = z @ ue
-        fd = (w.evaluate_batch(z - up_shift) - w.evaluate_batch(z - down_shift)) * inv_2h
-        mid = w.evaluate_batch(z - mid_shift)
+    def sums(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        # Rows of w(Z - s u) at s = t + step, t - step and t.
+        up, down, mid = (w.weigh(masks) for masks in inside)
+        coords = z @ u.entries
+        fd = (up - down) * inv_2h
         direct = -coords * mid
         diff = fd - direct
-        return np.array(
-            [
-                fd.sum(),
-                fd @ fd,
-                direct.sum(),
-                direct @ direct,
-                diff.sum(),
-                diff @ diff,
-                mid.sum(),
-            ]
-        )
+        return np.array([
+            fd.sum(), fd @ fd, direct.sum(), direct @ direct, diff.sum(), diff @ diff, mid.sum()
+        ])
 
+    cov = identity_covariance(w.dim)
+    shifts = (-(t + step), -(t - step), -t)
     fd_s1, fd_s2, dir_s1, dir_s2, diff_s1, diff_s2, mid_s1 = _accumulate(
-        count, seed, substream, w.dim, stats
+        cov, w, u, shifts, count, seed, substream, sums
     )
     fd_mean, fd_se = _plug_in(fd_s1, fd_s2, count)
     dir_mean, dir_se = _plug_in(dir_s1, dir_s2, count)
     diff_mean, diff_se = _plug_in(diff_s1, diff_s2, count)
     expectation = mid_s1 / count
-    tolerance = z_threshold * diff_se + allowance
-    floor_value = derivative_floor(identity_covariance(w.dim), u, t, expectation)
+    tolerance = z_threshold * diff_se + DERIVATIVE_ALLOWANCE
+    floor_value = derivative_floor(cov, u, t, expectation)
     identity_ok = abs(diff_mean) <= tolerance
     floor_ok = (fd_mean >= floor_value - z_threshold * fd_se) and (
         dir_mean >= floor_value - z_threshold * dir_se
@@ -623,7 +620,7 @@ def verify_derivative_identity(
         identity_ok=identity_ok,
         floor_ok=floor_ok,
         z_threshold=z_threshold,
-        allowance=allowance,
+        allowance=DERIVATIVE_ALLOWANCE,
     )
 
 

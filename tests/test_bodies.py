@@ -281,6 +281,15 @@ class TestHPolytope:
         point = box.support_point(np.array([1.0, -1.0]))
         np.testing.assert_allclose(point, [1.0, -2.0], atol=1e-9)
 
+    def test_tiny_offsets_give_a_point_inside(self):
+        # With absolute LP tolerances, ratio ties at offsets near 2^-45
+        # picked a vertex outside the body and a value too large.
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        body = HPolytope(normals, np.ldexp([1.0, 1.0, 1.5, 1.5], -45))
+        sv = body.support(np.array([1.0, 1.0]))
+        assert sv.value == math.ldexp(1.5, -45)
+        assert body.contains(sv.point)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             HPolytope(normals=np.eye(2), offsets=np.array([1.0, -1.0]))
@@ -505,6 +514,27 @@ class TestSupportProperties:
                 assert math.isinf(b)
             else:
                 assert b == pytest.approx(c * a, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [-700, -40, 40, 700])
+    @pytest.mark.parametrize("name", ["slab", "ellipsoid", "h_polytope", "slab_image"])
+    def test_power_of_two_scales_are_exact(self, name, k):
+        # delta*(2^k v) = 2^k delta*(v) bit for bit, where the squares and
+        # the LP tolerances of 2^k v would under- or overflow.
+        slab = sample_bodies()["slab"]
+        bodies = {**sample_bodies(), "slab_image": LinearImage(slab, [[2.0, 0.5], [0.0, 1.0]])}
+        body = bodies[name]
+        rng = np.random.default_rng(67)
+        directions = [*rng.standard_normal((10, 2)), -1.3 * slab.normal.entries]
+        if name == "slab_image":
+            directions.append(np.linalg.solve(body.matrix.T, slab.normal.entries))
+        for v in directions:
+            sv = body.support(v)
+            scaled = body.support(np.ldexp(v, k))
+            assert (scaled.value, scaled.exact) == (math.ldexp(sv.value, k), sv.exact)
+            if sv.point is None:
+                assert scaled.point is None
+            else:
+                assert np.array_equal(scaled.point, sv.point)
 
     @pytest.mark.parametrize("name", sorted(sample_bodies()))
     def test_support_carries_its_attaining_point(self, name):

@@ -386,6 +386,39 @@ class TestCliBounds:
         _, unit, _ = run_cli(tmp_path, "bounds", payload(1.0))
         assert report["records"] == unit["records"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_sigma_box_matches_its_linf_ball(self, tmp_path):
+        # Sigma^{-1} u = 1e-10 e1: an absolute LP tolerance read its
+        # support as 0, so the exponent as 0 and the upper bound as the
+        # lower one, flagged exact.
+        sigma = {"kind": "diagonal", "entries": [1e10, 1e10]}
+        box = {"kind": "h_polytope", "normals": [[1.0, 0.0], [0.0, 1.0]], "offsets": [1e5, 1e5]}
+        ball = {"kind": "lp_ball", "dim": 2, "p": "inf", "radius": 1e5}
+        records = []
+        for body in (box, ball):
+            cfg = {"dim": 2, "sigma": sigma, "u": [1.0, 0.0], "body": body, "t_grid": [1e5]}
+            code, report, _ = run_cli(tmp_path, "bounds", cfg)
+            assert code == 0
+            records.append(report["records"])
+        assert records[0] == records[1]
+        (record,) = records[0]
+        assert (record["exponent_a"], record["exactness"]) == (1.0, "exact")
+        assert record["upper"] == 0.6990731123718362
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sigma_slab_is_unbounded_across_u(self, tmp_path):
+        # Sigma^{-1} u is about 7e199 (1, 1), across the slab's normal: its
+        # squares overflowed and the slab read as parallel to it.
+        cfg = {
+            "dim": 2, "sigma": {"kind": "diagonal", "entries": [1e-200, 1e-200]},
+            "u": [1.0, 1.0], "body": {"kind": "slab", "normal": [1.0, 0.0], "halfwidth": 1e-100},
+            "t_grid": [1e-100],
+        }
+        code, report, _ = run_cli(tmp_path, "bounds", cfg)
+        assert code == 0
+        (record,) = report["records"]
+        assert (record["exponent_a"], record["upper"]) == ("inf", 1.0)
+
 
 def count_simplex_calls(monkeypatch) -> list:
     calls = []

@@ -252,11 +252,13 @@ class TestStreams:
                 next(chunks)
                 chunks.close()
             else:
-                def failing_sums(z):
+                def failing_sums(z, inside):
                     raise ArithmeticError("reduction failed")
 
                 with pytest.raises(ArithmeticError):
-                    mc._accumulate(count, 3, SUBSTREAM_MAIN, 2, failing_sums)
+                    mc._accumulate(
+                        COV2, UNIT_SLAB, E1, (0.0,), count, 3, SUBSTREAM_MAIN, failing_sums
+                    )
         finally:
             release.set()
         assert _drawn(draws) <= 2
@@ -387,11 +389,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("sigma", ["dense", "identity"])
     @pytest.mark.parametrize("kind", sorted(BODIES3))
     def test_block_size_does_not_move_a_bit(self, monkeypatch, kind, sigma):
-        # Hits are integers and a row's transform ignores its neighbours,
-        # so no block size may move a bit.  Blocks of 1 and 7 rows loop in
-        # Python per block (seconds per call at GOLDEN_COUNT), so they run
-        # on 1,000 samples: 142 blocks of 7 and a partial one.  The layered
-        # estimate pairs the body with a box under non-dyadic weights.
+        # A row's transform and verdict ignore its neighbours, and the
+        # reductions run over whole chunks, so no block size may move a bit.
+        # Blocks of 1 and 7 rows loop in Python per block (seconds per call
+        # at GOLDEN_COUNT), so they run on 1,000 samples: 142 blocks of 7
+        # and a partial one.  The layered estimate and the derivative check
+        # pair the body with a box under non-dyadic weights; the conditional
+        # and derivative estimators sample the identity covariance only.
         cov = DENSE3 if sigma == "dense" else identity_covariance(3)
         body = BODIES3[kind]
         weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
@@ -400,7 +404,12 @@ class TestDeterminism:
             grid = estimate_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5, 1)
             prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
             layered = estimate_layered_expectation(cov, weight, U3, 0.9, count, seed=5)
-            return [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
+            estimates = [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
+            if sigma == "dense":
+                return estimates
+            center = estimate_conditional_center(body, U3, 0.9, count, seed=5)
+            check = verify_derivative_identity(weight, U3, 0.9, count, seed=5)
+            return [*estimates, _hex_fields(center), _hex_fields(check)]
 
         for count, sizes in ((GOLDEN_COUNT, (CHUNK_SIZE, 4096)), (1000, (CHUNK_SIZE, 7, 1))):
             runs = []
@@ -409,7 +418,7 @@ class TestDeterminism:
                 runs.append(bits(count))
             assert all(run == runs[0] for run in runs)
             if count == GOLDEN_COUNT:
-                hits = [hits for *_, hits in runs[0][:-1]]
+                hits = [hits for *_, hits in runs[0][:5]]
                 assert hits == BLOCKED_PASS_HITS[kind, sigma]
 
     @pytest.mark.parametrize("name, dim", sorted(WIDE_GRID_HITS))
