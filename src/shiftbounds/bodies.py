@@ -18,7 +18,9 @@ Slabs, ellipsoids and H-polytopes evaluate at v scaled by a power of
 two to unit size and scale the value back, so their support values are
 exact at every finite scale: the value at 2^k v is 2^k times the value
 at v, bit for bit, with the same flag and point.  p-balls keep their own
-range handling (:func:`_lp_norm`), since pow does not scale exactly.
+range handling (:func:`_lp_norm`), since pow does not scale exactly; they,
+and linear images (L^T v may meet a p-ball), scale v only where the plain
+evaluation overflows.
 
 Linear images L(A) delegate everything through L: membership via
 L^{-1} x, support via delta*(v | L A) = delta*(L^T v | A).
@@ -185,7 +187,8 @@ def _lp_norm(a: np.ndarray, p: float) -> np.ndarray:
     if math.isinf(p):
         return np.max(a, axis=-1)
     if p == 1.0:
-        return np.sum(a, axis=-1)
+        with np.errstate(over="ignore"):  # an overflowed sum is inf, as the norm is
+            return np.sum(a, axis=-1)
     if p > 2.0:
         return _max_scaled_norm(a, p)
     with np.errstate(over="ignore"):
@@ -208,7 +211,8 @@ def _max_scaled_norm(a: np.ndarray, p: float) -> np.ndarray:
     m = np.max(a, axis=-1, keepdims=True)
     # Rows of zeros, or holding an inf or NaN, need no scaling.
     scale = np.where((m > 0.0) & (m < math.inf), m, 1.0)
-    return scale[..., 0] * np.sum((a / scale) ** p, axis=-1) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # a norm past the largest double is inf
+        return scale[..., 0] * np.sum((a / scale) ** p, axis=-1) ** (1.0 / p)
 
 
 def _sum_band(p: float, radius: float, dim: int) -> tuple[float, float] | None:
@@ -280,11 +284,13 @@ class LpBall(ConvexBody):
         if self._band is None:
             return _lp_norm(np.abs(x), self.p) <= self.radius
         # Running sum over columns of |x_j| or x_j * x_j (see _sum_band).
+        # A sum that overflows is inf, outside the ball as its row is.
         term = np.abs if self.p == 1.0 else np.square
-        sums = term(x[:, 0])
-        column = np.empty_like(sums)
-        for j in range(1, self.dim):
-            sums += term(x[:, j], out=column)
+        with np.errstate(over="ignore"):
+            sums = term(x[:, 0])
+            column = np.empty_like(sums)
+            for j in range(1, self.dim):
+                sums += term(x[:, j], out=column)
         lo, hi = self._band
         inside = sums <= lo
         near = sums <= hi
@@ -305,7 +311,13 @@ class LpBall(ConvexBody):
         absw = np.abs(w)
         q = self._dual_exponent()
         dual = _lp_norm(absw, q)
-        value = self.radius * float(dual)
+        k = 0
+        if math.isinf(dual):
+            # The norm is past the largest double: evaluate at unit scale,
+            # only here, since pow does not scale exactly.
+            absw, k = unit_scale(absw)
+            dual = _lp_norm(absw, q)
+        value = unscale(self.radius * float(dual), k)
         if dual == 0.0:  # w = 0
             return SupportValue(value, True, np.zeros(self.dim))
         signs = np.where(w >= 0.0, 1.0, -1.0)
@@ -482,10 +494,19 @@ class LinearImage(ConvexBody):
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
-        base = self.base.support(self.matrix.T @ w)
+        k = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = self.matrix.T @ w
+            if not np.all(np.isfinite(image)):
+                # Evaluate at unit scale only here: the value at 2^k v is
+                # 2^k times the value at v only where no pow is involved.
+                w, k = unit_scale(w)
+                image = self.matrix.T @ w
+        base = self.base.support(image)
+        value = unscale(base.value, k)
         if base.point is None:
-            return base
-        return SupportValue(base.value, base.exact, self.matrix @ base.point)
+            return SupportValue(value, base.exact)
+        return SupportValue(value, base.exact, self.matrix @ base.point)
 
     def to_dict(self) -> dict:
         return {

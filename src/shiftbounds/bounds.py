@@ -249,8 +249,8 @@ def derivative_floor(cov: Covariance, u: Direction, t: float, current: float) ->
     """
     if u.dim != cov.dim:
         raise ShapeError(f"direction dim {u.dim} != covariance dim {cov.dim}")
-    if math.isnan(t) or t < 0.0:
-        raise DomainError(f"shift magnitude t must be >= 0, got {t!r}")
+    if not math.isfinite(t) or t < 0.0:
+        raise DomainError(f"shift magnitude t must be finite and >= 0, got {t!r}")
     if math.isnan(current) or current < 0.0:
         raise DomainError(f"current expectation must be >= 0, got {current!r}")
     return -t * cov.quad_form_inv(u.entries) * current

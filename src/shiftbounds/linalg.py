@@ -1,20 +1,23 @@
 """Dense symmetric matrix core: covariance factorizations and directions.
 
 Dimensions are small (hard cap MAX_DIM = 64), so everything is dense and
-unblocked.  The eigensolver is a cyclic Jacobi iteration and the Cholesky
-is the textbook unblocked algorithm with an explicit pivot floor; both
-are deliberately simple enough to audit line by line, and the test suite
+unblocked.  The eigensolver is a cyclic Jacobi iteration, swept on the
+matrix scaled by a power of two to unit size so that its norms neither
+over- nor underflow anywhere in the double range; the Cholesky is the
+textbook unblocked algorithm with an explicit pivot floor.  Both are
+deliberately simple enough to audit line by line, and the test suite
 cross-checks them against numpy routines.
 
-A `Covariance` caches its Cholesky factor, inverse, and symmetric
-square root / inverse square root, all computed once at construction.
-All cached arrays are read-only.
+A `Covariance` computes its Cholesky factor and symmetric square root /
+inverse square root at construction, and its inverse on first read (the
+bounds need only solves).  All cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -83,12 +86,14 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     s = _require_symmetric(_as_square_matrix(matrix, "sym_eigen input"), "sym_eigen input")
     n = s.shape[0]
-    a = s.copy()
+    # Rotations are scale-free: sweep at unit scale, where the norms below
+    # neither over- nor underflow, and scale the eigenvalues back.
+    a, k = unit_scale(s)
     v = np.eye(n)
-    frob = float(np.linalg.norm(s))
+    frob = float(np.linalg.norm(a))
     if n == 1 or frob == 0.0:
-        order = np.argsort(np.diag(a))
-        return np.diag(a)[order].copy(), v[:, order].copy()
+        order = np.argsort(np.diag(s))
+        return np.diag(s)[order].copy(), v[:, order].copy()
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
         if off <= _JACOBI_TOL * frob:
@@ -117,7 +122,8 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 v[:, q] = sn * vcol_p + c * v[:, q]
     else:
         raise NumericError("Jacobi eigensolver did not converge")
-    w = np.diag(a).copy()
+    with np.errstate(over="ignore"):  # an eigenvalue past the largest double is inf
+        w = np.ldexp(np.diag(a), -k)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order].copy()
 
@@ -177,15 +183,15 @@ def unscale(value: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class Covariance:
-    """A validated SPD covariance with its factorizations precomputed.
+    """A validated SPD covariance with its factorizations.
 
-    Construct through :func:`build_covariance`; the raw constructor
-    trusts its arguments.
+    The Cholesky factor and the symmetric square roots are computed at
+    construction; the inverse is built on first read.  Construct through
+    :func:`build_covariance`; the raw constructor trusts its arguments.
     """
 
     matrix: np.ndarray
     chol: np.ndarray
-    inverse: np.ndarray
     sqrt: np.ndarray
     inv_sqrt: np.ndarray
 
@@ -193,21 +199,27 @@ class Covariance:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def solve(self, vec: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} @ vec via the Cholesky factor (two triangular solves)."""
+    def _forward(self, vec: np.ndarray) -> np.ndarray:
+        """L^{-1} @ vec for the Cholesky factor L, refusing a wrong length."""
         b = np.asarray(vec, dtype=float)
         if b.shape != (self.dim,):
-            raise ShapeError(f"solve expects a vector of length {self.dim}")
-        y = solve_triangular(self.chol, b, lower=True)
-        return solve_triangular(self.chol.T, y, lower=False)
+            raise ShapeError(f"expected a vector of length {self.dim}, got shape {b.shape}")
+        return solve_triangular(self.chol, b, lower=True)
+
+    def solve(self, vec: np.ndarray) -> np.ndarray:
+        """Sigma^{-1} @ vec via the Cholesky factor (two triangular solves)."""
+        return solve_triangular(self.chol.T, self._forward(vec), lower=False)
 
     def quad_form_inv(self, vec: np.ndarray) -> float:
         """<vec, Sigma^{-1} vec> as ||L^{-1} vec||^2, nonnegative by construction."""
-        b = np.asarray(vec, dtype=float)
-        if b.shape != (self.dim,):
-            raise ShapeError(f"quad_form_inv expects a vector of length {self.dim}")
-        y = solve_triangular(self.chol, b, lower=True)
+        y = self._forward(vec)
         return float(y @ y)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Sigma^{-1}, one solve per column, symmetrized to drop solve roundoff."""
+        cols = np.column_stack([self.solve(e) for e in np.eye(self.dim)])
+        return readonly_copy(0.5 * (cols + cols.T))
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(self.dim)))
@@ -233,17 +245,9 @@ def build_covariance(matrix: np.ndarray) -> Covariance:
         )
     sqrt_s = (v * np.sqrt(w)) @ v.T
     inv_sqrt_s = (v / np.sqrt(w)) @ v.T
-    # Inverse through the Cholesky factor; symmetrize away solve roundoff.
-    inv_cols = np.empty_like(s)
-    eye = np.eye(s.shape[0])
-    for j in range(s.shape[0]):
-        y = solve_triangular(chol, eye[:, j], lower=True)
-        inv_cols[:, j] = solve_triangular(chol.T, y, lower=False)
-    inverse = 0.5 * (inv_cols + inv_cols.T)
     return Covariance(
         matrix=readonly_copy(s),
         chol=readonly_copy(chol),
-        inverse=readonly_copy(inverse),
         sqrt=readonly_copy(0.5 * (sqrt_s + sqrt_s.T)),
         inv_sqrt=readonly_copy(0.5 * (inv_sqrt_s + inv_sqrt_s.T)),
     )

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
@@ -142,30 +141,22 @@ def _chunk_rng(seed: int, substream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+def _new_pool() -> ThreadPoolExecutor:
+    """A sampler pool; ThreadPoolExecutor starts its threads with the first draw."""
+    return ThreadPoolExecutor(SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler")
 
 
-def _sampler_pool() -> ThreadPoolExecutor:
-    """The process's sampler pool, started on first use."""
+_pool = _new_pool()
+
+
+def _renew_pool() -> None:
+    """Replace the pool in a forked child, which inherits it without its threads."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler"
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, which inherits it without its threads."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def standard_normal_chunks(
@@ -178,7 +169,7 @@ def standard_normal_chunks(
     generator cancels the draws that have not started.
     """
     _check_stream(seed, substream, count)
-    pool = _sampler_pool()
+    pool = _pool
     ahead: deque[Future] = deque()
     try:
         for index, start in enumerate(range(0, count, CHUNK_SIZE)):

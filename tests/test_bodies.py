@@ -200,6 +200,32 @@ class TestLpBall:
         assert sv.value == x and sv.exact
         np.testing.assert_array_equal(sv.point, [1.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "p, v, want",
+        [(2.0, [1.5e308, 1.5e308], 1.5e308 / 4.0 * math.sqrt(2.0)),
+         (math.inf, [1e308, 1e308], 5e307)],
+        ids=["l2", "linf"],
+    )
+    def test_support_where_the_dual_norm_overflows(self, p, v, want):
+        # The dual norm is past the largest double and the value is not;
+        # it read inf, flagged exact.
+        sv = LpBall(dim=2, p=p, radius=0.25).support(np.array(v))
+        assert sv.value == pytest.approx(want, rel=1e-15) and sv.exact
+        assert float(sv.point @ (np.array(v) * 2.0**-1000)) == pytest.approx(
+            sv.value * 2.0**-1000, rel=1e-15
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("dim", [2, 20], ids=["column_walk", "reduction"])
+    def test_membership_where_the_row_sum_overflows(self, p, dim):
+        # An overflowed sum of nonnegative terms is inf, outside the ball.
+        ball = LpBall(dim=dim, p=p, radius=1e100)
+        pts = np.full((2, dim), 1e308)
+        pts[1] = 1e90 / dim
+        np.testing.assert_array_equal(ball.contains_batch(pts), [False, True])
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_support_of_a_tiny_direction_attains_its_value(self, p):
         # The dual sum underflows at p = 2; no division by it may warn.
@@ -365,6 +391,16 @@ class TestLinearImage:
     def test_rejects_singular_matrix(self):
         with pytest.raises(DefinitenessError):
             LinearImage(base=LpBall(dim=2, p=2.0, radius=1.0), matrix=np.ones((2, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_support_where_the_image_direction_overflows(self):
+        # matrix.T @ v overflows; the value, 4e308, is +inf in doubles.
+        image = LinearImage(Slab(Direction.axis(2), 1.0), np.diag([4.0, 1.0]))
+        sv = image.support(np.array([1e308, 0.0]))
+        assert (sv.value, sv.exact) == (math.inf, True)
+        np.testing.assert_array_equal(sv.point, [4.0, 0.0])
+        # Below the range edge it keeps the unscaled value.
+        assert image.support(np.array([1e307, 0.0])).value == 4e307
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -371,6 +371,9 @@ class TestDerivativeFloor:
             derivative_floor(cov, u, -1.0, 0.5)
         with pytest.raises(DomainError):
             derivative_floor(cov, u, 1.0, -0.5)
+        # -inf * q * 0 would be NaN.
+        with pytest.raises(DomainError, match="finite"):
+            derivative_floor(cov, u, math.inf, 0.0)
 
 
 class TestConditionalCeiling:

@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftbounds import ConfigError, body_from_dict, lp
+from shiftbounds import (
+    ConfigError, Direction, body_from_dict, build_covariance, lp, mahalanobis_norm,
+)
 from shiftbounds.cli import main
 from shiftbounds.config import encode_report, jsonable, parse_run_config
+from shiftbounds.linalg import MAX_DIM
 from shiftbounds.mc import STREAM_CAPACITY
 from shiftbounds.suites import MAX_SEED, SUITES
 
@@ -419,6 +422,23 @@ class TestCliBounds:
         (record,) = report["records"]
         assert (record["exponent_a"], record["upper"]) == ("inf", 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_dense_sigma_builds(self, tmp_path):
+        # Its Frobenius norm underflowed, so the eigensolver returned the
+        # diagonal and the Mahalanobis cross-check refused the covariance.
+        cfg = {
+            "dim": 2, "sigma": {"kind": "dense", "matrix": [[2e-170, 1e-170], [1e-170, 2e-170]]},
+            "u": [1.0, 1.0], "body": {"kind": "slab", "normal": [1.0, 1.0], "halfwidth": 1e-85},
+            "t_grid": [1e-85],
+        }
+        code, report, _ = run_cli(tmp_path, "bounds", cfg)
+        assert code == 0
+        (record,) = report["records"]
+        # The slab's normal is u, an eigenvector: a = t m = sqrt(1/3).
+        assert record["exponent_a"] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
+        assert record["lower"] == pytest.approx(math.exp(-1.0 / 6.0), rel=1e-14)
+        assert record["exactness"] == "exact"
+
 
 def count_simplex_calls(monkeypatch) -> list:
     calls = []
@@ -580,6 +600,114 @@ class TestCliSupport:
         )
         assert code == 0
         assert report["records"][0]["value"] == pytest.approx(2.0, rel=1e-12)
+
+
+def _max_dim_case() -> tuple[dict, dict]:
+    """A dense Sigma and a unit u at MAX_DIM, and one body of each kind.
+
+    Each body holds about half to three quarters of the mass, so the
+    estimated size of the power test is not degenerate.
+    """
+    rng = np.random.default_rng(MAX_DIM)
+    n = MAX_DIM
+
+    def spd():
+        b = rng.standard_normal((n, n))
+        return b @ b.T / n + 0.5 * np.eye(n)
+
+    sigma = spd()
+    u = Direction.from_vector(rng.standard_normal(n)).entries
+    ellipsoid = spd()
+    ellipsoid /= np.trace(ellipsoid @ sigma)
+    normals = rng.standard_normal((2 * n, n))
+    offsets = 3.0 * np.sqrt(np.einsum("ij,jk,ik->i", normals, sigma, normals))
+    slab = {"kind": "slab", "normal": rng.standard_normal(n).tolist(), "halfwidth": 1.5}
+    bodies = {
+        "slab": slab,
+        "lp_ball": {"kind": "lp_ball", "dim": n, "p": 2.0, "radius": 10.0},
+        "ellipsoid": {"kind": "ellipsoid", "matrix": ellipsoid.tolist()},
+        "h_polytope": {"kind": "h_polytope", "normals": normals.tolist(),
+                       "offsets": offsets.tolist()},
+        "intersection": {"kind": "intersection", "parts": [
+            {"kind": "lp_ball", "dim": n, "p": "inf", "radius": 4.0}, slab,
+        ]},
+        "linear_image": {
+            "kind": "linear_image",
+            "base": {"kind": "lp_ball", "dim": n, "p": 1.0, "radius": 60.0},
+            "matrix": (np.eye(n) + 0.1 * rng.standard_normal((n, n))).tolist(),
+        },
+    }
+    return {"dim": n, "sigma": {"kind": "dense", "matrix": sigma.tolist()},
+            "u": u.tolist()}, bodies
+
+
+MAX_DIM_BASE, MAX_DIM_BODIES = _max_dim_case()
+
+
+@pytest.fixture(scope="module")
+def max_dim_exponent_direction():
+    """(Sigma^{-1} u, ||Sigma^{-1/2} u||) as the CLI computes them."""
+    cov = build_covariance(np.array(MAX_DIM_BASE["sigma"]["matrix"]))
+    u = Direction.from_vector(np.array(MAX_DIM_BASE["u"]))
+    return cov.solve(u.entries), mahalanobis_norm(cov, u)
+
+
+class TestCliMaxDim:
+    """Every command on every body kind at d = MAX_DIM, dense Sigma."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", sorted(MAX_DIM_BODIES))
+    def test_bounds_power_and_support(
+        self, tmp_path, monkeypatch, max_dim_exponent_direction, kind
+    ):
+        # The 128-row support LP takes seconds in the dense simplex; all
+        # three commands ask it along Sigma^{-1} u, so it is solved once.
+        solved = {}
+        solve = lp.simplex_max
+
+        def solve_once(c, a, b):
+            key = (c.tobytes(), a.tobytes(), b.tobytes())
+            if key not in solved:
+                solved[key] = solve(c, a, b)
+            return solved[key]
+
+        monkeypatch.setattr(lp, "simplex_max", solve_once)
+        body = MAX_DIM_BODIES[kind]
+        exactness = "upper_bound" if kind == "intersection" else "exact"
+        v, m = max_dim_exponent_direction
+
+        code, report, _ = run_cli(
+            tmp_path, "bounds", {**MAX_DIM_BASE, "body": body, "t_grid": [0.0, 0.5, 2.0]}
+        )
+        assert code == 0
+        records = report["records"]
+        assert records[0]["lower"] == records[0]["upper"] == 1.0
+        for r in records:
+            assert 0.0 < r["lower"] <= r["upper"] <= 1.0
+            assert r["exactness"] == exactness
+        exponent = records[0]["exponent_a"]
+
+        code, report, _ = run_cli(tmp_path, "power", {
+            **MAX_DIM_BASE, "body": body, "theta_grid": [0.5, 2.0],
+            "mc": {"samples": 4000, "seed": 5},
+        })
+        assert code == 0
+        analytic = [r for r in report["records"] if r["provenance"] == "analytic"]
+        sampled = [r for r in report["records"] if r.get("kind") == "power_estimate"]
+        assert len(analytic) == len(sampled) == 2
+        for r in analytic:
+            assert 0.0 <= r["beta_lower"] <= r["beta_upper"] <= 1.0
+            assert (r["exponent_a"], r["exactness"]) == (exponent, exactness)
+        assert all(r["passed"] for r in sampled)
+
+        payload = {"dim": MAX_DIM, "body": body, "directions": [v.tolist()]}
+        code, report, _ = run_cli(tmp_path, "support", payload)
+        assert code == 0
+        (record,) = report["records"]
+        assert record["exactness"] == exactness
+        assert float(record["value"]) / m == float(exponent)  # "inf" for the slab
+        if kind == "h_polytope":
+            assert len(solved) == 1
 
 
 class TestCliVerify:

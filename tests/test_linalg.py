@@ -1,7 +1,10 @@
 """Matrix core tests: factorization residuals and the covariance contracts."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from shiftbounds import (
     Covariance,
@@ -64,6 +67,24 @@ class TestSymEigen:
         # convergence test at once and return wrong eigenpairs.
         with pytest.raises(ShapeError, match="non-finite entries after symmetrizing"):
             sym_eigen(np.array(m))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e155, 1e300])
+    def test_eigenpairs_at_the_edges_of_the_double_range(self, scale):
+        # The Frobenius norm under- or overflowed here, so the sweep stopped
+        # before its first rotation and returned the diagonal, [2, 2] * scale.
+        s = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        w, v = sym_eigen(s)
+        np.testing.assert_allclose(w, [scale, 3.0 * scale], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.abs(v), np.full((2, 2), math.sqrt(0.5)), rtol=1e-12)
+        # The Cholesky route of the Mahalanobis cross-check agrees again.
+        cov = build_covariance(s)
+        m = mahalanobis_norm(cov, Direction.from_vector(np.array([1.0, 1.0])))
+        assert m * math.sqrt(scale) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+
+    def test_indefinite_matrix_at_the_top_of_the_range(self):
+        # Returning the diagonal read both eigenvalues as +1e300.
+        w, _ = sym_eigen(1e300 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        np.testing.assert_allclose(w, [-1e300, 3e300], rtol=1e-12, atol=0.0)
 
 
 class TestCholeskyLower:
@@ -131,6 +152,26 @@ class TestBuildCovariance:
         cov = identity_covariance(3)
         with pytest.raises(ValueError):
             cov.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("n", [*range(1, 9), MAX_DIM])
+    def test_inverse_is_the_two_solve_loop(self, n):
+        cov = build_covariance(random_spd(np.random.default_rng(100 + n), n))
+        assert "inverse" not in vars(cov)  # built on first read
+        cols = np.empty((n, n))
+        eye = np.eye(n)
+        for j in range(n):
+            y = solve_triangular(cov.chol, eye[:, j], lower=True)
+            cols[:, j] = solve_triangular(cov.chol.T, y, lower=False)
+        assert cov.inverse.tobytes() == (0.5 * (cols + cols.T)).tobytes()
+        assert cov.inverse is cov.inverse
+
+    def test_identity_inverse_is_exact_and_readonly(self):
+        cov = identity_covariance(5)
+        assert np.array_equal(cov.inverse, np.eye(5))
+        with pytest.raises(ValueError):
+            cov.inverse[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            cov.inverse = np.eye(5)
 
     def test_rejects_eigenvalue_ratio_below_threshold(self):
         with pytest.raises(DefinitenessError):
@@ -220,7 +261,6 @@ class TestMahalanobisNorm:
         broken = Covariance(
             matrix=cov.matrix,
             chol=cov.chol,
-            inverse=cov.inverse,
             sqrt=cov.sqrt,
             inv_sqrt=np.asarray(2.0 * np.eye(2)),
         )

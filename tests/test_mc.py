@@ -164,13 +164,13 @@ def _count_draws(monkeypatch):
         return draw(seed, substream, index, rows, dim)
 
     monkeypatch.setattr(mc, "_normal_chunk", counting)
-    monkeypatch.setattr(mc, "_pool", None)
+    monkeypatch.setattr(mc, "_pool", mc._new_pool())
     return draws
 
 
 def _drawn(draws):
     """The number of chunks drawn, once every draw the pool started has ended."""
-    mc._sampler_pool().shutdown(wait=True)
+    mc._pool.shutdown(wait=True)
     return len(draws)
 
 
@@ -232,7 +232,7 @@ class TestStreams:
         # dropped after its first chunk, and must never be drawn.
         draws = _count_draws(monkeypatch)
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 1)
-        mc._sampler_pool()
+        monkeypatch.setattr(mc, "_pool", mc._new_pool())
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 4)
         release = threading.Event()
         draw = mc._normal_chunk
@@ -453,7 +453,7 @@ class TestDeterminism:
             runs = []
             for workers in (1, 2, 4):
                 monkeypatch.setattr(mc, "SAMPLER_WORKERS", workers)
-                monkeypatch.setattr(mc, "_pool", None)
+                monkeypatch.setattr(mc, "_pool", mc._new_pool())
                 runs.append(bits(count))
             assert all(run == runs[0] for run in runs)
 
