@@ -112,9 +112,6 @@ class ConvexBody:
     def support_point(self, v: np.ndarray) -> np.ndarray | None:
         return self.support(v).point
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Slab(ConvexBody):
@@ -135,7 +132,7 @@ class Slab(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         p = _as_points(pts, self.dim)
-        return np.abs(p @ self.normal.entries) <= self.halfwidth
+        return np.abs(_inner_products(p, self.normal.entries)) <= self.halfwidth
 
     def support(self, v: np.ndarray) -> SupportValue:
         w, k = unit_scale(_as_direction_vector(v, self.dim))
@@ -149,12 +146,28 @@ class Slab(ConvexBody):
             sign * self.halfwidth * self.normal.entries,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "slab",
-            "normal": self.normal.entries.tolist(),
-            "halfwidth": self.halfwidth,
-        }
+
+def _inner_products(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """p @ a, with the rows that overflow on finite coordinates redone.
+
+    A sum that cancels may be in range where a term is not (x = 1.2e308
+    (1, 1, 1) against (1, 1, -2) gives 0), so such a row is evaluated at
+    unit scale (:func:`unit_scale`) and each entry scaled back through
+    :func:`unscale`, which reads +-inf past the largest double.  Rows with
+    an inf or NaN coordinate keep the plain product, as does every row in
+    range, bit for bit.  The check is one sum over the product: it is
+    finite only when every entry is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = p @ a
+        if math.isfinite(np.sum(out)):
+            return out
+    rows = out.reshape(out.shape[0], -1)
+    redo = ~np.all(np.isfinite(rows), axis=1) & np.all(np.isfinite(p), axis=1)
+    for i in np.flatnonzero(redo):
+        w, k = unit_scale(p[i])
+        rows[i] = [unscale(float(v), k) for v in np.atleast_1d(w @ a)]
+    return out
 
 
 def _all_columns(a: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
@@ -332,14 +345,6 @@ class LpBall(ConvexBody):
             point = self.radius * signs * (absw / dual) ** (q - 1.0)
         return SupportValue(value, True, point)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "lp_ball",
-            "dim": self.dim,
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "radius": self.radius,
-        }
-
 
 @dataclass(frozen=True)
 class Ellipsoid(ConvexBody):
@@ -362,9 +367,6 @@ class Ellipsoid(ConvexBody):
         if value == 0.0:
             return SupportValue(value, True, np.zeros(self.dim))
         return SupportValue(unscale(value, k), True, self.quadratic.solve(w) / value)
-
-    def to_dict(self) -> dict:
-        return {"kind": "ellipsoid", "matrix": self.quadratic.matrix.tolist()}
 
 
 @dataclass(frozen=True)
@@ -404,7 +406,7 @@ class HPolytope(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         p = _as_points(pts, self.dim)
-        return _all_columns(p @ self.normals.T, self.offsets)
+        return _all_columns(_inner_products(p, self.normals.T), self.offsets)
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)
@@ -412,13 +414,6 @@ class HPolytope(ConvexBody):
         b = np.concatenate([self.offsets, self.offsets])
         result = lp.simplex_max(w, a, b)
         return SupportValue(result.value, True, result.point)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "h_polytope",
-            "normals": self.normals.tolist(),
-            "offsets": self.offsets.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -453,9 +448,6 @@ class Intersection(ConvexBody):
             return self.parts[0].support(v)
         # min over parts only bounds the true support from above.
         return SupportValue(min(part.support(v).value for part in self.parts), False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "intersection", "parts": [p.to_dict() for p in self.parts]}
 
 
 @dataclass(frozen=True)
@@ -507,13 +499,6 @@ class LinearImage(ConvexBody):
         if base.point is None:
             return SupportValue(value, base.exact)
         return SupportValue(value, base.exact, self.matrix @ base.point)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "linear_image",
-            "base": self.base.to_dict(),
-            "matrix": self.matrix.tolist(),
-        }
 
 
 # perfbench/tracing.py wraps support_point per variant, from each class dict.
@@ -595,7 +580,7 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
 
     Raises ConfigError naming the offending field path.  Every number
     must be a JSON number (booleans and strings are refused); the lp_ball
-    exponent additionally accepts the string "inf" (as emitted by to_dict).
+    exponent additionally accepts the string "inf".
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")

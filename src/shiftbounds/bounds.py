@@ -242,7 +242,7 @@ def ratio_bounds_layered(
 def derivative_floor(cov: Covariance, u: Direction, t: float, current: float) -> float:
     """Lower bound -t <u, Sigma^{-1} u> * current for d/dt E w(X - t u).
 
-    `current` is the expectation E w(X - t u) itself (nonnegative).  The
+    `current` is the expectation E w(X - t u) itself (finite, >= 0).  The
     floor says the expectation can decay at most like a Gaussian with
     the direction's Mahalanobis rate; combined with w >= 0 it integrates
     back into the sandwich lower bound.
@@ -251,8 +251,8 @@ def derivative_floor(cov: Covariance, u: Direction, t: float, current: float) ->
         raise ShapeError(f"direction dim {u.dim} != covariance dim {cov.dim}")
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"shift magnitude t must be finite and >= 0, got {t!r}")
-    if math.isnan(current) or current < 0.0:
-        raise DomainError(f"current expectation must be >= 0, got {current!r}")
+    if not math.isfinite(current) or current < 0.0:
+        raise DomainError(f"current expectation must be finite and >= 0, got {current!r}")
     return -t * cov.quad_form_inv(u.entries) * current
 
 

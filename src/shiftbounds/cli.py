@@ -25,6 +25,7 @@ from .errors import ConfigError, ShiftBoundsError
 from .mc import (
     SUBSTREAM_DENOM,
     SUBSTREAM_MAIN,
+    Z_THRESHOLD,
     estimate_power,
     estimate_power_grid,
     score_power_envelope,
@@ -58,11 +59,15 @@ def _mc_record(est, kind: str) -> dict:
     }
 
 
+def _require(cfg: RunConfig, command: str, *fields: str) -> None:
+    """ConfigError naming the first of `fields` that `cfg` leaves out."""
+    for name in fields:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{name}: required for the {command} command")
+
+
 def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.u is None:
-        raise ConfigError("u: required for the bounds command")
-    if cfg.t_grid is None:
-        raise ConfigError("t_grid: required for the bounds command")
+    _require(cfg, "bounds", "u", "t_grid")
     if cfg.body is None and cfg.layers is None:
         raise ConfigError("body: bounds needs a body or layers")
     target = cfg.layers if cfg.layers is not None else cfg.body
@@ -71,12 +76,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.u is None:
-        raise ConfigError("u: required for the power command")
-    if cfg.body is None:
-        raise ConfigError("body: required for the power command")
-    if cfg.theta_grid is None:
-        raise ConfigError("theta_grid: required for the power command")
+    _require(cfg, "power", "u", "body", "theta_grid")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
     # One support evaluation serves every theta's envelope and verdict.
@@ -141,12 +141,11 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.suite is None:
-        raise ConfigError("suite: required for the verify command")
+    _require(cfg, "verify", "suite")
     suite_fn = SUITES[cfg.suite]
     samples = cfg.mc.samples if cfg.mc is not None else None
     seed = cfg.mc.seed if cfg.mc is not None else 0
-    z_threshold = cfg.mc.z_threshold if cfg.mc is not None else 4.0
+    z_threshold = cfg.mc.z_threshold if cfg.mc is not None else Z_THRESHOLD
     results = suite_fn(
         samples=samples,
         seed=seed,
@@ -169,10 +168,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_support(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.body is None:
-        raise ConfigError("body: required for the support command")
-    if cfg.directions is None:
-        raise ConfigError("directions: required for the support command")
+    _require(cfg, "support", "body", "directions")
     records = []
     for v in cfg.directions:
         sv = cfg.body.support(v)

@@ -21,7 +21,7 @@ from .bodies import ConvexBody, body_from_dict, json_array, json_int, json_numbe
 from .bounds import Layer, LayeredUnimodal, build_layered
 from .errors import ConfigError, ShiftBoundsError
 from .linalg import MAX_DIM, Covariance, Direction, build_covariance, identity_covariance
-from .mc import STREAM_CAPACITY
+from .mc import STREAM_CAPACITY, Z_THRESHOLD
 from .suites import MAX_SEED, SUITES
 
 _NORMALIZE_WARN_TOL = 1e-6
@@ -31,7 +31,7 @@ _NORMALIZE_WARN_TOL = 1e-6
 class McConfig:
     samples: int
     seed: int
-    z_threshold: float = 4.0
+    z_threshold: float = Z_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def _parse_mc(raw: object) -> McConfig | None:
         raise ConfigError("mc: expected an object")
     samples = json_int(raw.get("samples"), "mc.samples", 1, STREAM_CAPACITY)
     seed = json_int(raw.get("seed", 0), "mc.seed", 0, (1 << 64) - 1)
-    z = _positive_finite(raw.get("z_threshold", 4.0), "mc.z_threshold")
+    z = _positive_finite(raw.get("z_threshold", Z_THRESHOLD), "mc.z_threshold")
     return McConfig(samples=samples, seed=seed, z_threshold=z)
 
 

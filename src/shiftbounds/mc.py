@@ -84,6 +84,9 @@ SAMPLER_WORKERS = min(
 SUBSTREAM_MAIN = 0
 SUBSTREAM_DENOM = 1
 
+# The default z threshold of every verdict, in combined standard errors.
+Z_THRESHOLD = 4.0
+
 MIN_CONDITIONAL_HITS = 100
 MIN_DENOMINATOR_HITS = 10
 
@@ -463,7 +466,7 @@ def verify_sandwich(
     t: float,
     count: int,
     seed: int,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> SandwichVerdict:
     """Estimate the shifted/centered ratio and test it against the sandwich.
@@ -552,7 +555,7 @@ def verify_derivative_identity(
     seed: int,
     step: float = 1e-2,
     substream: int = SUBSTREAM_MAIN,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
 ) -> DerivativeCheck:
     """Check d/dt E w(Z - t u) = -E <u, Z> w(Z - t u) for standard Z.
 
@@ -637,7 +640,7 @@ def verify_power_envelope(
     theta: float,
     count: int,
     seed: int,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
 ) -> PowerVerdict:
     """Estimate size and power on independent substreams and test the envelope."""
     if not math.isfinite(theta) or theta <= 0.0:

@@ -52,6 +52,7 @@ from .bounds import (
 from .errors import DomainError
 from .linalg import Covariance, Direction, build_covariance, identity_covariance
 from .mc import (
+    Z_THRESHOLD,
     estimate_conditional_center,
     estimate_power,
     estimate_shift_prob,
@@ -147,7 +148,7 @@ def _halfwidth_grid() -> list[float]:
 def suite_kernels(
     samples: int | None = None,
     seed: int = 0,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Analytic scalar battery; `samples` and `seed` are unused."""
@@ -259,7 +260,7 @@ def _ball_decay_rate(radius: float, t: float, h: float = 1e-3) -> float:
 def suite_oracles(
     samples: int | None = None,
     seed: int = 0,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Quadrature anchors and their Monte Carlo cross-checks."""
@@ -429,7 +430,7 @@ def sandwich_battery(seed: int = 0) -> list[SandwichConfig]:
 def suite_sandwich(
     samples: int | None = None,
     seed: int = 0,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """The 20-configuration battery plus the extremal equality cases."""
@@ -473,7 +474,7 @@ def suite_sandwich(
 def suite_derivative(
     samples: int | None = None,
     seed: int = 0,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Derivative identity and floor for slab and two-layer weights."""
@@ -516,7 +517,7 @@ def suite_derivative(
 def suite_conditional(
     samples: int | None = None,
     seed: int = 0,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Conditional-center ceiling, slab closed form, log-derivative link."""
@@ -584,7 +585,7 @@ def suite_conditional(
 def suite_power(
     samples: int | None = None,
     seed: int = 0,
-    z_threshold: float = 4.0,
+    z_threshold: float = Z_THRESHOLD,
     upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Power envelope: slab closed-form size plus estimated-size configs."""

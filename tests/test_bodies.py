@@ -79,6 +79,12 @@ class TestSlab:
         np.testing.assert_allclose(slab.support_point(np.array([-1.0, 0.0])), [-2.0, 0.0])
         assert slab.support_point(np.array([0.0, 1.0])) is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_membership_past_the_double_range(self):
+        # <x, normal> is past the largest double: outside, with no warning.
+        slab = Slab(Direction.from_vector([1, 1]), 1.0)
+        assert slab.contains([1.5e308, 1.5e308]) is False
+
     @pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_halfwidth(self, h):
         with pytest.raises(DomainError):
@@ -316,6 +322,20 @@ class TestHPolytope:
         assert sv.value == math.ldexp(1.5, -45)
         assert body.contains(sv.point)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "normals, x, inside",
+        [
+            ([[1, 1]], [1.5e308, 1.5e308], False),
+            # Every term overflows, and the exact product is 0.
+            ([[1.0, 1.0, -2.0]], [1.2e308] * 3, True),
+        ],
+        ids=["overflow", "cancelling"],
+    )
+    def test_membership_past_the_double_range(self, normals, x, inside):
+        body = HPolytope(normals, [1.0])
+        assert body.contains(np.array(x)) is inside
+
     def test_validation(self):
         with pytest.raises(DomainError):
             HPolytope(normals=np.eye(2), offsets=np.array([1.0, -1.0]))
@@ -514,6 +534,29 @@ class TestMembershipKernels:
         np.testing.assert_array_equal(got, _old_contains_batch(polytope, pts))
         assert got[0] and not got[1:5].any()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [1, 65536])
+    def test_h_polytope_rows_past_the_double_range(self, rows):
+        # Only rows whose product overflows on finite coordinates are
+        # redone: in-range rows and an inf row keep the old verdict.
+        dim = 16
+        rng = np.random.default_rng(rows)
+        normals = rng.standard_normal((4, dim))
+        normals[:, :3] = 0.0
+        normals[0] = 0.0
+        normals[0, :3] = [1.0, 1.0, -2.0]
+        pts = rng.standard_normal((rows + 3, dim))
+        pts[-3] = 0.0
+        pts[-3, :3] = 1.2e308  # every term of face 0 overflows; its product is 0
+        pts[-2, :2] = 1.5e308  # face 0 is past the range
+        pts[-1, 0] = math.inf
+        polytope = HPolytope(normals=normals, offsets=np.full(4, 3.0))
+        got = polytope.contains_batch(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = _old_contains_batch(polytope, pts)
+        np.testing.assert_array_equal(got[:-3], old[:-3])
+        assert got[-3] and not got[-2] and not got[-1]
+
     @pytest.mark.parametrize("radius", [1e-160, 1e150])
     def test_extreme_l2_radius_takes_the_plain_expression(self, radius):
         ball = LpBall(dim=3, p=2.0, radius=radius)
@@ -645,24 +688,61 @@ class TestCallerArrays:
         assert poly.offsets.tolist() == [1.0, 2.0]
 
 
+def sample_specs():
+    """The JSON form of each body of sample_bodies(), written out."""
+    return {
+        "slab": {"kind": "slab", "normal": [1.0, 2.0], "halfwidth": 0.8},
+        "l1": {"kind": "lp_ball", "dim": 2, "p": 1, "radius": 1.5},
+        "l2": {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 2.0},
+        "l3": {"kind": "lp_ball", "dim": 2, "p": 3.0, "radius": 1.2},
+        "linf": {"kind": "lp_ball", "dim": 2, "p": "inf", "radius": 1.0},
+        "ellipsoid": {"kind": "ellipsoid", "matrix": [[0.5, 0.1], [0.1, 1.5]]},
+        "h_polytope": {
+            "kind": "h_polytope",
+            "normals": [[1.0, 0.0], [0.5, 0.8660254037844386], [-0.5, 0.8660254037844386]],
+            "offsets": [1.0, 1.0, 1.0],
+        },
+        "intersection": {
+            "kind": "intersection",
+            "parts": [
+                {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 2.0},
+                {"kind": "lp_ball", "dim": 2, "p": "inf", "radius": 1.5},
+            ],
+        },
+        "linear_image": {
+            "kind": "linear_image",
+            "base": {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 1.0},
+            "matrix": [[2.0, 0.5], [0.0, 1.0]],
+        },
+    }
+
+
 class TestBodyGrammar:
-    """to_dict / body_from_dict round trips and config error paths."""
+    """body_from_dict against bodies built directly, and config error paths."""
 
     @pytest.mark.parametrize("name", sorted(sample_bodies()))
     def test_round_trip(self, name):
+        # The spec read back is the body built directly: same membership,
+        # same support values, flags and points.
         body = sample_bodies()[name]
-        rebuilt = body_from_dict(body.to_dict())
-        assert rebuilt.to_dict() == body.to_dict()
+        rebuilt = body_from_dict(json.loads(json.dumps(sample_specs()[name])))
+        assert type(rebuilt) is type(body)
         rng = np.random.default_rng(59)
         pts = rng.standard_normal((200, body.dim)) * 1.5
         np.testing.assert_array_equal(
             rebuilt.contains_batch(pts), body.contains_batch(pts)
         )
+        for v in rng.standard_normal((8, body.dim)):
+            got, want = rebuilt.support(v), body.support(v)
+            assert got == want
+            if want.point is None:
+                assert got.point is None
+            else:
+                np.testing.assert_array_equal(got.point, want.point)
 
     def test_lp_ball_inf_exponent_round_trip(self):
-        data = LpBall(dim=2, p=math.inf, radius=1.0).to_dict()
-        assert data["p"] == "inf"
-        assert math.isinf(body_from_dict(data).p)
+        body = body_from_dict({"kind": "lp_ball", "dim": 2, "p": "inf", "radius": 1.0})
+        assert isinstance(body, LpBall) and math.isinf(body.p)
 
     def test_error_paths_name_the_field(self):
         with pytest.raises(ConfigError, match=r"body\.kind"):
@@ -675,7 +755,10 @@ class TestBodyGrammar:
             body_from_dict(
                 {
                     "kind": "intersection",
-                    "parts": [LpBall(dim=2, p=2.0, radius=1.0).to_dict(), {"kind": "nope"}],
+                    "parts": [
+                        {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 1.0},
+                        {"kind": "nope"},
+                    ],
                 }
             )
         with pytest.raises(ConfigError, match=r"body\.base"):
@@ -702,7 +785,8 @@ class TestBodyGrammar:
                                  "offsets": [1.0, 1.0]}),
             ("offsets: [0]", {"kind": "h_polytope", "normals": [[1.0, 0.0]], "offsets": ["BAD"]}),
             ("matrix: [1][1]", {"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, "BAD"]]}),
-            ("matrix: [1][1]", {"kind": "linear_image", "base": LpBall(2, 2.0, 1.0).to_dict(),
+            ("matrix: [1][1]", {"kind": "linear_image",
+                                "base": {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 1.0},
                                 "matrix": [[1.0, 0.0], [0.0, "BAD"]]}),
         ],
         ids=["slab_normal", "h_polytope_normals", "h_polytope_offsets", "ellipsoid_matrix",

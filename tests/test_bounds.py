@@ -374,6 +374,9 @@ class TestDerivativeFloor:
         # -inf * q * 0 would be NaN.
         with pytest.raises(DomainError, match="finite"):
             derivative_floor(cov, u, math.inf, 0.0)
+        # So would -0.0 * q * inf.
+        with pytest.raises(DomainError, match="finite"):
+            derivative_floor(cov, u, 0.0, math.inf)
 
 
 class TestConditionalCeiling:

@@ -326,6 +326,37 @@ def run_cli(tmp_path, command: str, payload: dict, csv: bool = False):
     return code, report, (csv_path.read_text() if csv else None)
 
 
+class TestCliMissingFields:
+    """Each command names the first field it needs and the config lacks."""
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("bounds", {}, "u: required for the bounds command"),
+            ("bounds", {"u": [1.0, 0.0]}, "t_grid: required for the bounds command"),
+            ("bounds", {"u": [1.0, 0.0], "t_grid": [1.0]}, "body: bounds needs a body or layers"),
+            ("power", {}, "u: required for the power command"),
+            ("power", {"u": [1.0, 0.0]}, "body: required for the power command"),
+            ("power", {"u": [1.0, 0.0], "body": SLAB_E1},
+             "theta_grid: required for the power command"),
+            ("power", {"u": [1.0, 0.0], "body": SLAB_E1, "theta_grid": [1.0]},
+             "alpha: give alpha or an mc block to estimate the size"),
+            ("verify", {}, "suite: required for the verify command"),
+            ("support", {}, "body: required for the support command"),
+            ("support", {"body": SLAB_E1}, "directions: required for the support command"),
+        ],
+        ids=["bounds-u", "bounds-t_grid", "bounds-body", "power-u", "power-body",
+             "power-theta_grid", "power-alpha", "verify-suite", "support-body",
+             "support-directions"],
+    )
+    def test_every_missing_field_is_a_usage_error(
+        self, tmp_path, capsys, command, payload, message
+    ):
+        code, report, _ = run_cli(tmp_path, command, minimal(**payload))
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCliBounds:
     def test_slab_grid(self, tmp_path):
         code, report, csv_text = run_cli(

@@ -1,17 +1,38 @@
-"""The README's library quick start runs as written, so the documented
-API cannot drift from the package."""
+"""The README's library quick start and command-line configs run as
+written, so the documented API and grammar cannot drift from the package."""
 
+import json
 import re
 from pathlib import Path
+
+from shiftbounds.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_library_quick_start_runs(capsys):
-    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    code = re.search(r"```python\n(.*?)```", _section("Library quick start"), re.S).group(1)
     exec(compile(code, f"{README.name} quick start", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     # lower/upper, a, exact, the envelope, then the Monte Carlo verdict.
     assert len(lines) == 5
     assert lines[-1].split()[0] == "True"
+
+
+def test_command_line_configs_run(tmp_path):
+    # A bounds run, a power run and a fault-injected verify run, in order.
+    blocks = re.findall(r"```json\n(.*?)```", _section("Command line"), re.S)
+    commands = ["bounds", "power", "verify"]
+    assert len(blocks) == len(commands)
+    codes = []
+    for command, block in zip(commands, blocks):
+        path = tmp_path / f"{command}.json"
+        path.write_text(block, encoding="utf-8")
+        codes.append(main([command, "--config", str(path),
+                           "--out", str(tmp_path / f"{command}_report.json")]))
+    assert codes == [0, 0, 1]
