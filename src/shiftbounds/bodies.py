@@ -358,7 +358,13 @@ class Ellipsoid(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         p = _as_points(pts, self.dim)
-        forms = np.einsum("ij,ij->i", p @ self.quadratic.matrix, p)
+        # build_covariance keeps the eigenvalue ratio at EIGEN_RATIO_MIN
+        # (1e-10) or more, so a row whose product or form overflows has a
+        # form above ~1e298, and a NaN form comes only from an inf
+        # coordinate or from inf - inf.  Both lie outside the bounded body,
+        # where `forms <= 1.0` reads False, exactly.
+        with np.errstate(over="ignore", invalid="ignore"):
+            forms = np.einsum("ij,ij->i", p @ self.quadratic.matrix, p)
         return forms <= 1.0
 
     def support(self, v: np.ndarray) -> SupportValue:

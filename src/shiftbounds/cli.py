@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import closing
 
 from . import __version__
 from .bounds import BoundReport, power_envelope, ratio_bounds_grid
@@ -26,8 +27,8 @@ from .mc import (
     SUBSTREAM_DENOM,
     SUBSTREAM_MAIN,
     Z_THRESHOLD,
-    estimate_power,
-    estimate_power_grid,
+    power_grid_plan,
+    run_plans,
     score_power_envelope,
 )
 from .suites import SUITES
@@ -79,34 +80,37 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
     _require(cfg, "power", "u", "body", "theta_grid")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
-    # One support evaluation serves every theta's envelope and verdict.
-    bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, cfg.theta_grid)
     # One MAIN pass serves the estimated size and every beta (common random
-    # numbers); one DENOM pass gives the verdicts' independent size.
+    # numbers); one DENOM pass gives the verdicts' independent size.  Both
+    # draw in one window, and the bounds are evaluated while DENOM draws.
     checked = [theta for theta in cfg.theta_grid if theta > 0.0] if cfg.mc else []
     sampled = ([0.0] if cfg.alpha is None else []) + checked
-    estimates = iter(
-        estimate_power_grid(
+    plans = []
+    if sampled:
+        plans.append(power_grid_plan(
             cfg.cov, cfg.body, cfg.u, sampled, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_MAIN
-        )
-        if sampled
-        else ()
-    )
+        ))
+    if checked:
+        plans.append(power_grid_plan(
+            cfg.cov, cfg.body, cfg.u, (0.0,), cfg.mc.samples, cfg.mc.seed, SUBSTREAM_DENOM
+        ))
     records = []
     alpha = cfg.alpha
-    if alpha is None:
-        size = next(estimates)
-        alpha = size.value
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(
-                f"alpha: estimated size {alpha!r} is degenerate; "
-                "the body has all or none of the mass"
-            )
-        records.append(_mc_record(size, "alpha_estimate"))
-    if checked:
-        alpha_hat = estimate_power(
-            cfg.cov, cfg.body, cfg.u, 0.0, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_DENOM
-        )
+    with closing(run_plans(plans)) as passes:
+        estimates = iter(next(passes) if sampled else ())
+        if alpha is None:
+            size = next(estimates)
+            alpha = size.value
+            if not 0.0 < alpha < 1.0:
+                raise ConfigError(
+                    f"alpha: estimated size {alpha!r} is degenerate; "
+                    "the body has all or none of the mass"
+                )
+            records.append(_mc_record(size, "alpha_estimate"))
+        # One support evaluation serves every theta's envelope and verdict.
+        bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, cfg.theta_grid)
+        if checked:
+            (alpha_hat,) = next(passes)
     for bound in bound_reports:
         report = power_envelope(bound, alpha)
         records.append(

@@ -12,12 +12,28 @@ ahead of the one being reduced.  Everything else -- membership tests,
 weights, BLAS calls and the reduction -- runs on the calling thread in
 chunk order, so no bit depends on the number of workers.
 
+Each Monte Carlo check is a :class:`Plan`: the walks it reads (a
+:class:`Walk` names a covariance, a target, a direction, the shifts and
+one stream) and a finisher that turns their totals into the check's
+estimate or verdict.  :func:`run_plans` runs a request's plans in order
+with one draw-ahead window over all their chunks, so the pool draws the
+next check's chunks while the caller finishes and scores the last one;
+the public estimators are one-plan runs.  Since a chunk's bits depend
+only on its coordinates, and every reduction stays on the calling
+thread in chunk order, a check run among others has the bits of a check
+run alone.
+
 All five estimators run on one walk over the chunks (:func:`_accumulate`):
 it tests each (shift, layer) pair once per row, in blocks of BLOCK_ROWS
 rows, into a whole-chunk mask, and each estimator reduces the chunk and
 its masks to per-chunk sums, added in fixed chunk order (exact counts for
 indicator and layered weights, weighted after the pass; whole-chunk
-float sums for the conditional and derivative estimators).  mean = S1/N
+float sums for the conditional and derivative estimators).  A nonzero
+shift s is one flat add of the transformed block against s u tiled over
+SHIFT_TILE_ROWS rows, the IEEE add of the broadcast x + s u element for
+element; a zero shift skips the add, as identity Sigma skips the
+transform: either could only turn -0.0 into +0.0, and no body tells
+those apart.  mean = S1/N
 and stderr = sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which
 for indicator weights is exactly the binomial stderr.
 
@@ -40,7 +56,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -70,6 +86,12 @@ CHUNK_SIZE = 65536
 # wakes no helper thread (one that then spins between calls), and every
 # temporary of the block stays in cache.
 BLOCK_ROWS = 4096
+
+# Rows of a shift's tiled offset.  Adding a (rows, dim) block and a (dim,)
+# offset, numpy loops over dim columns per row; against the tile it loops
+# over SHIFT_TILE_ROWS * dim elements.  256 rows keep a tile at 128 KiB
+# at MAX_DIM, twice one shift's 64 KiB chunk mask.
+SHIFT_TILE_ROWS = 256
 
 # Sampler threads, and chunks drawn ahead of the one being reduced.  The
 # cap bounds the chunks alive at once to about 1 + SAMPLER_WORKERS.
@@ -172,12 +194,31 @@ def standard_normal_chunks(
     generator cancels the draws that have not started.
     """
     _check_stream(seed, substream, count)
+    yield from _draw_ahead((seed, substream, index, rows, dim) for index, rows in _chunks(count))
+
+
+def _chunks(count: int) -> Iterator[tuple[int, int]]:
+    """(index, rows) of each chunk of a count-sample stream."""
+    for index, start in enumerate(range(0, count, CHUNK_SIZE)):
+        yield index, min(CHUNK_SIZE, count - start)
+
+
+def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int]]) -> Iterator[np.ndarray]:
+    """Draw the chunk of each (seed, substream, index, rows, dim), in order.
+
+    Up to SAMPLER_WORKERS chunks after the one being yielded are drawn on
+    the pool; closing the generator cancels those not yet started.  Each
+    chunk is allocated here and only filled on the pool: glibc gives every
+    thread a malloc arena of its own, and chunks allocated on the sampler
+    threads left those arenas holding freed memory once draws ran across
+    checks (7 to 11 MB more peak RSS on the benchmark workloads, 2-CPU host).
+    """
     pool = _pool
     ahead: deque[Future] = deque()
     try:
-        for index, start in enumerate(range(0, count, CHUNK_SIZE)):
-            rows = min(CHUNK_SIZE, count - start)
-            ahead.append(pool.submit(_normal_chunk, seed, substream, index, rows, dim))
+        for seed, substream, index, rows, dim in specs:
+            out = np.empty((rows, dim))
+            ahead.append(pool.submit(_normal_chunk, seed, substream, index, out))
             if len(ahead) > SAMPLER_WORKERS:
                 yield ahead.popleft().result()
         while ahead:
@@ -187,13 +228,12 @@ def standard_normal_chunks(
             future.cancel()
 
 
-def _normal_chunk(
-    seed: int, substream: int, index: int, rows: int, dim: int
-) -> np.ndarray:
+def _normal_chunk(seed: int, substream: int, index: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, a C-contiguous (rows, dim) array, with chunk `index` of the stream."""
     # random() is (top 53 bits of a Philox word) * 2^-53, as integers(0,
     # 2^53) is; adding 2^-54 rounds as (bits + 0.5) * 2^-53 does, because
     # scaling by a power of two commutes with rounding.
-    uniforms = _chunk_rng(seed, substream, index).random((rows, dim))
+    uniforms = _chunk_rng(seed, substream, index).random(out=out)
     uniforms += 2.0**-54
     return ndtri(uniforms, out=uniforms)
 
@@ -207,47 +247,144 @@ def sample_gaussian(
         yield z @ chol_t
 
 
-def _accumulate(
-    cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction,
-    shifts: Sequence[float], count: int, seed: int, substream: int,
-    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> list:
-    """Sum reduce(z, inside) over the stream in chunk order, as Python numbers.
+@dataclass(frozen=True)
+class Walk:
+    """One pass over the stream (seed, substream): what :func:`_accumulate` reads.
 
-    z is a standard normal chunk, and inside[k, i, r] says whether row r
-    of X + shifts[k] u, X = L z, lies in layer i of the target (a body is
-    one layer); it is a buffer that the next chunk overwrites.  This is the
-    package's one walk over chunks: it transforms and shifts each chunk in
-    blocks of BLOCK_ROWS rows, and a row's transform and verdict ignore its
+    Its total is the sum of reduce(z, inside) over the stream's chunks.
+    The target is kept as a layered weight (a body is one layer).  The
+    dimensions and the stream are checked here, so a plan that holds the
+    walk is checked before any chunk of its run is drawn.
+    """
+
+    cov: Covariance
+    target: LayeredUnimodal
+    u: Direction
+    shifts: Sequence[float]
+    count: int
+    seed: int
+    substream: int
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __post_init__(self) -> None:
+        w = as_layered(self.target)
+        if not self.cov.dim == w.dim == self.u.dim:
+            raise ShapeError(
+                f"dimension mismatch: cov {self.cov.dim}, body {w.dim}, u {self.u.dim}"
+            )
+        _check_stream(self.seed, self.substream, self.count)
+        object.__setattr__(self, "target", w)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """One Monte Carlo check: the walks it reads, in order, and its finisher.
+
+    finish(*totals) takes one total per walk and returns the check's
+    estimate or verdict.
+    """
+
+    walks: tuple[Walk, ...]
+    finish: Callable[..., object]
+
+
+def run_plans(plans: Sequence[Plan]) -> Iterator:
+    """Yield each plan's result in order, from one draw-ahead window.
+
+    The window runs over the chunks of every walk of every plan, in
+    order, so while the caller works on one check's result the pool
+    already draws the next check's chunks; no chunk is drawn that no walk
+    reads.  A plan's walks are reduced in chunk order on the calling
+    thread, so each result has the bits of a run of its plan alone.
+    Closing the generator, or an exception in a finisher, cancels the
+    draws not yet started.
+    """
+    specs = (
+        (walk.seed, walk.substream, index, rows, walk.cov.dim)
+        for plan in plans
+        for walk in plan.walks
+        for index, rows in _chunks(walk.count)
+    )
+    with closing(_draw_ahead(specs)) as chunks:
+        for plan in plans:
+            yield plan.finish(*[_accumulate(walk, chunks) for walk in plan.walks])
+
+
+def _run(plan: Plan):
+    """The result of one plan, run alone."""
+    (result,) = run_plans((plan,))
+    return result
+
+
+def _offset_tile(s: float, u: Direction) -> np.ndarray | None:
+    """s u repeated over SHIFT_TILE_ROWS rows, flat; None for a zero shift."""
+    if s == 0.0:
+        return None
+    return np.tile(s * u.entries, SHIFT_TILE_ROWS)
+
+
+def _shifted(x: np.ndarray, tile: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """The rows of x shifted by the tile's offset, written to `out`.
+
+    x and out are C-contiguous (rows, dim) arrays, so the add runs flat
+    against the tile: each element gets the IEEE add of the broadcast
+    x + s u, without numpy's inner loop over dim columns per row.  A zero
+    shift returns x itself: adding +-0.0 could only turn -0.0 into +0.0,
+    and no body tells those apart.
+    """
+    if tile is None:
+        return x
+    flat, into = x.reshape(-1), out.reshape(-1)
+    whole = flat.size - flat.size % tile.size
+    np.add(
+        flat[:whole].reshape(-1, tile.size), tile, out=into[:whole].reshape(-1, tile.size)
+    )
+    if whole < flat.size:
+        np.add(flat[whole:], tile[: flat.size - whole], out=into[whole:])
+    return out
+
+
+def _accumulate(walk: Walk, chunks: Iterator[np.ndarray]) -> list:
+    """Sum walk.reduce(z, inside) over the walk's chunks, as Python numbers.
+
+    The walk's chunks are the next ones of `chunks`.  z is a standard
+    normal chunk, and inside[k, i, r] says whether row r of
+    X + shifts[k] u, X = L z, lies in layer i of the target; it is a
+    buffer that the next chunk overwrites.  This is the package's one
+    walk over chunks: it transforms and shifts each chunk in blocks of
+    BLOCK_ROWS rows, and a row's transform and verdict ignore its
     neighbours, so `inside` does not depend on the block size.
     """
-    w = as_layered(target)
-    if not cov.dim == w.dim == u.dim:
-        raise ShapeError(f"dimension mismatch: cov {cov.dim}, body {w.dim}, u {u.dim}")
-    _check_stream(seed, substream, count)
-    offsets = [s * u.entries for s in shifts]
-    chol_t = np.asarray(cov.chol).T
+    tiles = [_offset_tile(s, walk.u) for s in walk.shifts]
     # Identity Sigma has an exactly-identity factor, whose product leaves
-    # every row as it is (it could only turn -0.0 into +0.0, and no body
-    # tells those apart).
-    identity = cov.is_identity()
-    # One mask buffer and one shifted block per pass.
-    inside = np.empty((len(offsets), len(w.layers), min(count, CHUNK_SIZE)), dtype=bool)
-    shifted = np.empty((min(count, CHUNK_SIZE, BLOCK_ROWS), cov.dim))
+    # every row as it is (it could only turn -0.0 into +0.0).
+    chol_t = None if walk.cov.is_identity() else np.asarray(walk.cov.chol).T
+    # One mask buffer and one shifted block per walk.
+    rows = min(walk.count, CHUNK_SIZE)
+    inside = np.empty((len(tiles), len(walk.target.layers), rows), dtype=bool)
+    shifted = np.empty((min(rows, BLOCK_ROWS), walk.cov.dim))
     total = 0
-    with closing(standard_normal_chunks(cov.dim, count, seed, substream)) as chunks:
-        for z in chunks:
-            masks = inside[:, :, : len(z)]
-            for start in range(0, len(z), BLOCK_ROWS):
-                block = z[start : start + BLOCK_ROWS]
-                x = block if identity else block @ chol_t
-                out = shifted[: len(block)]
-                for k, offset in enumerate(offsets):
-                    np.add(x, offset, out=out)
-                    for i, layer in enumerate(w.layers):
-                        masks[k, i, start : start + BLOCK_ROWS] = layer.body.contains_batch(out)
-            total = total + reduce(z, masks)
+    for _ in _chunks(walk.count):
+        total = total + _reduce_chunk(walk, next(chunks), chol_t, tiles, inside, shifted)
     return total.tolist()
+
+
+def _reduce_chunk(
+    walk: Walk, z: np.ndarray, chol_t: np.ndarray | None, tiles: list,
+    inside: np.ndarray, shifted: np.ndarray,
+) -> np.ndarray:
+    """walk.reduce(z, masks) for one chunk; z is released when this returns,
+    before the next chunk is awaited."""
+    masks = inside[:, :, : len(z)]
+    for start in range(0, len(z), BLOCK_ROWS):
+        block = z[start : start + BLOCK_ROWS]
+        x = block if chol_t is None else block @ chol_t
+        out = shifted[: len(block)]
+        for k, tile in enumerate(tiles):
+            points = _shifted(x, tile, out)
+            for i, layer in enumerate(walk.target.layers):
+                masks[k, i, start : start + BLOCK_ROWS] = layer.body.contains_batch(points)
+    return walk.reduce(z, masks)
 
 
 def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
@@ -293,14 +430,28 @@ def estimate_layered_expectation(
     substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
     """Estimate E w(X - t u) for w = sum_k c_k 1{A_k}, or a body's indicator."""
+    return _run(layered_plan(cov, target, u, t, count, seed, substream))
+
+
+def layered_plan(
+    cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction, t: float,
+    count: int, seed: int, substream: int = SUBSTREAM_MAIN,
+) -> Plan:
+    """The plan of :func:`estimate_layered_expectation`."""
     w = as_layered(target)
     _check_shift(t)
-    ((both, hits),) = _membership_hits(cov, w, u, (-t,), count, seed, substream)
     c = [layer.weight for layer in w.layers]
-    s1 = math.fsum(c[i] * n for (i, j), n in both.items() if i == j)
-    # Off the diagonal, (i, j) stands for both N_ij and N_ji.
-    s2 = math.fsum((1.0 if i == j else 2.0) * c[i] * c[j] * n for (i, j), n in both.items())
-    return _mean_estimate(s1, s2, hits, count, seed, substream)
+    pairs = _layer_pairs(len(c))
+
+    def finish(rows: list) -> McEstimate:
+        (row,) = rows
+        both = dict(zip(pairs, row))
+        s1 = math.fsum(c[i] * n for (i, j), n in both.items() if i == j)
+        # Off the diagonal, (i, j) stands for both N_ij and N_ji.
+        s2 = math.fsum((1.0 if i == j else 2.0) * c[i] * c[j] * n for (i, j), n in both.items())
+        return _mean_estimate(s1, s2, row[-1], count, seed, substream)
+
+    return Plan((_membership_walk(cov, w, u, (-t,), count, seed, substream),), finish)
 
 
 def estimate_power(
@@ -337,28 +488,44 @@ def estimate_power_grid(
     the rest of the grid: it has the bits of a grid holding thetas[k]
     alone.  The grid may be in any order and may repeat values.
     """
+    return _run(power_grid_plan(cov, body, u, thetas, count, seed, substream))
+
+
+def power_grid_plan(
+    cov: Covariance, body: ConvexBody, u: Direction, thetas: Sequence[float],
+    count: int, seed: int, substream: int = SUBSTREAM_MAIN,
+) -> Plan:
+    """The plan of :func:`estimate_power_grid`."""
     if not thetas:
         raise DomainError("power grid needs at least one theta")
     for theta in thetas:
         _check_shift(theta)
-    hits = _membership_hits(cov, body, u, thetas, count, seed, substream)
-    misses = [count - union for _, union in hits]
-    return [_mean_estimate(m, m, m, count, seed, substream) for m in misses]
+
+    def finish(rows: list) -> list[McEstimate]:
+        misses = [count - row[-1] for row in rows]
+        return [_mean_estimate(m, m, m, count, seed, substream) for m in misses]
+
+    return Plan((_membership_walk(cov, body, u, thetas, count, seed, substream),), finish)
 
 
-def _membership_hits(
+def _layer_pairs(layers: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(layers) for j in range(i, layers)]
+
+
+def _membership_walk(
     cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction,
     shifts: Sequence[float], count: int, seed: int, substream: int,
-) -> list[tuple[dict[tuple[int, int], int], int]]:
-    """Per signed shift s, ({(i, j): N_ij for i <= j}, rows in any layer) for
-    X + s u, from one pass; N_ij counts the rows in both A_i and A_j of the
-    target's layers (a body is one layer).
+) -> Walk:
+    """A walk whose total holds, per signed shift s, the counts of X + s u:
+    N_ij for each layer pair i <= j (:func:`_layer_pairs`), the rows in
+    both A_i and A_j of the target's layers (a body is one layer), and
+    last the rows in any layer (for one layer, its N_00).
 
-    Entry k has the bits of a pass at shifts[k] alone: the counts are
+    Entry k has the bits of a walk at shifts[k] alone: the counts are
     integers, so neither the grid nor the block size moves them.
     """
     layers = len(as_layered(target).layers)
-    pairs = [(i, j) for i in range(layers) for j in range(i, layers)]
+    pairs = _layer_pairs(layers)
 
     def counts(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
         # Per shift: the pair counts, then the union's (one layer's pair count).
@@ -370,8 +537,7 @@ def _membership_hits(
                 row[-1] = np.count_nonzero(masks.any(axis=0))
         return hits
 
-    rows = _accumulate(cov, target, u, shifts, count, seed, substream, counts)
-    return [(dict(zip(pairs, row)), row[-1]) for row in rows]
+    return Walk(cov, target, u, shifts, count, seed, substream, counts)
 
 
 def estimate_conditional_center(
@@ -387,6 +553,14 @@ def estimate_conditional_center(
     Raises InsufficientHitsError below MIN_CONDITIONAL_HITS conditioning
     hits; the stderr is the within-hits plug-in form.
     """
+    return _run(conditional_plan(body, u, t, count, seed, substream))
+
+
+def conditional_plan(
+    body: ConvexBody, u: Direction, t: float, count: int, seed: int,
+    substream: int = SUBSTREAM_MAIN,
+) -> Plan:
+    """The plan of :func:`estimate_conditional_center`."""
     _check_shift(t)
 
     def sums(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -394,16 +568,19 @@ def estimate_conditional_center(
         coords = (z @ u.entries)[mask]
         return np.array([coords.sum(), coords @ coords, mask.sum()], dtype=float)
 
+    def finish(totals: list) -> McEstimate:
+        s1, s2, hits = totals
+        hits = int(hits)
+        if hits < MIN_CONDITIONAL_HITS:
+            raise InsufficientHitsError(
+                f"conditional estimate starved: {hits} hits < {MIN_CONDITIONAL_HITS} "
+                f"(body mass too small at t={t}; raise the sample count)"
+            )
+        value, stderr = _plug_in(s1, s2, hits)
+        return McEstimate(value, stderr, count, hits, SeedRecord(seed, substream, CHUNK_SIZE))
+
     cov = identity_covariance(u.dim)
-    s1, s2, hits = _accumulate(cov, body, u, (-t,), count, seed, substream, sums)
-    hits = int(hits)
-    if hits < MIN_CONDITIONAL_HITS:
-        raise InsufficientHitsError(
-            f"conditional estimate starved: {hits} hits < {MIN_CONDITIONAL_HITS} "
-            f"(body mass too small at t={t}; raise the sample count)"
-        )
-    value, stderr = _plug_in(s1, s2, hits)
-    return McEstimate(value, stderr, count, hits, SeedRecord(seed, substream, CHUNK_SIZE))
+    return Plan((Walk(cov, body, u, (-t,), count, seed, substream, sums),), finish)
 
 
 @dataclass(frozen=True)
@@ -476,35 +653,48 @@ def verify_sandwich(
     verification suite (scales the upper bound only in the test, never
     in the report); leave it at 1.0 for real checks.
     """
-    (report,) = ratio_bounds_grid(cov, target, u, (t,))
-    num = estimate_layered_expectation(cov, target, u, t, count, seed, SUBSTREAM_MAIN)
-    den = estimate_layered_expectation(cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM)
-    if den.hits < MIN_DENOMINATOR_HITS:
-        raise InsufficientMassError(
-            f"denominator starved: {den.hits} hits < {MIN_DENOMINATOR_HITS} "
-            "(the body carries too little mass for a meaningful ratio)"
+    return _run(sandwich_plan(cov, target, u, t, count, seed, z_threshold, upper_scale))
+
+
+def sandwich_plan(
+    cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction, t: float,
+    count: int, seed: int, z_threshold: float = Z_THRESHOLD, upper_scale: float = 1.0,
+) -> Plan:
+    """The plan of :func:`verify_sandwich`; its finisher evaluates the bound."""
+    num_plan = layered_plan(cov, target, u, t, count, seed, SUBSTREAM_MAIN)
+    den_plan = layered_plan(cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM)
+
+    def finish(num_rows: list, den_rows: list) -> SandwichVerdict:
+        (report,) = ratio_bounds_grid(cov, target, u, (t,))
+        num, den = num_plan.finish(num_rows), den_plan.finish(den_rows)
+        if den.hits < MIN_DENOMINATOR_HITS:
+            raise InsufficientMassError(
+                f"denominator starved: {den.hits} hits < {MIN_DENOMINATOR_HITS} "
+                "(the body carries too little mass for a meaningful ratio)"
+            )
+        upper = report.upper * upper_scale
+        lower_z, upper_z, passed = score_interval(
+            num, report.lower * den.value, report.lower * den.stderr,
+            upper * den.value, upper * den.stderr, z_threshold,
         )
-    upper = report.upper * upper_scale
-    lower_z, upper_z, passed = score_interval(
-        num, report.lower * den.value, report.lower * den.stderr,
-        upper * den.value, upper * den.stderr, z_threshold,
-    )
-    ratio = num.value / den.value
-    ratio_stderr = math.hypot(
-        num.stderr / den.value, num.value * den.stderr / (den.value * den.value)
-    )
-    return SandwichVerdict(
-        bounds=report,
-        ratio=ratio,
-        ratio_stderr=ratio_stderr,
-        lower_z=lower_z,
-        upper_z=upper_z,
-        z_threshold=z_threshold,
-        passed=passed,
-        numerator=num,
-        denominator=den,
-        upper_scale=upper_scale,
-    )
+        ratio = num.value / den.value
+        ratio_stderr = math.hypot(
+            num.stderr / den.value, num.value * den.stderr / (den.value * den.value)
+        )
+        return SandwichVerdict(
+            bounds=report,
+            ratio=ratio,
+            ratio_stderr=ratio_stderr,
+            lower_z=lower_z,
+            upper_z=upper_z,
+            z_threshold=z_threshold,
+            passed=passed,
+            numerator=num,
+            denominator=den,
+            upper_scale=upper_scale,
+        )
+
+    return Plan(num_plan.walks + den_plan.walks, finish)
 
 
 @dataclass(frozen=True)
@@ -566,6 +756,14 @@ def verify_derivative_identity(
     (:func:`derivative_floor` for the identity covariance), each within
     z_threshold of its own stderr.
     """
+    return _run(derivative_plan(weight, u, t, count, seed, step, substream, z_threshold))
+
+
+def derivative_plan(
+    weight: LayeredUnimodal | ConvexBody, u: Direction, t: float, count: int, seed: int,
+    step: float = 1e-2, substream: int = SUBSTREAM_MAIN, z_threshold: float = Z_THRESHOLD,
+) -> Plan:
+    """The plan of :func:`verify_derivative_identity`."""
     w = as_layered(weight)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"derivative check needs a finite t > 0, got {t!r}")
@@ -585,37 +783,39 @@ def verify_derivative_identity(
         ])
 
     cov = identity_covariance(w.dim)
+
+    def finish(totals: list) -> DerivativeCheck:
+        fd_s1, fd_s2, dir_s1, dir_s2, diff_s1, diff_s2, mid_s1 = totals
+        fd_mean, fd_se = _plug_in(fd_s1, fd_s2, count)
+        dir_mean, dir_se = _plug_in(dir_s1, dir_s2, count)
+        diff_mean, diff_se = _plug_in(diff_s1, diff_s2, count)
+        expectation = mid_s1 / count
+        tolerance = z_threshold * diff_se + DERIVATIVE_ALLOWANCE
+        floor_value = derivative_floor(cov, u, t, expectation)
+        identity_ok = abs(diff_mean) <= tolerance
+        floor_ok = (fd_mean >= floor_value - z_threshold * fd_se) and (
+            dir_mean >= floor_value - z_threshold * dir_se
+        )
+        return DerivativeCheck(
+            t=float(t),
+            step=float(step),
+            fd_estimate=fd_mean,
+            fd_stderr=fd_se,
+            direct_estimate=dir_mean,
+            direct_stderr=dir_se,
+            expectation=expectation,
+            difference=diff_mean,
+            sigma_diff=diff_se,
+            tolerance=tolerance,
+            floor_value=floor_value,
+            identity_ok=identity_ok,
+            floor_ok=floor_ok,
+            z_threshold=z_threshold,
+            allowance=DERIVATIVE_ALLOWANCE,
+        )
+
     shifts = (-(t + step), -(t - step), -t)
-    fd_s1, fd_s2, dir_s1, dir_s2, diff_s1, diff_s2, mid_s1 = _accumulate(
-        cov, w, u, shifts, count, seed, substream, sums
-    )
-    fd_mean, fd_se = _plug_in(fd_s1, fd_s2, count)
-    dir_mean, dir_se = _plug_in(dir_s1, dir_s2, count)
-    diff_mean, diff_se = _plug_in(diff_s1, diff_s2, count)
-    expectation = mid_s1 / count
-    tolerance = z_threshold * diff_se + DERIVATIVE_ALLOWANCE
-    floor_value = derivative_floor(cov, u, t, expectation)
-    identity_ok = abs(diff_mean) <= tolerance
-    floor_ok = (fd_mean >= floor_value - z_threshold * fd_se) and (
-        dir_mean >= floor_value - z_threshold * dir_se
-    )
-    return DerivativeCheck(
-        t=float(t),
-        step=float(step),
-        fd_estimate=fd_mean,
-        fd_stderr=fd_se,
-        direct_estimate=dir_mean,
-        direct_stderr=dir_se,
-        expectation=expectation,
-        difference=diff_mean,
-        sigma_diff=diff_se,
-        tolerance=tolerance,
-        floor_value=floor_value,
-        identity_ok=identity_ok,
-        floor_ok=floor_ok,
-        z_threshold=z_threshold,
-        allowance=DERIVATIVE_ALLOWANCE,
-    )
+    return Plan((Walk(cov, w, u, shifts, count, seed, substream, sums),), finish)
 
 
 @dataclass(frozen=True)
@@ -643,12 +843,25 @@ def verify_power_envelope(
     z_threshold: float = Z_THRESHOLD,
 ) -> PowerVerdict:
     """Estimate size and power on independent substreams and test the envelope."""
+    return _run(power_envelope_plan(cov, body, u, theta, count, seed, z_threshold))
+
+
+def power_envelope_plan(
+    cov: Covariance, body: ConvexBody, u: Direction, theta: float, count: int, seed: int,
+    z_threshold: float = Z_THRESHOLD,
+) -> Plan:
+    """The plan of :func:`verify_power_envelope`; its finisher evaluates the bound."""
     if not math.isfinite(theta) or theta <= 0.0:
         raise DomainError(f"power check needs a finite theta > 0, got {theta!r}")
-    report = ratio_bounds_set(cov, body, u, theta)
-    beta = estimate_power(cov, body, u, theta, count, seed, SUBSTREAM_MAIN)
-    alpha = estimate_power(cov, body, u, 0.0, count, seed, SUBSTREAM_DENOM)
-    return score_power_envelope(report, alpha, beta, z_threshold)
+    beta_plan = power_grid_plan(cov, body, u, (theta,), count, seed, SUBSTREAM_MAIN)
+    alpha_plan = power_grid_plan(cov, body, u, (0.0,), count, seed, SUBSTREAM_DENOM)
+
+    def finish(beta_rows: list, alpha_rows: list) -> PowerVerdict:
+        report = ratio_bounds_set(cov, body, u, theta)
+        (beta,), (alpha,) = beta_plan.finish(beta_rows), alpha_plan.finish(alpha_rows)
+        return score_power_envelope(report, alpha, beta, z_threshold)
+
+    return Plan(beta_plan.walks + alpha_plan.walks, finish)
 
 
 def score_power_envelope(

@@ -26,6 +26,7 @@ fail (used to prove the machinery can detect violations).
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,14 +54,15 @@ from .errors import DomainError
 from .linalg import Covariance, Direction, build_covariance, identity_covariance
 from .mc import (
     Z_THRESHOLD,
-    estimate_conditional_center,
-    estimate_power,
-    estimate_shift_prob,
+    conditional_plan,
+    derivative_plan,
+    layered_plan,
+    power_envelope_plan,
+    power_grid_plan,
+    run_plans,
+    sandwich_plan,
     score_agreement,
     score_interval,
-    verify_derivative_identity,
-    verify_power_envelope,
-    verify_sandwich,
 )
 
 # Each Monte Carlo check draws from the stream seeded
@@ -306,27 +308,22 @@ def suite_oracles(
         "quadrature", t=t0,
     ))
 
+    balls = []
+    plans = []
     for n in (2, 3, 5):
         cov = identity_covariance(n)
         u = Direction.axis(n)
         for radius in (1.0, 2.0):
             ball = LpBall(dim=n, p=2.0, radius=radius)
             for t in (0.0, 1.0):
-                want = oracles.oracle_ball(n, radius, t)
-                est = estimate_shift_prob(
+                balls.append((n, radius, t))
+                plans.append(layered_plan(
                     cov, ball, u, t, ball_samples,
                     seed * SEED_STRIDE + n * 100 + int(radius) * 10 + int(t),
-                )
-                z, passed = score_agreement(est, want, z_threshold)
-                results.append(_result(
-                    f"oracle_ball_mc_n{n}_r{int(radius)}_t{int(t)}", passed, z,
-                    "monte_carlo",
-                    oracle=want, estimate=est.value, stderr=est.stderr, samples=est.samples,
                 ))
 
     rng = np.random.default_rng(seed + 17)
-    worst_z = 0.0
-    all_agree = True
+    slabs = []
     for i in range(20):
         a = float(rng.uniform(0.4, 2.5))
         t = float(rng.uniform(0.0, 2.0))
@@ -334,10 +331,24 @@ def suite_oracles(
         cov = identity_covariance(n)
         u = Direction.from_vector(rng.standard_normal(n))
         slab = Slab(normal=u, halfwidth=a)
-        est = estimate_shift_prob(cov, slab, u, t, slab_samples, seed * 999983 + i)
-        z, passed = score_agreement(est, oracles.oracle_slab(a, t), z_threshold)
-        worst_z = max(worst_z, abs(z))
-        all_agree = all_agree and passed
+        slabs.append((a, t))
+        plans.append(layered_plan(cov, slab, u, t, slab_samples, seed * 999983 + i))
+
+    with closing(run_plans(plans)) as estimates:
+        for (n, radius, t), est in zip(balls, estimates):
+            want = oracles.oracle_ball(n, radius, t)
+            z, passed = score_agreement(est, want, z_threshold)
+            results.append(_result(
+                f"oracle_ball_mc_n{n}_r{int(radius)}_t{int(t)}", passed, z,
+                "monte_carlo",
+                oracle=want, estimate=est.value, stderr=est.stderr, samples=est.samples,
+            ))
+        worst_z = 0.0
+        all_agree = True
+        for (a, t), est in zip(slabs, estimates):
+            z, passed = score_agreement(est, oracles.oracle_slab(a, t), z_threshold)
+            worst_z = max(worst_z, abs(z))
+            all_agree = all_agree and passed
     results.append(_result(
         "oracle_slab_mc_battery", all_agree, worst_z, "monte_carlo",
         configurations=20, samples=slab_samples,
@@ -435,39 +446,45 @@ def suite_sandwich(
 ) -> list[CheckResult]:
     """The 20-configuration battery plus the extremal equality cases."""
     count = samples if samples is not None else 1_000_000
-    results = []
-    for i, cfg in enumerate(sandwich_battery(seed)):
-        verdict = verify_sandwich(
+    battery = sandwich_battery(seed)
+    plans = [
+        sandwich_plan(
             cfg.cov, cfg.body, cfg.u, cfg.t, count, seed * SEED_STRIDE + i,
             z_threshold=z_threshold, upper_scale=upper_scale,
         )
-        worst_z = min(verdict.lower_z, verdict.upper_z)
-        results.append(_result(
-            cfg.name, verdict.passed, worst_z, "monte_carlo",
-            ratio=verdict.ratio, ratio_stderr=verdict.ratio_stderr,
-            lower=verdict.bounds.lower, upper=verdict.bounds.upper,
-            lower_z=verdict.lower_z, upper_z=verdict.upper_z,
-            violation_sigmas=max(0.0, -worst_z), samples=count, t=cfg.t,
-        ))
-
-    # Equality cases: the extremal slab must sit on the upper bound, so
-    # |upper_z| stays within the threshold (two-sided).
+        for i, cfg in enumerate(battery)
+    ]
+    # Equality cases, on extremal slabs.
     rng = np.random.default_rng(seed + 29)
     for j, make_cov in enumerate((lambda: identity_covariance(3), lambda: _random_spd(rng, 3))):
         cov = make_cov()
         u = Direction.from_vector(rng.standard_normal(3))
-        body = extremal_slab(cov, u, 1.0)
-        verdict = verify_sandwich(
-            cov, body, u, 1.0, count, seed * SEED_STRIDE + 500 + j,
+        plans.append(sandwich_plan(
+            cov, extremal_slab(cov, u, 1.0), u, 1.0, count, seed * SEED_STRIDE + 500 + j,
             z_threshold=z_threshold, upper_scale=upper_scale,
-        )
-        passed = verdict.passed and abs(verdict.upper_z) <= z_threshold
-        results.append(_result(
-            f"sandwich_extremal_{('eye', 'rnd')[j]}", passed, verdict.upper_z,
-            "monte_carlo",
-            ratio=verdict.ratio, upper=verdict.bounds.upper,
-            lower_z=verdict.lower_z, upper_z=verdict.upper_z, samples=count,
         ))
+
+    results = []
+    with closing(run_plans(plans)) as verdicts:
+        for cfg, verdict in zip(battery, verdicts):
+            worst_z = min(verdict.lower_z, verdict.upper_z)
+            results.append(_result(
+                cfg.name, verdict.passed, worst_z, "monte_carlo",
+                ratio=verdict.ratio, ratio_stderr=verdict.ratio_stderr,
+                lower=verdict.bounds.lower, upper=verdict.bounds.upper,
+                lower_z=verdict.lower_z, upper_z=verdict.upper_z,
+                violation_sigmas=max(0.0, -worst_z), samples=count, t=cfg.t,
+            ))
+        # The extremal slab must sit on the upper bound, so |upper_z| stays
+        # within the threshold (two-sided).
+        for tag, verdict in zip(("eye", "rnd"), verdicts):
+            passed = verdict.passed and abs(verdict.upper_z) <= z_threshold
+            results.append(_result(
+                f"sandwich_extremal_{tag}", passed, verdict.upper_z,
+                "monte_carlo",
+                ratio=verdict.ratio, upper=verdict.bounds.upper,
+                lower_z=verdict.lower_z, upper_z=verdict.upper_z, samples=count,
+            ))
     return results
 
 
@@ -487,13 +504,17 @@ def suite_derivative(
         Layer(1.0, LpBall(dim=2, p=2.0, radius=2.0)),
         Layer(0.5, LpBall(dim=2, p=2.0, radius=1.0)),
     ])
+    checks = [
+        (tag, t, derivative_plan(
+            weight, u2, t, count, seed * SEED_STRIDE + 700 + 10 * i + int(2 * t),
+            z_threshold=z_threshold,
+        ))
+        for i, (tag, weight) in enumerate((("slab", slab_weight), ("two_layer", two_layer)))
+        for t in (0.5, 1.0)
+    ]
     results = []
-    for i, (tag, weight) in enumerate((("slab", slab_weight), ("two_layer", two_layer))):
-        for t in (0.5, 1.0):
-            check = verify_derivative_identity(
-                weight, u2, t, count, seed * SEED_STRIDE + 700 + 10 * i + int(2 * t),
-                z_threshold=z_threshold,
-            )
+    with closing(run_plans([plan for *_, plan in checks])) as verdicts:
+        for (tag, t, _), check in zip(checks, verdicts):
             details = {
                 "fd_estimate": check.fd_estimate,
                 "direct_estimate": check.direct_estimate,
@@ -544,36 +565,40 @@ def suite_conditional(
         ("ball_box", Intersection(parts=(LpBall(dim=2, p=2.0, radius=2.0),
                                          LpBall(dim=2, p=math.inf, radius=1.5))), 1.0),
     ]
+    plans = []
     for i, (tag, body, t) in enumerate(pairs):
         if tag.startswith("slab"):
             u = body.normal  # type: ignore[union-attr]
         else:
             u = Direction.from_vector(rng.standard_normal(body.dim))
-        est = estimate_conditional_center(body, u, t, count, seed * SEED_STRIDE + 900 + i)
-        # The center lies in (-inf, ceiling].
-        _, z_slack, passed = score_interval(
-            est, -math.inf, 0.0, conditional_coordinate_ceiling(t), 0.0, z_threshold
-        )
-        passed = passed and est.hits >= 10_000
-        details = {"center": est.value, "stderr": est.stderr, "hits": est.hits, "t": t,
-                   "samples": count}
-        if tag == "slab_a1" and t == 1.0:
-            _, agrees = score_agreement(est, TRUNCATED_SLAB_CENTER_11, z_threshold)
-            passed = passed and agrees
-            details["closed_form"] = TRUNCATED_SLAB_CENTER_11
-        results.append(_result(f"conditional_{tag}_t{t}", passed, z_slack, "monte_carlo",
-                               **details))
-
+        plans.append(conditional_plan(body, u, t, count, seed * SEED_STRIDE + 900 + i))
     # cor:c both ways: the center coordinate equals the relative decay
     # rate -(d/dt) ln gamma_n(t u + B), here differentiated through the
     # ball oracle.
     t0 = 1.0
     radius = 1.5
-    rate = _ball_decay_rate(radius, t0)
-    u3 = Direction.axis(3)
-    est = estimate_conditional_center(
-        LpBall(dim=3, p=2.0, radius=radius), u3, t0, count, seed * SEED_STRIDE + 990
-    )
+    plans.append(conditional_plan(
+        LpBall(dim=3, p=2.0, radius=radius), Direction.axis(3), t0, count,
+        seed * SEED_STRIDE + 990,
+    ))
+
+    with closing(run_plans(plans)) as estimates:
+        for (tag, _, t), est in zip(pairs, estimates):
+            # The center lies in (-inf, ceiling].
+            _, z_slack, passed = score_interval(
+                est, -math.inf, 0.0, conditional_coordinate_ceiling(t), 0.0, z_threshold
+            )
+            passed = passed and est.hits >= 10_000
+            details = {"center": est.value, "stderr": est.stderr, "hits": est.hits, "t": t,
+                       "samples": count}
+            if tag == "slab_a1" and t == 1.0:
+                _, agrees = score_agreement(est, TRUNCATED_SLAB_CENTER_11, z_threshold)
+                passed = passed and agrees
+                details["closed_form"] = TRUNCATED_SLAB_CENTER_11
+            results.append(_result(f"conditional_{tag}_t{t}", passed, z_slack, "monte_carlo",
+                                   **details))
+        rate = _ball_decay_rate(radius, t0)
+        (est,) = estimates
     z, passed = score_agreement(est, rate, z_threshold)
     results.append(_result(
         "conditional_log_derivative_link", passed, z, "monte_carlo",
@@ -597,29 +622,11 @@ def suite_power(
     slab = Slab(normal=u, halfwidth=1.0)
     alpha = SLAB_ALPHA_A1
 
-    worst_chain = math.inf
-    for theta in (0.5, 1.0, 2.0):
-        report = power_envelope(ratio_bounds_set(cov, slab, u, theta), alpha)
-        worst_chain = min(
-            worst_chain, report.beta_lower - alpha, report.beta_upper - report.beta_lower
-        )
-        est = estimate_power(
-            cov, slab, u, theta, count, seed * SEED_STRIDE + 1100 + int(theta * 10)
-        )
-        # The size is exact here, so only the power's stderr counts.
-        low_z, up_z, passed = score_interval(
-            est, report.beta_lower, 0.0, report.beta_upper, 0.0, z_threshold
-        )
-        results.append(_result(
-            f"power_slab_theta{theta}", passed, min(low_z, up_z), "monte_carlo",
-            beta_estimate=est.value, stderr=est.stderr, beta_lower=report.beta_lower,
-            beta_upper=report.beta_upper, alpha=alpha, samples=count,
-        ))
-    results.append(_result(
-        "power_envelope_chain", worst_chain >= -1e-12, worst_chain, "analytic",
-        tolerance=1e-12,
-    ))
-
+    thetas = (0.5, 1.0, 2.0)
+    plans = [
+        power_grid_plan(cov, slab, u, (theta,), count, seed * SEED_STRIDE + 1100 + int(theta * 10))
+        for theta in thetas
+    ]
     rng = np.random.default_rng(seed + 71)
     extra = [
         ("ball", LpBall(dim=2, p=2.0, radius=2.0), 1.0),
@@ -628,18 +635,40 @@ def suite_power(
     for i, (tag, body, theta) in enumerate(extra):
         cov_i = identity_covariance(body.dim)
         u_i = Direction.from_vector(rng.standard_normal(body.dim))
-        verdict = verify_power_envelope(
+        plans.append(power_envelope_plan(
             cov_i, body, u_i, theta, count, seed * SEED_STRIDE + 1200 + i,
             z_threshold=z_threshold,
-        )
-        results.append(_result(
-            f"power_estimated_alpha_{tag}", verdict.passed,
-            min(verdict.lower_z, verdict.upper_z), "monte_carlo",
-            alpha_estimate=verdict.alpha_estimate.value,
-            beta_estimate=verdict.beta_estimate.value,
-            beta_lower=verdict.beta_lower, beta_upper=verdict.beta_upper,
-            theta=theta, samples=count,
         ))
+
+    worst_chain = math.inf
+    with closing(run_plans(plans)) as verdicts:
+        for theta, (est,) in zip(thetas, verdicts):
+            report = power_envelope(ratio_bounds_set(cov, slab, u, theta), alpha)
+            worst_chain = min(
+                worst_chain, report.beta_lower - alpha, report.beta_upper - report.beta_lower
+            )
+            # The size is exact here, so only the power's stderr counts.
+            low_z, up_z, passed = score_interval(
+                est, report.beta_lower, 0.0, report.beta_upper, 0.0, z_threshold
+            )
+            results.append(_result(
+                f"power_slab_theta{theta}", passed, min(low_z, up_z), "monte_carlo",
+                beta_estimate=est.value, stderr=est.stderr, beta_lower=report.beta_lower,
+                beta_upper=report.beta_upper, alpha=alpha, samples=count,
+            ))
+        results.append(_result(
+            "power_envelope_chain", worst_chain >= -1e-12, worst_chain, "analytic",
+            tolerance=1e-12,
+        ))
+        for (tag, _, theta), verdict in zip(extra, verdicts):
+            results.append(_result(
+                f"power_estimated_alpha_{tag}", verdict.passed,
+                min(verdict.lower_z, verdict.upper_z), "monte_carlo",
+                alpha_estimate=verdict.alpha_estimate.value,
+                beta_estimate=verdict.beta_estimate.value,
+                beta_lower=verdict.beta_lower, beta_upper=verdict.beta_upper,
+                theta=theta, samples=count,
+            ))
     return results
 
 

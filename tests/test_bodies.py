@@ -8,6 +8,7 @@ the adjoint law for linear images.
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -293,6 +294,15 @@ class TestEllipsoid:
             point = body.support_point(v)
             assert body.contains(point * (1.0 - 1e-12))
             assert float(point @ v) == pytest.approx(body.support(v).value, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [[1.5e308, 1.5e308], [math.inf, 0.0]])
+    def test_membership_past_the_double_range(self, x):
+        # The product overflows, or the form is inf * 0 = NaN: outside,
+        # with no warning.
+        body = Ellipsoid(build_covariance([[2.0, 1.0], [1.0, 2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert body.contains(np.array(x)) is False
 
 
 class TestHPolytope:

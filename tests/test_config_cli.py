@@ -899,3 +899,21 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def test_cli_import_leaves_slow_scipy_modules_out():
+    # scipy.optimize and scipy.stats each add a third of a second or more
+    # to a cold start, past the benchmark's start-up bound; a module that
+    # needs one imports it where it is used.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import shiftbounds.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr

@@ -45,6 +45,8 @@ from shiftbounds import (
     verify_power_envelope,
     verify_sandwich,
 )
+from shiftbounds.cli import cmd_verify
+from shiftbounds.config import parse_run_config
 from shiftbounds.mc import (
     CHUNK_SIZE,
     SUBSTREAM_DENOM,
@@ -159,9 +161,9 @@ def _count_draws(monkeypatch):
     draws = []
     draw = mc._normal_chunk
 
-    def counting(seed, substream, index, rows, dim):
+    def counting(seed, substream, index, out):
         draws.append(index)
-        return draw(seed, substream, index, rows, dim)
+        return draw(seed, substream, index, out)
 
     monkeypatch.setattr(mc, "_normal_chunk", counting)
     monkeypatch.setattr(mc, "_pool", mc._new_pool())
@@ -176,6 +178,26 @@ def _drawn(draws):
 
 def _hex_fields(result):
     return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(result)]
+
+
+def _hex_tree(value):
+    """Every float of a result, nested dataclasses and lists included, in hex."""
+    if dataclasses.is_dataclass(value):
+        return [_hex_tree(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [_hex_tree(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+# Walks of each Monte Carlo suite: one per estimate, two per sandwich
+# verdict or estimated-size power verdict.
+SUITE_WALKS = {
+    "oracles": 12 + 20,
+    "sandwich": 2 * 22,
+    "derivative": 4,
+    "conditional": 11,
+    "power": 3 + 2 * 2,
+}
 
 
 class TestStreams:
@@ -222,14 +244,18 @@ class TestStreams:
             rng = mc._chunk_rng(seed, substream, index)
             bits = rng.integers(0, 1 << 53, size=(rows, 3), dtype=np.uint64)
             want = ndtri((bits.astype(np.float64) + 0.5) * 2.0**-53)
-            got = mc._normal_chunk(seed, substream, index, rows, 3)
+            got = mc._normal_chunk(seed, substream, index, np.empty((rows, 3)))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("abandon", ["probe", "close", "raising_sums"])
+    @pytest.mark.parametrize(
+        "abandon", ["probe", "close", "raising_sums", "raising_finisher"]
+    )
     def test_abandoned_stream_stops_drawing(self, monkeypatch, abandon):
-        # One sampler thread, held inside chunk 1, with four chunks in
-        # flight: chunks 2-4 are still queued when the 153-chunk stream is
-        # dropped after its first chunk, and must never be drawn.
+        # One sampler thread, held inside the second chunk drawn, with four
+        # chunks in flight: the next three are still queued when the run is
+        # dropped after its first chunk, and must never be drawn.  The
+        # multi-plan run drops its second, 153-chunk check when the first,
+        # one-chunk check's finisher raises.
         draws = _count_draws(monkeypatch)
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 1)
         monkeypatch.setattr(mc, "_pool", mc._new_pool())
@@ -237,13 +263,24 @@ class TestStreams:
         release = threading.Event()
         draw = mc._normal_chunk
 
-        def held(seed, substream, index, rows, dim):
-            if index > 0:
+        def held(seed, substream, index, out):
+            if (seed, index) != (3, 0):
                 release.wait(timeout=30)
-            return draw(seed, substream, index, rows, dim)
+            return draw(seed, substream, index, out)
 
         monkeypatch.setattr(mc, "_normal_chunk", held)
         count = 10_000_000
+
+        def plan(count, seed, reduce, finish=lambda totals: totals):
+            walk = mc.Walk(COV2, UNIT_SLAB, E1, (0.0,), count, seed, SUBSTREAM_MAIN, reduce)
+            return mc.Plan((walk,), finish)
+
+        def failing(*args):
+            raise ArithmeticError("reduction failed")
+
+        def count_rows(z, inside):
+            return np.array([len(z)])
+
         try:
             if abandon == "probe":
                 assert next(standard_normal_chunks(2, count, seed=3)).shape == (CHUNK_SIZE, 2)
@@ -251,14 +288,13 @@ class TestStreams:
                 chunks = standard_normal_chunks(2, count, seed=3)
                 next(chunks)
                 chunks.close()
-            else:
-                def failing_sums(z, inside):
-                    raise ArithmeticError("reduction failed")
-
+            elif abandon == "raising_sums":
                 with pytest.raises(ArithmeticError):
-                    mc._accumulate(
-                        COV2, UNIT_SLAB, E1, (0.0,), count, 3, SUBSTREAM_MAIN, failing_sums
-                    )
+                    list(mc.run_plans([plan(count, 3, failing)]))
+            else:
+                plans = [plan(1000, 3, count_rows, failing), plan(count, 4, count_rows)]
+                with pytest.raises(ArithmeticError):
+                    list(mc.run_plans(plans))
         finally:
             release.set()
         assert _drawn(draws) <= 2
@@ -557,6 +593,65 @@ class TestDeterminism:
         assert est.seed.substream == SUBSTREAM_MAIN
         assert est.seed.chunk_size == CHUNK_SIZE
         assert est.samples == 1000
+
+
+class TestWalker:
+    @pytest.mark.parametrize("kind", sorted(BODIES3))
+    def test_flat_and_zero_shifts_match_the_broadcast_add(self, kind):
+        # 1,000 rows: three whole tiles and a partial one.  Signed zeros,
+        # NaN and infinities must get the verdicts of np.add(x, s u).
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((1000, 3)) @ np.asarray(DENSE3.chol).T
+        x[:4] = [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [math.nan, 0.0, 1.0],
+                 [0.5, math.inf, -0.0]]
+        x[-3:] = [[-math.inf, 0.2, 0.1], [math.nan, math.nan, math.nan], [-0.0, 1.0, -0.0]]
+        body = BODIES3[kind]
+        out = np.empty_like(x)
+        with np.errstate(all="ignore"):
+            for s in (0.0, -0.0, 0.9, -1.3):
+                want = np.add(x, s * U3.entries)
+                got = mc._shifted(x, mc._offset_tile(s, U3), out)
+                assert np.array_equal(body.contains_batch(got), body.contains_batch(want))
+                if s != 0.0:
+                    assert got is out
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                else:
+                    assert got is x
+
+    def test_multi_plan_run_matches_one_check_at_a_time(self):
+        ball = LpBall(dim=3, p=2.0, radius=2.0)
+        polytope = BODIES3["h_polytope"]
+        n = GOLDEN_COUNT
+        plans = [
+            mc.sandwich_plan(DENSE3, ball, U3, 0.8, n, seed=3),
+            mc.power_grid_plan(DENSE3, polytope, U3, [0.7, 0.0, 1.3], n, seed=5, substream=1),
+            mc.conditional_plan(ball, U3, 0.8, n, seed=7),
+            mc.derivative_plan(CROSSING, U3, 0.8, n, seed=9),
+            mc.sandwich_plan(DENSE3, CROSSING, U3, 1.5, n, seed=11),
+            mc.power_envelope_plan(DENSE3, polytope, U3, 1.2, n, seed=13),
+        ]
+        singles = [
+            verify_sandwich(DENSE3, ball, U3, 0.8, n, seed=3),
+            estimate_power_grid(DENSE3, polytope, U3, [0.7, 0.0, 1.3], n, seed=5, substream=1),
+            estimate_conditional_center(ball, U3, 0.8, n, seed=7),
+            verify_derivative_identity(CROSSING, U3, 0.8, n, seed=9),
+            verify_sandwich(DENSE3, CROSSING, U3, 1.5, n, seed=11),
+            verify_power_envelope(DENSE3, polytope, U3, 1.2, n, seed=13),
+        ]
+        assert [_hex_tree(r) for r in mc.run_plans(plans)] == [_hex_tree(r) for r in singles]
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_WALKS))
+    def test_suite_draws_exactly_the_chunks_it_reads(self, monkeypatch, suite):
+        # Two chunks per walk, the second of one row: the window runs over
+        # every check of the run and stops at the last chunk read.
+        draws = _count_draws(monkeypatch)
+        cfg = parse_run_config(
+            {"dim": 1, "suite": suite, "mc": {"samples": CHUNK_SIZE + 1, "seed": 0}}
+        )
+        cmd_verify(cfg)
+        walks = SUITE_WALKS[suite]
+        assert _drawn(draws) == 2 * walks
+        assert sorted(draws) == [0] * walks + [1] * walks
 
 
 class TestEstimators:
