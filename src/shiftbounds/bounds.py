@@ -192,7 +192,7 @@ def ratio_bounds_grid(
     support and the norm are evaluated once for the whole grid.  The grid
     may be in any order and may repeat values.
     """
-    if not ts:
+    if len(ts) == 0:
         raise DomainError("bound grid needs at least one t")
     for t in ts:
         if math.isnan(t) or t < 0.0:

@@ -17,20 +17,12 @@ import json
 import math
 import sys
 import time
-from contextlib import closing
 
 from . import __version__
 from .bounds import BoundReport, power_envelope, ratio_bounds_grid
 from .config import RunConfig, encode_report, jsonable, parse_run_config
 from .errors import ConfigError, ShiftBoundsError
-from .mc import (
-    SUBSTREAM_DENOM,
-    SUBSTREAM_MAIN,
-    Z_THRESHOLD,
-    power_grid_plan,
-    run_plans,
-    score_power_envelope,
-)
+from .mc import Z_THRESHOLD, power_envelope_plan, run_plans
 from .suites import SUITES
 
 
@@ -80,37 +72,28 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
     _require(cfg, "power", "u", "body", "theta_grid")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
-    # One MAIN pass serves the estimated size and every beta (common random
-    # numbers); one DENOM pass gives the verdicts' independent size.  Both
-    # draw in one window, and the bounds are evaluated while DENOM draws.
-    checked = [theta for theta in cfg.theta_grid if theta > 0.0] if cfg.mc else []
-    sampled = ([0.0] if cfg.alpha is None else []) + checked
-    plans = []
-    if sampled:
-        plans.append(power_grid_plan(
-            cfg.cov, cfg.body, cfg.u, sampled, cfg.mc.samples, cfg.mc.seed, SUBSTREAM_MAIN
-        ))
-    if checked:
-        plans.append(power_grid_plan(
-            cfg.cov, cfg.body, cfg.u, (0.0,), cfg.mc.samples, cfg.mc.seed, SUBSTREAM_DENOM
-        ))
+    # One support evaluation serves every theta's envelope and verdict.
+    bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, cfg.theta_grid)
+    checked = [bound for bound in bound_reports if bound.t > 0.0] if cfg.mc else []
+    verdicts = []
+    # The power check gives the estimated size and a verdict per theta > 0;
+    # it samples only when one of them is read.
+    if checked or cfg.alpha is None:
+        plan = power_envelope_plan(
+            cfg.cov, cfg.body, cfg.u, checked, cfg.mc.samples, cfg.mc.seed, cfg.mc.z_threshold
+        )
+        ((size, verdicts),) = run_plans((plan,))
     records = []
     alpha = cfg.alpha
-    with closing(run_plans(plans)) as passes:
-        estimates = iter(next(passes) if sampled else ())
-        if alpha is None:
-            size = next(estimates)
-            alpha = size.value
-            if not 0.0 < alpha < 1.0:
-                raise ConfigError(
-                    f"alpha: estimated size {alpha!r} is degenerate; "
-                    "the body has all or none of the mass"
-                )
-            records.append(_mc_record(size, "alpha_estimate"))
-        # One support evaluation serves every theta's envelope and verdict.
-        bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, cfg.theta_grid)
-        if checked:
-            (alpha_hat,) = next(passes)
+    if alpha is None:
+        alpha = size.value
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(
+                f"alpha: estimated size {alpha!r} is degenerate; "
+                "the body has all or none of the mass"
+            )
+        records.append(_mc_record(size, "alpha_estimate"))
+    pending = iter(verdicts)
     for bound in bound_reports:
         report = power_envelope(bound, alpha)
         records.append(
@@ -125,9 +108,7 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
             }
         )
         if cfg.mc is not None and bound.t > 0.0:
-            verdict = score_power_envelope(
-                bound, alpha_hat, next(estimates), cfg.mc.z_threshold
-            )
+            verdict = next(pending)
             record = _mc_record(verdict.beta_estimate, "power_estimate")
             record.update(
                 {

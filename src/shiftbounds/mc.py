@@ -8,9 +8,12 @@ correlated Gaussians are L z for the covariance's Cholesky factor L.
 
 Chunks are drawn on a small thread pool (SAMPLER_WORKERS threads; the
 Philox fill and ndtri release the GIL), up to SAMPLER_WORKERS chunks
-ahead of the one being reduced.  Everything else -- membership tests,
-weights, BLAS calls and the reduction -- runs on the calling thread in
-chunk order, so no bit depends on the number of workers.
+ahead of the one being reduced.  Each run has a pool of its own: ending
+or closing the run cancels its queued draws and waits for those already
+running, so no sampler thread outlives it.  Everything else --
+membership tests, weights, BLAS calls and the reduction -- runs on the
+calling thread in chunk order, so no bit depends on the number of
+workers.
 
 Each Monte Carlo check is a :class:`Plan`: the walks it reads (a
 :class:`Walk` names a covariance, a target, a direction, the shifts and
@@ -21,7 +24,9 @@ next check's chunks while the caller finishes and scores the last one;
 the public estimators are one-plan runs.  Since a chunk's bits depend
 only on its coordinates, and every reduction stays on the calling
 thread in chunk order, a check run among others has the bits of a check
-run alone.
+run alone.  The power check of a grid, for the library and the CLI
+alike, is one plan (:func:`power_envelope_plan`): the estimated size and
+a verdict per theta.
 
 All five estimators run on one walk over the chunks (:func:`_accumulate`):
 it tests each (shift, layer) pair once per row, in blocks of BLOCK_ROWS
@@ -69,7 +74,6 @@ from .bounds import (
     derivative_floor,
     power_bounds,
     ratio_bounds_grid,
-    ratio_bounds_set,
 )
 from .errors import (
     DomainError,
@@ -166,24 +170,6 @@ def _chunk_rng(seed: int, substream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _new_pool() -> ThreadPoolExecutor:
-    """A sampler pool; ThreadPoolExecutor starts its threads with the first draw."""
-    return ThreadPoolExecutor(SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler")
-
-
-_pool = _new_pool()
-
-
-def _renew_pool() -> None:
-    """Replace the pool in a forked child, which inherits it without its threads."""
-    global _pool
-    _pool = _new_pool()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_renew_pool)
-
-
 def standard_normal_chunks(
     dim: int, count: int, seed: int, substream: int = SUBSTREAM_MAIN
 ) -> Iterator[np.ndarray]:
@@ -191,7 +177,7 @@ def standard_normal_chunks(
 
     Up to SAMPLER_WORKERS later chunks are drawn on the sampler pool
     while the caller works on the current one; closing or dropping the
-    generator cancels the draws that have not started.
+    generator cancels the draws that have not started and waits for the rest.
     """
     _check_stream(seed, substream, count)
     yield from _draw_ahead((seed, substream, index, rows, dim) for index, rows in _chunks(count))
@@ -207,13 +193,15 @@ def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int]]) -> Iterator[np.
     """Draw the chunk of each (seed, substream, index, rows, dim), in order.
 
     Up to SAMPLER_WORKERS chunks after the one being yielded are drawn on
-    the pool; closing the generator cancels those not yet started.  Each
-    chunk is allocated here and only filled on the pool: glibc gives every
-    thread a malloc arena of its own, and chunks allocated on the sampler
-    threads left those arenas holding freed memory once draws ran across
-    checks (7 to 11 MB more peak RSS on the benchmark workloads, 2-CPU host).
+    a pool of this run's own; closing the generator cancels those not yet
+    started and waits for the rest, so no sampler thread outlives the run.
+    Each chunk is allocated here and only filled on the pool: glibc gives
+    every thread a malloc arena of its own, and chunks allocated on the
+    sampler threads left those arenas holding freed memory once draws ran
+    across checks (7 to 11 MB more peak RSS on the benchmark workloads,
+    2-CPU host).
     """
-    pool = _pool
+    pool = ThreadPoolExecutor(SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler")
     ahead: deque[Future] = deque()
     try:
         for seed, substream, index, rows, dim in specs:
@@ -224,8 +212,7 @@ def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int]]) -> Iterator[np.
         while ahead:
             yield ahead.popleft().result()
     finally:
-        for future in ahead:
-            future.cancel()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _normal_chunk(seed: int, substream: int, index: int, out: np.ndarray) -> np.ndarray:
@@ -297,7 +284,7 @@ def run_plans(plans: Sequence[Plan]) -> Iterator:
     reads.  A plan's walks are reduced in chunk order on the calling
     thread, so each result has the bits of a run of its plan alone.
     Closing the generator, or an exception in a finisher, cancels the
-    draws not yet started.
+    draws not yet started and waits for those already running.
     """
     specs = (
         (walk.seed, walk.substream, index, rows, walk.cov.dim)
@@ -496,7 +483,7 @@ def power_grid_plan(
     count: int, seed: int, substream: int = SUBSTREAM_MAIN,
 ) -> Plan:
     """The plan of :func:`estimate_power_grid`."""
-    if not thetas:
+    if len(thetas) == 0:
         raise DomainError("power grid needs at least one theta")
     for theta in thetas:
         _check_shift(theta)
@@ -843,25 +830,39 @@ def verify_power_envelope(
     z_threshold: float = Z_THRESHOLD,
 ) -> PowerVerdict:
     """Estimate size and power on independent substreams and test the envelope."""
-    return _run(power_envelope_plan(cov, body, u, theta, count, seed, z_threshold))
+    if not math.isfinite(theta) or theta <= 0.0:
+        raise DomainError(f"power check needs a finite theta > 0, got {theta!r}")
+    reports = ratio_bounds_grid(cov, body, u, (theta,))
+    _, (verdict,) = _run(power_envelope_plan(cov, body, u, reports, count, seed, z_threshold))
+    return verdict
 
 
 def power_envelope_plan(
-    cov: Covariance, body: ConvexBody, u: Direction, theta: float, count: int, seed: int,
-    z_threshold: float = Z_THRESHOLD,
+    cov: Covariance, body: ConvexBody, u: Direction, reports: Sequence[BoundReport],
+    count: int, seed: int, z_threshold: float = Z_THRESHOLD,
 ) -> Plan:
-    """The plan of :func:`verify_power_envelope`; its finisher evaluates the bound."""
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise DomainError(f"power check needs a finite theta > 0, got {theta!r}")
-    beta_plan = power_grid_plan(cov, body, u, (theta,), count, seed, SUBSTREAM_MAIN)
-    alpha_plan = power_grid_plan(cov, body, u, (0.0,), count, seed, SUBSTREAM_DENOM)
+    """The power check at the shift of each report: (size, verdicts).
 
-    def finish(beta_rows: list, alpha_rows: list) -> PowerVerdict:
-        report = ratio_bounds_set(cov, body, u, theta)
-        (beta,), (alpha,) = beta_plan.finish(beta_rows), alpha_plan.finish(alpha_rows)
-        return score_power_envelope(report, alpha, beta, z_threshold)
+    One MAIN pass at (0, *thetas) gives the estimated size and the power
+    at every report's theta, on common random numbers; one DENOM pass at
+    0, walked only when there are reports, gives the independent size
+    each verdict's envelope is scored against.
+    """
+    thetas = [report.t for report in reports]
+    main = power_grid_plan(cov, body, u, (0.0, *thetas), count, seed, SUBSTREAM_MAIN)
+    denom = power_grid_plan(cov, body, u, (0.0,), count, seed, SUBSTREAM_DENOM)
 
-    return Plan(beta_plan.walks + alpha_plan.walks, finish)
+    def finish(main_rows: list, *denom_rows: list) -> tuple[McEstimate, list[PowerVerdict]]:
+        size, *betas = main.finish(main_rows)
+        if not reports:
+            return size, []
+        (alpha,) = denom.finish(*denom_rows)
+        return size, [
+            score_power_envelope(report, alpha, beta, z_threshold)
+            for report, beta in zip(reports, betas)
+        ]
+
+    return Plan(main.walks + (denom.walks if reports else ()), finish)
 
 
 def score_power_envelope(

@@ -92,7 +92,6 @@ BALL_3_1_1 = 0.13229855416357617
 BALL_5_2_1 = 0.34718970217475014
 TRUNCATED_SLAB_CENTER_11 = 0.7227897522452308
 SLAB_ALPHA_A1 = 0.3173105078629141
-POWER_BETA_UPPER_2_005_INF = 0.8714314809252179
 
 
 @dataclass(frozen=True)
@@ -636,8 +635,8 @@ def suite_power(
         cov_i = identity_covariance(body.dim)
         u_i = Direction.from_vector(rng.standard_normal(body.dim))
         plans.append(power_envelope_plan(
-            cov_i, body, u_i, theta, count, seed * SEED_STRIDE + 1200 + i,
-            z_threshold=z_threshold,
+            cov_i, body, u_i, (ratio_bounds_set(cov_i, body, u_i, theta),), count,
+            seed * SEED_STRIDE + 1200 + i, z_threshold=z_threshold,
         ))
 
     worst_chain = math.inf
@@ -660,7 +659,7 @@ def suite_power(
             "power_envelope_chain", worst_chain >= -1e-12, worst_chain, "analytic",
             tolerance=1e-12,
         ))
-        for (tag, _, theta), verdict in zip(extra, verdicts):
+        for (tag, _, theta), (_, (verdict,)) in zip(extra, verdicts):
             results.append(_result(
                 f"power_estimated_alpha_{tag}", verdict.passed,
                 min(verdict.lower_z, verdict.upper_z), "monte_carlo",

@@ -210,6 +210,17 @@ class TestRatioBoundsGrid:
     def test_empty_grid(self):
         with pytest.raises(DomainError):
             ratio_bounds_grid(DENSE3, POLYTOPE3, Direction.axis(3), ())
+        with pytest.raises(DomainError):
+            ratio_bounds_grid(DENSE3, POLYTOPE3, Direction.axis(3), np.array([]))
+
+    @pytest.mark.parametrize(
+        "grid", [np.array([0.0]), np.linspace(0.0, 2.0, 5)], ids=["one", "five"]
+    )
+    def test_array_grid_matches_a_list(self, grid):
+        u = Direction.from_vector(np.array([0.5, 1.0, -1.0]))
+        got = ratio_bounds_grid(DENSE3, POLYTOPE3, u, grid)
+        want = ratio_bounds_grid(DENSE3, POLYTOPE3, u, grid.tolist())
+        assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
 
 
 class TestLayered:

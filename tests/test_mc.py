@@ -10,6 +10,7 @@ import queue
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,13 @@ from shiftbounds import (
     estimate_shift_prob,
     identity_covariance,
     oracle_slab,
+    ratio_bounds_grid,
     ratio_bounds_set,
     verify_derivative_identity,
     verify_power_envelope,
     verify_sandwich,
 )
-from shiftbounds.cli import cmd_verify
+from shiftbounds.cli import cmd_power, cmd_verify
 from shiftbounds.config import parse_run_config
 from shiftbounds.mc import (
     CHUNK_SIZE,
@@ -157,7 +159,7 @@ def _wide_grid_case(name, dim):
     return cov, bodies[name], u
 
 def _count_draws(monkeypatch):
-    """Record the index of every chunk drawn, on a sampler pool of the test's own."""
+    """Record the index of every chunk drawn; a run waits for its draws when it ends."""
     draws = []
     draw = mc._normal_chunk
 
@@ -166,14 +168,7 @@ def _count_draws(monkeypatch):
         return draw(seed, substream, index, out)
 
     monkeypatch.setattr(mc, "_normal_chunk", counting)
-    monkeypatch.setattr(mc, "_pool", mc._new_pool())
     return draws
-
-
-def _drawn(draws):
-    """The number of chunks drawn, once every draw the pool started has ended."""
-    mc._pool.shutdown(wait=True)
-    return len(draws)
 
 
 def _hex_fields(result):
@@ -255,12 +250,15 @@ class TestStreams:
         # chunks in flight: the next three are still queued when the run is
         # dropped after its first chunk, and must never be drawn.  The
         # multi-plan run drops its second, 153-chunk check when the first,
-        # one-chunk check's finisher raises.
+        # one-chunk check's finisher raises.  Closing the run waits for the
+        # held draw, so a timer releases it.
         draws = _count_draws(monkeypatch)
-        monkeypatch.setattr(mc, "SAMPLER_WORKERS", 1)
-        monkeypatch.setattr(mc, "_pool", mc._new_pool())
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 4)
+        monkeypatch.setattr(
+            mc, "ThreadPoolExecutor", lambda workers, **kw: ThreadPoolExecutor(1, **kw)
+        )
         release = threading.Event()
+        timer = threading.Timer(0.5, release.set)
         draw = mc._normal_chunk
 
         def held(seed, substream, index, out):
@@ -281,6 +279,7 @@ class TestStreams:
         def count_rows(z, inside):
             return np.array([len(z)])
 
+        timer.start()
         try:
             if abandon == "probe":
                 assert next(standard_normal_chunks(2, count, seed=3)).shape == (CHUNK_SIZE, 2)
@@ -297,8 +296,43 @@ class TestStreams:
                     list(mc.run_plans(plans))
         finally:
             release.set()
-        assert _drawn(draws) <= 2
+            timer.cancel()
+        assert len(draws) <= 2
         assert draws[0] == 0
+
+    @pytest.mark.parametrize(
+        "run", ["estimator", "read", "closed", "raising_finisher", "dropped_chunks"]
+    )
+    def test_no_sampler_thread_outlives_a_run(self, run):
+        count = 3 * CHUNK_SIZE
+
+        def count_rows(z, inside):
+            return np.array([len(z)])
+
+        def plan(finish=lambda totals: totals):
+            walk = mc.Walk(COV2, UNIT_SLAB, E1, (0.0,), count, 5, SUBSTREAM_MAIN, count_rows)
+            return mc.Plan((walk,), finish)
+
+        def failing(*args):
+            raise ArithmeticError("finisher failed")
+
+        if run == "estimator":
+            estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, count, seed=7)
+        elif run == "read":
+            list(mc.run_plans([plan(), plan()]))
+        elif run == "closed":
+            results = mc.run_plans([plan(), plan()])
+            next(results)
+            results.close()
+        elif run == "raising_finisher":
+            with pytest.raises(ArithmeticError):
+                list(mc.run_plans([plan(failing), plan()]))
+        else:
+            chunks = standard_normal_chunks(2, count, seed=7)
+            next(chunks)
+            del chunks
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith("shiftbounds-sampler")]
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
@@ -356,7 +390,7 @@ class TestStreams:
         stream = {"count": 1000, "seed": 1, "substream": SUBSTREAM_MAIN, **bad}
         with pytest.raises(DomainError):
             STREAM_CALLS[estimator](**stream)
-        assert _drawn(draws) == 0
+        assert len(draws) == 0
 
 
 class TestDeterminism:
@@ -489,7 +523,6 @@ class TestDeterminism:
             runs = []
             for workers in (1, 2, 4):
                 monkeypatch.setattr(mc, "SAMPLER_WORKERS", workers)
-                monkeypatch.setattr(mc, "_pool", mc._new_pool())
                 runs.append(bits(count))
             assert all(run == runs[0] for run in runs)
 
@@ -550,6 +583,16 @@ class TestDeterminism:
     def test_power_grid_needs_a_theta(self):
         with pytest.raises(DomainError):
             estimate_power_grid(COV2, UNIT_SLAB, E1, [], 1000, seed=1)
+        with pytest.raises(DomainError):
+            estimate_power_grid(COV2, UNIT_SLAB, E1, np.array([]), 1000, seed=1)
+
+    @pytest.mark.parametrize(
+        "grid", [np.array([0.0]), np.linspace(0.0, 2.0, 5)], ids=["one", "five"]
+    )
+    def test_power_grid_takes_an_array(self, grid):
+        got = estimate_power_grid(COV2, UNIT_SLAB, E1, grid, 1000, seed=1)
+        want = estimate_power_grid(COV2, UNIT_SLAB, E1, grid.tolist(), 1000, seed=1)
+        assert [_hex_fields(e) for e in got] == [_hex_fields(e) for e in want]
 
     def test_golden_derivative_check(self):
         u = Direction.from_vector(np.array([1.0, 2.0]))
@@ -628,7 +671,10 @@ class TestWalker:
             mc.conditional_plan(ball, U3, 0.8, n, seed=7),
             mc.derivative_plan(CROSSING, U3, 0.8, n, seed=9),
             mc.sandwich_plan(DENSE3, CROSSING, U3, 1.5, n, seed=11),
-            mc.power_envelope_plan(DENSE3, polytope, U3, 1.2, n, seed=13),
+            mc.power_envelope_plan(
+                DENSE3, polytope, U3, ratio_bounds_grid(DENSE3, polytope, U3, (1.2,)), n,
+                seed=13,
+            ),
         ]
         singles = [
             verify_sandwich(DENSE3, ball, U3, 0.8, n, seed=3),
@@ -638,7 +684,8 @@ class TestWalker:
             verify_sandwich(DENSE3, CROSSING, U3, 1.5, n, seed=11),
             verify_power_envelope(DENSE3, polytope, U3, 1.2, n, seed=13),
         ]
-        assert [_hex_tree(r) for r in mc.run_plans(plans)] == [_hex_tree(r) for r in singles]
+        *results, (_, (verdict,)) = mc.run_plans(plans)
+        assert [_hex_tree(r) for r in [*results, verdict]] == [_hex_tree(r) for r in singles]
 
     @pytest.mark.parametrize("suite", sorted(SUITE_WALKS))
     def test_suite_draws_exactly_the_chunks_it_reads(self, monkeypatch, suite):
@@ -650,7 +697,26 @@ class TestWalker:
         )
         cmd_verify(cfg)
         walks = SUITE_WALKS[suite]
-        assert _drawn(draws) == 2 * walks
+        assert len(draws) == 2 * walks
+        assert sorted(draws) == [0] * walks + [1] * walks
+
+
+    @pytest.mark.parametrize(
+        "config, walks",
+        [
+            ({"theta_grid": [0.0, 1.0, 0.5], "mc": {"samples": CHUNK_SIZE + 1}}, 2),
+            ({"theta_grid": [0.0], "mc": {"samples": CHUNK_SIZE + 1}}, 1),
+            ({"theta_grid": [0.0, 1.0], "alpha": 0.05}, 0),
+        ],
+        ids=["theta_grid", "size_only", "alpha_only"],
+    )
+    def test_power_draws_exactly_the_chunks_it_reads(self, monkeypatch, config, walks):
+        # MAIN (the size and every power) and, with a theta > 0 to check,
+        # DENOM (the verdicts' size): two chunks per walk.
+        draws = _count_draws(monkeypatch)
+        body = {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 2.0}
+        cmd_power(parse_run_config({"dim": 2, "u": [1.0, 0.0], "body": body, **config}))
+        assert len(draws) == 2 * walks
         assert sorted(draws) == [0] * walks + [1] * walks
 
 
