@@ -72,20 +72,22 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
     _require(cfg, "power", "u", "body", "theta_grid")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
-    # One support evaluation serves every theta's envelope and verdict.
-    bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, cfg.theta_grid)
-    checked = [bound for bound in bound_reports if bound.t > 0.0] if cfg.mc else []
+    # One support evaluation serves the size and every theta's envelope and verdict.
+    zero, *bound_reports = ratio_bounds_grid(cfg.cov, cfg.body, cfg.u, (0.0, *cfg.theta_grid))
+    # The power check walks theta 0 only when the size is estimated, and
+    # each theta > 0 only when it is checked.
+    walked = [zero] if cfg.alpha is None else []
+    walked += [bound for bound in bound_reports if bound.t > 0.0] if cfg.mc else []
     verdicts = []
-    # The power check gives the estimated size and a verdict per theta > 0;
-    # it samples only when one of them is read.
-    if checked or cfg.alpha is None:
+    if walked:
         plan = power_envelope_plan(
-            cfg.cov, cfg.body, cfg.u, checked, cfg.mc.samples, cfg.mc.seed, cfg.mc.z_threshold
+            cfg.cov, cfg.body, cfg.u, walked, cfg.mc.samples, cfg.mc.seed, cfg.mc.z_threshold
         )
-        ((size, verdicts),) = run_plans((plan,))
+        ((powers, verdicts),) = run_plans((plan,))
     records = []
     alpha = cfg.alpha
     if alpha is None:
+        size = powers[0]
         alpha = size.value
         if not 0.0 < alpha < 1.0:
             raise ConfigError(
@@ -131,12 +133,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     samples = cfg.mc.samples if cfg.mc is not None else None
     seed = cfg.mc.seed if cfg.mc is not None else 0
     z_threshold = cfg.mc.z_threshold if cfg.mc is not None else Z_THRESHOLD
-    results = suite_fn(
-        samples=samples,
-        seed=seed,
-        z_threshold=z_threshold,
-        upper_scale=cfg.fault_upper_scale,
-    )
+    # Only the sandwich suite takes a fault scale, and only when one is asked for.
+    fault = {} if cfg.fault_upper_scale == 1.0 else {"upper_scale": cfg.fault_upper_scale}
+    results = suite_fn(samples=samples, seed=seed, z_threshold=z_threshold, **fault)
     records = [
         {
             "provenance": r.provenance,

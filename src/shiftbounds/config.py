@@ -39,7 +39,6 @@ class RunConfig:
     """A parsed, validated run configuration (all commands share it)."""
 
     raw: dict
-    dim: int
     cov: Covariance
     u: Direction | None
     body: ConvexBody | None
@@ -115,6 +114,8 @@ def parse_run_config(raw: object) -> RunConfig:
             )
 
     fault = _positive_finite(raw.get("fault_upper_scale", 1.0), "fault_upper_scale")
+    if fault != 1.0 and suite != "sandwich":
+        raise ConfigError(f"fault_upper_scale: only the sandwich suite reads it, got {fault!r}")
 
     directions = None
     if "directions" in raw:
@@ -131,7 +132,6 @@ def parse_run_config(raw: object) -> RunConfig:
 
     return RunConfig(
         raw=raw,
-        dim=dim,
         cov=cov,
         u=u,
         body=body,

@@ -25,8 +25,8 @@ the public estimators are one-plan runs.  Since a chunk's bits depend
 only on its coordinates, and every reduction stays on the calling
 thread in chunk order, a check run among others has the bits of a check
 run alone.  The power check of a grid, for the library and the CLI
-alike, is one plan (:func:`power_envelope_plan`): the estimated size and
-a verdict per theta.
+alike, is one plan (:func:`power_envelope_plan`): the power at each
+theta it is given (at 0, the estimated size) and a verdict per theta > 0.
 
 All five estimators run on one walk over the chunks (:func:`_accumulate`):
 it tests each (shift, layer) pair once per row, in blocks of BLOCK_ROWS
@@ -48,9 +48,11 @@ Verdicts score bound violations in numerator units:
 
 so a *negative* z means the estimate crossed the bound by |z| combined
 standard errors.  Numerator and denominator always come from
-independent substreams.  Every Monte Carlo z of the package, and its
-verdict, comes from :func:`score_interval` or :func:`score_agreement`;
-at stderr 0 a z is 0 without slack and +-inf otherwise.
+independent substreams.  Every z of the sandwich, power, oracle and
+conditional checks comes from :func:`score_interval` or
+:func:`score_agreement`; at stderr 0 a z is 0 without slack and +-inf
+otherwise.  The derivative check's verdicts compare its differences
+with z_threshold stderrs directly (:class:`DerivativeCheck`).
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ Z_THRESHOLD = 4.0
 MIN_CONDITIONAL_HITS = 100
 MIN_DENOMINATOR_HITS = 10
 
-# Allowance for the O(step^2) bias of the derivative check's central difference.
+# The derivative check's central-difference step and the allowance for its O(step^2) bias.
+DERIVATIVE_STEP = 1e-2
 DERIVATIVE_ALLOWANCE = 1e-3
 
 _SUBSTREAM_SHIFT = 48
@@ -631,23 +634,24 @@ def verify_sandwich(
     count: int,
     seed: int,
     z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
 ) -> SandwichVerdict:
     """Estimate the shifted/centered ratio and test it against the sandwich.
 
     Numerator (shift t) and denominator (shift 0) use independent
-    substreams.  `upper_scale` is a fault-injection hook for the
-    verification suite (scales the upper bound only in the test, never
-    in the report); leave it at 1.0 for real checks.
+    substreams.
     """
-    return _run(sandwich_plan(cov, target, u, t, count, seed, z_threshold, upper_scale))
+    return _run(sandwich_plan(cov, target, u, t, count, seed, z_threshold))
 
 
 def sandwich_plan(
     cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction, t: float,
     count: int, seed: int, z_threshold: float = Z_THRESHOLD, upper_scale: float = 1.0,
 ) -> Plan:
-    """The plan of :func:`verify_sandwich`; its finisher evaluates the bound."""
+    """The plan of :func:`verify_sandwich`; its finisher evaluates the bound.
+
+    `upper_scale`, the sandwich suite's fault-injection hook, scales the
+    upper bound in the test only, never in the report.
+    """
     num_plan = layered_plan(cov, target, u, t, count, seed, SUBSTREAM_MAIN)
     den_plan = layered_plan(cov, target, u, 0.0, count, seed, SUBSTREAM_DENOM)
 
@@ -730,32 +734,30 @@ def verify_derivative_identity(
     t: float,
     count: int,
     seed: int,
-    step: float = 1e-2,
     substream: int = SUBSTREAM_MAIN,
     z_threshold: float = Z_THRESHOLD,
 ) -> DerivativeCheck:
     """Check d/dt E w(Z - t u) = -E <u, Z> w(Z - t u) for standard Z.
 
-    Central difference with the given step vs the direct estimator, on
-    common random numbers; `tolerance` = z_threshold * sigma_diff +
-    DERIVATIVE_ALLOWANCE, which absorbs the O(step^2) discretization
-    bias.  Also checks both estimates against the analytic decay floor
-    (:func:`derivative_floor` for the identity covariance), each within
-    z_threshold of its own stderr.
+    Central difference with step DERIVATIVE_STEP vs the direct
+    estimator, on common random numbers; `tolerance` = z_threshold *
+    sigma_diff + DERIVATIVE_ALLOWANCE, which absorbs the O(step^2)
+    discretization bias.  Also checks both estimates against the
+    analytic decay floor (:func:`derivative_floor` for the identity
+    covariance), each within z_threshold of its own stderr.
     """
-    return _run(derivative_plan(weight, u, t, count, seed, step, substream, z_threshold))
+    return _run(derivative_plan(weight, u, t, count, seed, substream, z_threshold))
 
 
 def derivative_plan(
     weight: LayeredUnimodal | ConvexBody, u: Direction, t: float, count: int, seed: int,
-    step: float = 1e-2, substream: int = SUBSTREAM_MAIN, z_threshold: float = Z_THRESHOLD,
+    substream: int = SUBSTREAM_MAIN, z_threshold: float = Z_THRESHOLD,
 ) -> Plan:
     """The plan of :func:`verify_derivative_identity`."""
     w = as_layered(weight)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"derivative check needs a finite t > 0, got {t!r}")
-    if not 0.0 < step < t:
-        raise DomainError(f"step must lie in (0, t), got {step!r}")
+    step = DERIVATIVE_STEP
+    if not math.isfinite(t) or t <= step:
+        raise DomainError(f"derivative check needs a finite t > {step}, got {t!r}")
     inv_2h = 0.5 / step
 
     def sums(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -785,7 +787,7 @@ def derivative_plan(
         )
         return DerivativeCheck(
             t=float(t),
-            step=float(step),
+            step=step,
             fd_estimate=fd_mean,
             fd_stderr=fd_se,
             direct_estimate=dir_mean,
@@ -841,28 +843,31 @@ def power_envelope_plan(
     cov: Covariance, body: ConvexBody, u: Direction, reports: Sequence[BoundReport],
     count: int, seed: int, z_threshold: float = Z_THRESHOLD,
 ) -> Plan:
-    """The power check at the shift of each report: (size, verdicts).
+    """The power check at the shift of each report: (powers, verdicts).
 
-    One MAIN pass at (0, *thetas) gives the estimated size and the power
-    at every report's theta, on common random numbers; one DENOM pass at
-    0, walked only when there are reports, gives the independent size
-    each verdict's envelope is scored against.
+    One MAIN pass at the reports' thetas gives each power (at theta 0, the
+    estimated size) on common random numbers; one DENOM pass at 0, walked
+    only when a theta is > 0, gives the independent size against which
+    each theta > 0 gets one verdict, in order.
     """
-    thetas = [report.t for report in reports]
-    main = power_grid_plan(cov, body, u, (0.0, *thetas), count, seed, SUBSTREAM_MAIN)
+    main = power_grid_plan(
+        cov, body, u, [report.t for report in reports], count, seed, SUBSTREAM_MAIN
+    )
     denom = power_grid_plan(cov, body, u, (0.0,), count, seed, SUBSTREAM_DENOM)
+    checked = any(report.t > 0.0 for report in reports)
 
-    def finish(main_rows: list, *denom_rows: list) -> tuple[McEstimate, list[PowerVerdict]]:
-        size, *betas = main.finish(main_rows)
-        if not reports:
-            return size, []
+    def finish(main_rows: list, *denom_rows: list) -> tuple[list[McEstimate], list[PowerVerdict]]:
+        powers = main.finish(main_rows)
+        if not checked:
+            return powers, []
         (alpha,) = denom.finish(*denom_rows)
-        return size, [
+        return powers, [
             score_power_envelope(report, alpha, beta, z_threshold)
-            for report, beta in zip(reports, betas)
+            for report, beta in zip(reports, powers)
+            if report.t > 0.0
         ]
 
-    return Plan(main.walks + (denom.walks if reports else ()), finish)
+    return Plan(main.walks + (denom.walks if checked else ()), finish)
 
 
 def score_power_envelope(

@@ -18,9 +18,9 @@ every check does.  The six suites mirror the package layers:
 Sample counts default to the acceptance-grade values; pass a smaller
 `samples` for smoke runs.  `seed` drives both the configuration draws
 and the Monte Carlo streams, so a suite run is fully reproducible.
-`upper_scale` is the fault-injection hook: values below 1 shrink the
-upper bound handed to the sandwich verdicts and must make the suite
-fail (used to prove the machinery can detect violations).
+`suite_sandwich` alone takes `upper_scale`, the fault-injection hook:
+values below 1 shrink the upper bound of its verdicts and must make
+the suite fail, which proves the machinery can detect violations.
 """
 
 from __future__ import annotations
@@ -150,10 +150,9 @@ def suite_kernels(
     samples: int | None = None,
     seed: int = 0,
     z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
 ) -> list[CheckResult]:
-    """Analytic scalar battery; `samples` and `seed` are unused."""
-    del samples, seed, upper_scale
+    """Analytic scalar battery; `samples`, `seed` and `z_threshold` are unused."""
+    del samples, seed, z_threshold
     results = []
 
     cases = [
@@ -262,10 +261,8 @@ def suite_oracles(
     samples: int | None = None,
     seed: int = 0,
     z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Quadrature anchors and their Monte Carlo cross-checks."""
-    del upper_scale
     ball_samples = samples if samples is not None else 10_000_000
     slab_samples = samples if samples is not None else 1_000_000
     results = []
@@ -491,10 +488,8 @@ def suite_derivative(
     samples: int | None = None,
     seed: int = 0,
     z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Derivative identity and floor for slab and two-layer weights."""
-    del upper_scale
     count = samples if samples is not None else 1_000_000
     rng = np.random.default_rng(seed + 41)
     u2 = Direction.from_vector(rng.standard_normal(2))
@@ -538,10 +533,8 @@ def suite_conditional(
     samples: int | None = None,
     seed: int = 0,
     z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Conditional-center ceiling, slab closed form, log-derivative link."""
-    del upper_scale
     count = samples if samples is not None else 1_000_000
     rng = np.random.default_rng(seed + 53)
     results = []
@@ -610,10 +603,8 @@ def suite_power(
     samples: int | None = None,
     seed: int = 0,
     z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Power envelope: slab closed-form size plus estimated-size configs."""
-    del upper_scale
     count = samples if samples is not None else 1_000_000
     results = []
     cov = identity_covariance(2)

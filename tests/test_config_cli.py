@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shiftbounds import (
-    ConfigError, Direction, body_from_dict, build_covariance, lp, mahalanobis_norm,
+    ConfigError, Direction, body_from_dict, build_covariance, lp, mahalanobis_norm, suites,
 )
 from shiftbounds.cli import main
 from shiftbounds.config import encode_report, jsonable, parse_run_config
@@ -86,7 +86,7 @@ HUGE_FIELDS = {
 class TestParseRunConfig:
     def test_minimal(self):
         cfg = parse_run_config(minimal())
-        assert cfg.dim == 2
+        assert cfg.cov.dim == 2
         assert cfg.cov.is_identity
         assert cfg.u is None and cfg.body is None and cfg.layers is None
         assert cfg.fault_upper_scale == 1.0
@@ -239,6 +239,22 @@ class TestParseRunConfig:
         # Without a suite the seed feeds one stream directly.
         assert parse_run_config(minimal(mc={"samples": 10, "seed": MAX_SEED + 1})).mc
 
+    def test_every_suite_runs_at_the_largest_seed(self, monkeypatch):
+        # MAX_SEED_OFFSET is kept by hand: it must be the largest offset a
+        # check adds to seed * SEED_STRIDE, and every suite must run at
+        # MAX_SEED without a stream seed past 2^64.
+        seeds = []
+        run_plans = suites.run_plans
+
+        def recording(plans):
+            seeds.extend(walk.seed for plan in plans for walk in plan.walks)
+            return run_plans(plans)
+
+        monkeypatch.setattr(suites, "run_plans", recording)
+        for name in ("oracles", "sandwich", "derivative", "conditional", "power"):
+            assert SUITES[name](samples=2000, seed=MAX_SEED), name
+        assert max(seeds) == MAX_SEED * suites.SEED_STRIDE + suites.MAX_SEED_OFFSET
+
     def test_suite_membership(self):
         assert parse_run_config(minimal(suite="kernels")).suite == "kernels"
         with pytest.raises(ConfigError, match="unknown suite"):
@@ -250,6 +266,15 @@ class TestParseRunConfig:
     def test_bad_fault_scale(self, scale):
         with pytest.raises(ConfigError, match="fault_upper_scale"):
             parse_run_config(minimal(fault_upper_scale=scale))
+
+    def test_fault_scale_only_with_the_sandwich_suite(self):
+        assert parse_run_config(minimal(suite="sandwich", fault_upper_scale=0.5)).suite
+        for suite in sorted(SUITES):
+            cfg = parse_run_config(minimal(suite=suite, fault_upper_scale=1.0))
+            assert cfg.fault_upper_scale == 1.0
+        for extra in ({"suite": "power"}, {}):
+            with pytest.raises(ConfigError, match="^fault_upper_scale: "):
+                parse_run_config(minimal(fault_upper_scale=0.5, **extra))
 
     def test_directions(self):
         cfg = parse_run_config(minimal(directions=[[3.0, -4.0], [1.0, 0.0]]))
@@ -842,6 +867,24 @@ class TestCliErrors:
         path.write_text(text)
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("verify", '{"dim": 1, "suite": "power", "fault_upper_scale": 0.5,'
+                       ' "mc": {"samples": 16384, "seed": 1}}'),
+            ("bounds", '{"dim": 1, "u": [1.0], "t_grid": [1.0], "fault_upper_scale": 0.5,'
+                       ' "body": {"kind": "lp_ball", "dim": 1, "p": 2.0, "radius": 1.0}}'),
+        ],
+        ids=["power_suite", "no_suite"],
+    )
+    def test_fault_scale_without_the_sandwich_suite(self, tmp_path, capsys, command, text):
+        # Only the sandwich verdicts read the scale, so every other use is refused.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("error: fault_upper_scale: ")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
     def test_integer_past_float_range_is_a_config_error(self, tmp_path, capsys, field):

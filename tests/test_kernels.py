@@ -6,6 +6,7 @@ implementation before the kernels were written, then rounded to double.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -134,7 +135,6 @@ class TestShiftRatio:
         # Each branch meets its documented accuracy at the switch point:
         # the cosh limit is good to ~(ta)^2/3 relative, the erfc quotient
         # to ~3e-16/a absolute (its denominator shrinks like a).
-        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
 
         def exact(t, a):

@@ -338,8 +338,8 @@ class TestStreams:
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
     def test_forked_child_samples_after_the_parent(self):
-        # The child inherits the parent's pool object but none of its
-        # threads; an estimate there must not wait on them.
+        # Each run makes a sampler pool of its own, so a child forked after
+        # the parent's run must finish its estimate, with the parent's bits.
         def estimate():
             return estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, GOLDEN_COUNT, seed=7)
 
@@ -821,7 +821,8 @@ class TestVerifySandwich:
     def test_fault_injection_is_detected(self):
         # Shrinking the upper bound must produce a detected violation;
         # this is the canary proving the verdict can fail at all.
-        verdict = verify_sandwich(COV2, UNIT_SLAB, E1, 1.0, 200000, seed=61, upper_scale=0.5)
+        plan = mc.sandwich_plan(COV2, UNIT_SLAB, E1, 1.0, 200000, seed=61, upper_scale=0.5)
+        (verdict,) = mc.run_plans((plan,))
         assert not verdict.passed
         assert verdict.upper_z < -4.0
         assert verdict.upper_scale == 0.5
@@ -861,10 +862,11 @@ class TestVerifyDerivative:
         assert not default.matches(wide.fd_estimate + 0.99 * margin)
 
     def test_step_domain(self):
+        # t must exceed the fixed step, so t - step stays a positive shift.
         with pytest.raises(DomainError):
-            verify_derivative_identity(UNIT_SLAB, E1, 0.5, 1000, seed=1, step=0.5)
+            verify_derivative_identity(UNIT_SLAB, E1, mc.DERIVATIVE_STEP, 1000, seed=1)
         with pytest.raises(DomainError):
-            verify_derivative_identity(UNIT_SLAB, E1, 0.5, 1000, seed=1, step=0.0)
+            verify_derivative_identity(UNIT_SLAB, E1, 0.005, 1000, seed=1)
         with pytest.raises(DomainError):
             verify_derivative_identity(UNIT_SLAB, E1, 0.0, 1000, seed=1)
         with pytest.raises(DomainError):

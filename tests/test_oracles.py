@@ -8,6 +8,7 @@ chi-square CDF.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -129,7 +130,6 @@ class TestOracleBall:
     def test_even_dimension_endpoint_regression(self):
         # dof = 1 puts a sqrt cusp at the x-endpoints; this configuration
         # used to exhaust the recursion depth before the sine substitution.
-        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
 
         def reference(radius, t):
