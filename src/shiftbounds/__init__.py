@@ -1,5 +1,5 @@
 """shiftbounds: sharp two-sided bounds for Gaussian measures of shifted
-origin-symmetric convex sets (and layered unimodal weights), with Monte
+origin-symmetric convex sets (and positive mixtures of them), with Monte
 Carlo and quadrature verification.
 
 The core inequality: for X ~ N(0, Sigma), a symmetric convex body A, a
@@ -22,10 +22,8 @@ from .bodies import (
     LpBall,
     Slab,
     SupportValue,
-    SymmetryReport,
     body_from_dict,
     transform,
-    validate_symmetry,
 )
 from .bounds import (
     BoundReport,
@@ -122,7 +120,6 @@ __all__ = [
     "Slab",
     "SlabMass",
     "SupportValue",
-    "SymmetryReport",
     "adaptive_simpson",
     "as_layered",
     "body_from_dict",
@@ -154,7 +151,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "transform",
-    "validate_symmetry",
     "verify_derivative_identity",
     "verify_power_envelope",
     "verify_sandwich",

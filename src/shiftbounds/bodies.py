@@ -25,9 +25,9 @@ evaluation overflows.
 Linear images L(A) delegate everything through L: membership via
 L^{-1} x, support via delta*(v | L A) = delta*(L^T v | A).
 
-All bodies assume symmetry about the origin (the bound theory needs
-it); :func:`validate_symmetry` spot-checks membership symmetry and
-midpoint convexity with seeded random probes.
+Every body the grammar builds is symmetric about the origin and convex
+by construction, as the bound theory needs; a layered weight is any
+positive mixture of such bodies.
 """
 
 from __future__ import annotations
@@ -519,21 +519,7 @@ def transform(body: ConvexBody, matrix: np.ndarray) -> ConvexBody:
     return LinearImage(body, matrix)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of randomized symmetry/convexity probing."""
-
-    probes: int
-    members: int
-    scale: float
-    symmetry_violations: int
-    convexity_violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetry_violations == 0 and self.convexity_violations == 0
-
-
+# The benchmark tracer (perfbench/tracing.py) wraps probe_scale by name and is its only reader.
 def probe_scale(body: ConvexBody, rng: np.random.Generator) -> float:
     """A length scale for probing: median finite support over random directions."""
     finite: list[float] = []
@@ -548,37 +534,6 @@ def probe_scale(body: ConvexBody, rng: np.random.Generator) -> float:
     if not finite:
         return 1.0
     return float(min(max(np.median(finite), 1e-6), 1e6))
-
-
-def validate_symmetry(body: ConvexBody, probes: int = 4096, seed: int = 0) -> SymmetryReport:
-    """Probe membership symmetry (x in A iff -x in A) and midpoint convexity.
-
-    Draws `probes` Gaussian points at the body's own scale; any violation
-    indicates a body that breaks the origin-symmetry contract (the bound
-    theory is only valid for symmetric convex sets).
-    """
-    if probes < 2:
-        raise DomainError("validate_symmetry needs at least 2 probes")
-    rng = np.random.default_rng(seed)
-    scale = probe_scale(body, rng)
-    pts = rng.standard_normal((probes, body.dim)) * scale
-    inside = body.contains_batch(pts)
-    inside_neg = body.contains_batch(-pts)
-    symmetry_violations = int(np.sum(inside != inside_neg))
-    members = pts[inside]
-    half = members.shape[0] // 2
-    if half > 0:
-        mids = 0.5 * (members[:half] + members[half : 2 * half])
-        convexity_violations = int(np.sum(~body.contains_batch(mids)))
-    else:
-        convexity_violations = 0
-    return SymmetryReport(
-        probes=probes,
-        members=int(members.shape[0]),
-        scale=scale,
-        symmetry_violations=symmetry_violations,
-        convexity_violations=convexity_violations,
-    )
 
 
 def body_from_dict(data: object, path: str = "body") -> ConvexBody:

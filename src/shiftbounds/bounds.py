@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import ConvexBody, LinearImage, Slab, probe_scale
+from .bodies import ConvexBody, LinearImage, Slab
 from .errors import DomainError, NumericError, ShapeError
 from .kernels import shift_ratio
 from .linalg import Covariance, Direction, mahalanobis_norm
@@ -41,9 +41,6 @@ from .linalg import Covariance, Direction, mahalanobis_norm
 # Slack allowed before declaring the analytic chain lower <= upper <= 1
 # broken; violations beyond this indicate a bug, not roundoff.
 CHAIN_SLACK = 1e-12
-
-# Membership probes per adjacent pair of layers in build_layered.
-_NESTING_PROBES = 4096
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,12 @@ class Layer:
 
 @dataclass(frozen=True)
 class LayeredUnimodal:
-    """w(x) = sum_k weight_k * indicator(body_k), bodies nested outermost first.
+    """w(x) = sum_k weight_k * indicator(body_k): any positive mixture.
 
-    Construct through :func:`build_layered`, which checks the nesting that
-    makes w unimodal.  The bounds do not rest on it: the shift exponent is
-    the largest over the layers, so they hold for any layers, and the raw
-    constructor checks only that the layers agree on dimension.
+    Nested layers make w unimodal, but the bounds do not need nesting:
+    they are linear in w and the shift exponent is the largest over the
+    layers.  The constructor checks only that the layers agree on
+    dimension.
     """
 
     layers: tuple[Layer, ...]
@@ -134,27 +131,8 @@ def as_layered(target: ConvexBody | LayeredUnimodal) -> LayeredUnimodal:
 
 
 def build_layered(layers: list[Layer] | tuple[Layer, ...]) -> LayeredUnimodal:
-    """Check the nesting (outermost first) and build the layered weight.
-
-    Nesting makes the weight unimodal.  Per adjacent pair, every random
-    probe landing in the inner body must lie in the outer one; an escape
-    raises DomainError.  The probing can miss a thin escape, but the
-    bounds do not depend on it (see :func:`shift_exponent`).
-    """
-    w = LayeredUnimodal(layers=tuple(layers))
-    rng = np.random.default_rng(0)
-    for k in range(len(w.layers) - 1):
-        outer = w.layers[k].body
-        inner = w.layers[k + 1].body
-        scale = probe_scale(inner, rng)
-        pts = rng.standard_normal((_NESTING_PROBES, w.dim)) * scale
-        in_inner = inner.contains_batch(pts)
-        if in_inner.any() and not outer.contains_batch(pts[in_inner]).all():
-            raise DomainError(
-                f"layers {k} and {k + 1} are not nested: a point of the inner "
-                "body escaped the outer body"
-            )
-    return w
+    """The layered weight of any positive mixture of symmetric convex bodies."""
+    return LayeredUnimodal(layers=tuple(layers))
 
 
 def shift_exponent(

@@ -184,10 +184,7 @@ def _parse_layers(raw: object, dim: int) -> LayeredUnimodal:
             parsed.append(Layer(weight, body))
         except ShiftBoundsError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
-    try:
-        return build_layered(parsed)
-    except ShiftBoundsError as exc:
-        raise ConfigError(f"layers: {exc}") from exc
+    return build_layered(parsed)
 
 
 def _parse_grid(raw: dict, key: str) -> tuple[float, ...] | None:

@@ -2,6 +2,7 @@
 weights, the power envelope, and the extremal slab construction."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from shiftbounds import (
     ShapeError,
     Slab,
     as_layered,
+    body_from_dict,
     build_covariance,
     build_layered,
     conditional_coordinate_ceiling,
@@ -37,6 +39,19 @@ from shiftbounds import (
     transform,
 )
 from shiftbounds.bounds import power_bounds
+from shiftbounds.cli import main
+from shiftbounds.mc import Z_THRESHOLD, verify_sandwich
+
+
+# Two ellipses with semi-axes (2, 1) and (1, 2): a mixture that is not nested.
+CROSSING_ELLIPSES_GRAMMAR = [
+    (1.0, {"kind": "ellipsoid", "matrix": [[0.25, 0.0], [0.0, 1.0]]}),
+    (0.5, {"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, 0.25]]}),
+]
+
+
+def crossing_ellipses():
+    return build_layered([Layer(w, body_from_dict(b)) for w, b in CROSSING_ELLIPSES_GRAMMAR])
 
 
 def random_spd_cov(rng, n, ridge=0.5):
@@ -181,7 +196,7 @@ class TestRatioBoundsGrid:
 
     def test_layered_grid_solves_only_the_layer_lps(self, monkeypatch):
         # Building and bounding a polytope around a ball needs the one
-        # support LP of the polytope: nesting is probed by membership only.
+        # support LP of the polytope.
         calls = []
         original = lp.simplex_max
 
@@ -334,24 +349,33 @@ class TestLayered:
         pts = np.array([[0.0, 0.0], [1.5, 0.0], [3.0, 0.0]])
         np.testing.assert_allclose(w.evaluate_batch(pts), [1.5, 1.0, 0.0])
 
-    def test_rejects_non_nested_layers(self):
-        with pytest.raises(DomainError, match="not nested"):
-            build_layered(
-                [
-                    Layer(1.0, LpBall(dim=2, p=2.0, radius=1.0)),
-                    Layer(0.5, LpBall(dim=2, p=2.0, radius=2.0)),
-                ]
-            )
+    def test_crossing_ellipses_run_on_the_cli(self, tmp_path):
+        # Neither ellipse contains the other: the bounds hold for any
+        # positive mixture, with the largest exponent over the layers.
+        config = tmp_path / "crossing.json"
+        config.write_text(json.dumps({
+            "dim": 2, "u": [0.0, 1.0], "t_grid": [0.5, 1.5],
+            "layers": [{"weight": w, "body": b} for w, b in CROSSING_ELLIPSES_GRAMMAR],
+        }))
+        out = tmp_path / "report.json"
+        assert main(["bounds", "--config", str(config), "--out", str(out)]) == 0
+        cov, u = identity_covariance(2), Direction.axis(2, 1)
+        largest = max(shift_exponent(cov, layer.body, u) for layer in crossing_ellipses().layers)
+        assert largest == (2.0, True)
+        records = json.loads(out.read_text())["records"]
+        assert [r["t"] for r in records] == [0.5, 1.5]
+        for record in records:
+            assert record["exponent_a"] == largest[0]
+            assert record["exactness"] == "exact"
 
-    def test_rejects_sideways_layers(self):
-        # Neither body contains the other; membership probing must notice.
-        with pytest.raises(DomainError, match="not nested"):
-            build_layered(
-                [
-                    Layer(1.0, Slab(normal=Direction.axis(2, 0), halfwidth=1.0)),
-                    Layer(1.0, Slab(normal=Direction.axis(2, 1), halfwidth=1.0)),
-                ]
-            )
+    @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense"])
+    @pytest.mark.parametrize("t", [0.5, 1.5])
+    def test_crossing_ellipses_pass_the_sandwich(self, dense, t):
+        cov = build_covariance([[1.0, 0.4], [0.4, 0.7]]) if dense else identity_covariance(2)
+        u = Direction.from_vector(np.array([0.6, 0.8]))
+        verdict = verify_sandwich(cov, crossing_ellipses(), u, t, 200_000, seed=5)
+        assert verdict.z_threshold == Z_THRESHOLD
+        assert verdict.passed
 
     def test_rejects_bad_weight(self):
         with pytest.raises(DomainError):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from shiftbounds import mc
+from shiftbounds import bounds, mc, suites
 from shiftbounds import (
     Direction,
     DomainError,
@@ -949,3 +949,62 @@ class TestVerifyPower:
         slab = Slab(normal=Direction.from_vector(np.array([0.0, 1.0])), halfwidth=1.0)
         far = estimate_power(COV2, slab, E1, 1e300, 20000, seed=3)
         assert far == estimate_power(COV2, slab, E1, 0.0, 20000, seed=3)
+
+
+def _scaled(fn, factor):
+    return lambda *args: factor * fn(*args)
+
+
+def _power_bounds_upper_at_lower(report, alpha):
+    lower, _ = bounds.power_bounds(report, alpha)
+    return lower, lower
+
+
+def _power_envelope_lower_at_upper(report, alpha):
+    envelope = bounds.power_envelope(report, alpha)
+    return dataclasses.replace(envelope, beta_lower=envelope.beta_upper)
+
+
+# Each bound the derivative, conditional and power suites score, patched
+# where the suite reads it, and the checks the patch must fail.  derivative_floor is negative, so
+# halving it raises the floor past the slab's true derivative.
+FAULT_PROBES = {
+    "derivative_floor_halved": (
+        "derivative", mc, "derivative_floor", _scaled(bounds.derivative_floor, 0.5),
+        ["derivative_slab_t0.5", "derivative_slab_t1.0"],
+    ),
+    "conditional_ceiling_halved": (
+        "conditional", suites, "conditional_coordinate_ceiling",
+        _scaled(bounds.conditional_coordinate_ceiling, 0.5),
+        ["conditional_ball_r15_far_t1.0", "conditional_ball_r15_t0.5",
+         "conditional_box_r12_t0.5", "conditional_slab_a1_t1.0"],
+    ),
+    "power_bounds_upper_at_lower": (
+        "power", mc, "power_bounds", _power_bounds_upper_at_lower,
+        ["power_estimated_alpha_ball", "power_estimated_alpha_box"],
+    ),
+    "power_envelope_lower_at_upper": (
+        "power", suites, "power_envelope", _power_envelope_lower_at_upper,
+        ["power_slab_theta0.5", "power_slab_theta1.0", "power_slab_theta2.0"],
+    ),
+}
+FAULT_PROBE_SAMPLES = 131_072
+
+
+def _failed_checks(suite: str) -> list[str]:
+    results = suites.SUITES[suite](samples=FAULT_PROBE_SAMPLES, seed=0)
+    return sorted(r.name for r in results if not r.passed)
+
+
+class TestSuiteFaultProbes:
+    """Each bound a suite scores can fail the suite: a wrong bound shows."""
+
+    @pytest.mark.parametrize("suite", ["conditional", "derivative", "power"])
+    def test_unpatched_suite_passes(self, suite):
+        assert _failed_checks(suite) == []
+
+    @pytest.mark.parametrize("probe", sorted(FAULT_PROBES))
+    def test_patched_bound_fails_exactly_its_checks(self, monkeypatch, probe):
+        suite, module, name, patched, expected = FAULT_PROBES[probe]
+        monkeypatch.setattr(module, name, patched)
+        assert _failed_checks(suite) == expected

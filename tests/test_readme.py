@@ -1,10 +1,12 @@
 """The README's library quick start and command-line configs run as
-written, so the documented API and grammar cannot drift from the package."""
+written, so the documented API and grammar cannot drift from the package;
+every name the package exports resolves."""
 
 import json
 import re
 from pathlib import Path
 
+import shiftbounds
 from shiftbounds.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +38,9 @@ def test_command_line_configs_run(tmp_path):
         codes.append(main([command, "--config", str(path),
                            "--out", str(tmp_path / f"{command}_report.json")]))
     assert codes == [0, 0, 1]
+
+
+def test_every_exported_name_resolves_once():
+    names = shiftbounds.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(shiftbounds, n)] == []
