@@ -22,7 +22,7 @@ from . import __version__
 from .bounds import BoundReport, power_envelope, ratio_bounds_grid
 from .config import RunConfig, encode_report, jsonable, parse_run_config
 from .errors import ConfigError, ShiftBoundsError
-from .mc import Z_THRESHOLD, power_envelope_plan, run_plans
+from .mc import power_envelope_plan, run_plans
 from .suites import SUITES
 
 
@@ -80,9 +80,7 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
     walked += [bound for bound in bound_reports if bound.t > 0.0] if cfg.mc else []
     verdicts = []
     if walked:
-        plan = power_envelope_plan(
-            cfg.cov, cfg.body, cfg.u, walked, cfg.mc.samples, cfg.mc.seed, cfg.mc.z_threshold
-        )
+        plan = power_envelope_plan(cfg.cov, cfg.body, cfg.u, walked, cfg.mc.samples, cfg.mc.seed)
         ((powers, verdicts),) = run_plans((plan,))
     records = []
     alpha = cfg.alpha
@@ -132,10 +130,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     suite_fn = SUITES[cfg.suite]
     samples = cfg.mc.samples if cfg.mc is not None else None
     seed = cfg.mc.seed if cfg.mc is not None else 0
-    z_threshold = cfg.mc.z_threshold if cfg.mc is not None else Z_THRESHOLD
     # Only the sandwich suite takes a fault scale, and only when one is asked for.
     fault = {} if cfg.fault_upper_scale == 1.0 else {"upper_scale": cfg.fault_upper_scale}
-    results = suite_fn(samples=samples, seed=seed, z_threshold=z_threshold, **fault)
+    results = suite_fn(samples=samples, seed=seed, **fault)
     records = [
         {
             "provenance": r.provenance,

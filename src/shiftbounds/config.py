@@ -21,17 +21,23 @@ from .bodies import ConvexBody, body_from_dict, json_array, json_int, json_numbe
 from .bounds import Layer, LayeredUnimodal, build_layered
 from .errors import ConfigError, ShiftBoundsError
 from .linalg import MAX_DIM, Covariance, Direction, build_covariance, identity_covariance
-from .mc import STREAM_CAPACITY, Z_THRESHOLD
+from .mc import STREAM_CAPACITY
 from .suites import MAX_SEED, SUITES
 
 _NORMALIZE_WARN_TOL = 1e-6
+
+# The top-level fields of the README grammar; any other key is refused.
+_FIELDS = frozenset({
+    "dim", "sigma", "u", "body", "layers", "t_grid", "theta_grid", "alpha", "mc", "suite",
+    "fault_upper_scale", "directions",
+})
+_MC_FIELDS = frozenset({"samples", "seed"})
 
 
 @dataclass(frozen=True)
 class McConfig:
     samples: int
     seed: int
-    z_threshold: float = Z_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,7 @@ def parse_run_config(raw: object) -> RunConfig:
     checked by the commands themselves (a config may serve several)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
+    _refuse_unknown(raw, _FIELDS, "")
     warnings: list[str] = []
 
     dim = json_int(raw.get("dim"), "dim", 1, MAX_DIM)
@@ -207,10 +214,17 @@ def _parse_mc(raw: object) -> McConfig | None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("mc: expected an object")
+    _refuse_unknown(raw, _MC_FIELDS, "mc.")
     samples = json_int(raw.get("samples"), "mc.samples", 1, STREAM_CAPACITY)
     seed = json_int(raw.get("seed", 0), "mc.seed", 0, (1 << 64) - 1)
-    z = _positive_finite(raw.get("z_threshold", Z_THRESHOLD), "mc.z_threshold")
-    return McConfig(samples=samples, seed=seed, z_threshold=z)
+    return McConfig(samples=samples, seed=seed)
+
+
+def _refuse_unknown(raw: dict, fields: frozenset, prefix: str) -> None:
+    """ConfigError naming the first key of `raw` outside `fields`."""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{prefix}{key}: unknown field")
 
 
 def _positive_finite(value: object, path: str) -> float:

@@ -55,21 +55,20 @@ def _as_square_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    # Entries near the float limit overflow m - m.T and m + m.T; the inf
-    # that results is refused here, by the asymmetry test or the finite
-    # check below, not raised as a warning or handed back.
+    # m is finite (see _as_square_matrix), but entries near the float limit
+    # overflow m - m.T and m + m.T.  An inf asymmetry is refused as one;
+    # where m + m.T overflows, the halves are added instead, which cannot
+    # overflow, and every other entry keeps the bits of 0.5 * (m + m.T).
     with np.errstate(over="ignore"):
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        if scale > 0.0 and asym > SYMMETRY_RTOL * scale:
+        scale = float(np.max(np.abs(m)))
+        asym = float(np.max(np.abs(m - m.T)))
+        if asym > SYMMETRY_RTOL * scale:
             raise ShapeError(
                 f"{what} is not symmetric (max asymmetry {asym:.3e} "
                 f"vs scale {scale:.3e})"
             )
         sym = 0.5 * (m + m.T)
-    if not np.all(np.isfinite(sym)):
-        raise ShapeError(f"{what} contains non-finite entries after symmetrizing")
-    return sym
+    return np.where(np.isfinite(sym), sym, 0.5 * m + 0.5 * m.T)
 
 
 def _sign(x: float) -> float:

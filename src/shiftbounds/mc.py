@@ -51,8 +51,9 @@ standard errors.  Numerator and denominator always come from
 independent substreams.  Every z of the sandwich, power, oracle and
 conditional checks comes from :func:`score_interval` or
 :func:`score_agreement`; at stderr 0 a z is 0 without slack and +-inf
-otherwise.  The derivative check's verdicts compare its differences
-with z_threshold stderrs directly (:class:`DerivativeCheck`).
+otherwise.  Every check compares at the one level Z_THRESHOLD; the
+derivative check's verdicts compare its differences with Z_THRESHOLD
+stderrs directly (:class:`DerivativeCheck`).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ SAMPLER_WORKERS = min(
 SUBSTREAM_MAIN = 0
 SUBSTREAM_DENOM = 1
 
-# The default z threshold of every verdict, in combined standard errors.
+# The one z threshold of every verdict, in combined standard errors.
 Z_THRESHOLD = 4.0
 
 MIN_CONDITIONAL_HITS = 100
@@ -579,7 +580,7 @@ class SandwichVerdict:
 
     `lower_z` / `upper_z` are the signed slacks of the two inequalities
     in combined-stderr units (negative = violated by that many sigmas);
-    the verdict passes when both exceed -z_threshold.
+    the verdict passes when both exceed -Z_THRESHOLD.
     """
 
     bounds: BoundReport
@@ -587,7 +588,6 @@ class SandwichVerdict:
     ratio_stderr: float
     lower_z: float
     upper_z: float
-    z_threshold: float
     passed: bool
     numerator: McEstimate
     denominator: McEstimate
@@ -604,26 +604,23 @@ def _slack_z(slack: float, sigma: float) -> float:
 
 
 def score_interval(
-    estimate: McEstimate, lower: float, lower_se: float, upper: float, upper_se: float,
-    z_threshold: float,
+    estimate: McEstimate, lower: float, lower_se: float, upper: float, upper_se: float
 ) -> tuple[float, float, bool]:
     """Score lower <= estimate <= upper: (lower_z, upper_z, passed).
 
     Each side's sigma is hypot(estimate stderr, that bound's own stderr),
     0 for a bound known exactly; the check passes when both z's are
-    >= -z_threshold.  An infinite bound never fails its side.
+    >= -Z_THRESHOLD.  An infinite bound never fails its side.
     """
     lower_z = _slack_z(estimate.value - lower, math.hypot(estimate.stderr, lower_se))
     upper_z = _slack_z(upper - estimate.value, math.hypot(estimate.stderr, upper_se))
-    return lower_z, upper_z, bool(lower_z >= -z_threshold and upper_z >= -z_threshold)
+    return lower_z, upper_z, bool(lower_z >= -Z_THRESHOLD and upper_z >= -Z_THRESHOLD)
 
 
-def score_agreement(
-    estimate: McEstimate, reference: float, z_threshold: float
-) -> tuple[float, bool]:
-    """Score estimate = reference: z = (value - reference) / stderr, |z| <= threshold."""
+def score_agreement(estimate: McEstimate, reference: float) -> tuple[float, bool]:
+    """Score estimate = reference: z = (value - reference) / stderr, |z| <= Z_THRESHOLD."""
     z = _slack_z(estimate.value - reference, estimate.stderr)
-    return z, abs(z) <= z_threshold
+    return z, abs(z) <= Z_THRESHOLD
 
 
 def verify_sandwich(
@@ -633,19 +630,18 @@ def verify_sandwich(
     t: float,
     count: int,
     seed: int,
-    z_threshold: float = Z_THRESHOLD,
 ) -> SandwichVerdict:
     """Estimate the shifted/centered ratio and test it against the sandwich.
 
     Numerator (shift t) and denominator (shift 0) use independent
     substreams.
     """
-    return _run(sandwich_plan(cov, target, u, t, count, seed, z_threshold))
+    return _run(sandwich_plan(cov, target, u, t, count, seed))
 
 
 def sandwich_plan(
     cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction, t: float,
-    count: int, seed: int, z_threshold: float = Z_THRESHOLD, upper_scale: float = 1.0,
+    count: int, seed: int, upper_scale: float = 1.0,
 ) -> Plan:
     """The plan of :func:`verify_sandwich`; its finisher evaluates the bound.
 
@@ -666,7 +662,7 @@ def sandwich_plan(
         upper = report.upper * upper_scale
         lower_z, upper_z, passed = score_interval(
             num, report.lower * den.value, report.lower * den.stderr,
-            upper * den.value, upper * den.stderr, z_threshold,
+            upper * den.value, upper * den.stderr,
         )
         ratio = num.value / den.value
         ratio_stderr = math.hypot(
@@ -678,7 +674,6 @@ def sandwich_plan(
             ratio_stderr=ratio_stderr,
             lower_z=lower_z,
             upper_z=upper_z,
-            z_threshold=z_threshold,
             passed=passed,
             numerator=num,
             denominator=den,
@@ -712,7 +707,6 @@ class DerivativeCheck:
     floor_value: float
     identity_ok: bool
     floor_ok: bool
-    z_threshold: float
     allowance: float
 
     @property
@@ -722,9 +716,9 @@ class DerivativeCheck:
     def matches(self, derivative: float) -> bool:
         """Whether the finite difference agrees with a known exact derivative.
 
-        The margin is z_threshold finite-difference stderrs plus the allowance.
+        The margin is Z_THRESHOLD finite-difference stderrs plus the allowance.
         """
-        margin = self.z_threshold * self.fd_stderr + self.allowance
+        margin = Z_THRESHOLD * self.fd_stderr + self.allowance
         return abs(self.fd_estimate - derivative) <= margin
 
 
@@ -735,23 +729,22 @@ def verify_derivative_identity(
     count: int,
     seed: int,
     substream: int = SUBSTREAM_MAIN,
-    z_threshold: float = Z_THRESHOLD,
 ) -> DerivativeCheck:
     """Check d/dt E w(Z - t u) = -E <u, Z> w(Z - t u) for standard Z.
 
     Central difference with step DERIVATIVE_STEP vs the direct
-    estimator, on common random numbers; `tolerance` = z_threshold *
+    estimator, on common random numbers; `tolerance` = Z_THRESHOLD *
     sigma_diff + DERIVATIVE_ALLOWANCE, which absorbs the O(step^2)
     discretization bias.  Also checks both estimates against the
     analytic decay floor (:func:`derivative_floor` for the identity
-    covariance), each within z_threshold of its own stderr.
+    covariance), each within Z_THRESHOLD of its own stderr.
     """
-    return _run(derivative_plan(weight, u, t, count, seed, substream, z_threshold))
+    return _run(derivative_plan(weight, u, t, count, seed, substream))
 
 
 def derivative_plan(
     weight: LayeredUnimodal | ConvexBody, u: Direction, t: float, count: int, seed: int,
-    substream: int = SUBSTREAM_MAIN, z_threshold: float = Z_THRESHOLD,
+    substream: int = SUBSTREAM_MAIN,
 ) -> Plan:
     """The plan of :func:`verify_derivative_identity`."""
     w = as_layered(weight)
@@ -779,11 +772,11 @@ def derivative_plan(
         dir_mean, dir_se = _plug_in(dir_s1, dir_s2, count)
         diff_mean, diff_se = _plug_in(diff_s1, diff_s2, count)
         expectation = mid_s1 / count
-        tolerance = z_threshold * diff_se + DERIVATIVE_ALLOWANCE
+        tolerance = Z_THRESHOLD * diff_se + DERIVATIVE_ALLOWANCE
         floor_value = derivative_floor(cov, u, t, expectation)
         identity_ok = abs(diff_mean) <= tolerance
-        floor_ok = (fd_mean >= floor_value - z_threshold * fd_se) and (
-            dir_mean >= floor_value - z_threshold * dir_se
+        floor_ok = (fd_mean >= floor_value - Z_THRESHOLD * fd_se) and (
+            dir_mean >= floor_value - Z_THRESHOLD * dir_se
         )
         return DerivativeCheck(
             t=float(t),
@@ -799,7 +792,6 @@ def derivative_plan(
             floor_value=floor_value,
             identity_ok=identity_ok,
             floor_ok=floor_ok,
-            z_threshold=z_threshold,
             allowance=DERIVATIVE_ALLOWANCE,
         )
 
@@ -818,7 +810,6 @@ class PowerVerdict:
     beta_upper: float
     lower_z: float
     upper_z: float
-    z_threshold: float
     passed: bool
 
 
@@ -829,19 +820,18 @@ def verify_power_envelope(
     theta: float,
     count: int,
     seed: int,
-    z_threshold: float = Z_THRESHOLD,
 ) -> PowerVerdict:
     """Estimate size and power on independent substreams and test the envelope."""
     if not math.isfinite(theta) or theta <= 0.0:
         raise DomainError(f"power check needs a finite theta > 0, got {theta!r}")
     reports = ratio_bounds_grid(cov, body, u, (theta,))
-    _, (verdict,) = _run(power_envelope_plan(cov, body, u, reports, count, seed, z_threshold))
+    _, (verdict,) = _run(power_envelope_plan(cov, body, u, reports, count, seed))
     return verdict
 
 
 def power_envelope_plan(
     cov: Covariance, body: ConvexBody, u: Direction, reports: Sequence[BoundReport],
-    count: int, seed: int, z_threshold: float = Z_THRESHOLD,
+    count: int, seed: int,
 ) -> Plan:
     """The power check at the shift of each report: (powers, verdicts).
 
@@ -862,7 +852,7 @@ def power_envelope_plan(
             return powers, []
         (alpha,) = denom.finish(*denom_rows)
         return powers, [
-            score_power_envelope(report, alpha, beta, z_threshold)
+            score_power_envelope(report, alpha, beta)
             for report, beta in zip(reports, powers)
             if report.t > 0.0
         ]
@@ -871,10 +861,7 @@ def power_envelope_plan(
 
 
 def score_power_envelope(
-    report: BoundReport,
-    alpha: McEstimate,
-    beta: McEstimate,
-    z_threshold: float,
+    report: BoundReport, alpha: McEstimate, beta: McEstimate
 ) -> PowerVerdict:
     """Test a power estimate against the envelope at the estimated size.
 
@@ -885,7 +872,7 @@ def score_power_envelope(
     beta_lower, beta_upper = power_bounds(report, alpha.value)
     lower_z, upper_z, passed = score_interval(
         beta, beta_lower, report.upper * alpha.stderr,
-        beta_upper, report.lower * alpha.stderr, z_threshold,
+        beta_upper, report.lower * alpha.stderr,
     )
     return PowerVerdict(
         theta=report.t,
@@ -895,6 +882,5 @@ def score_power_envelope(
         beta_upper=beta_upper,
         lower_z=lower_z,
         upper_z=upper_z,
-        z_threshold=z_threshold,
         passed=passed,
     )

@@ -10,9 +10,10 @@ paths:
   evaluated here with adaptive Simpson quadrature after the
   substitution x = R sin(theta) (see :func:`oracle_ball`).
 
-The quadrature enforces a minimum refinement depth so that sharply
-concentrated integrands (far shifts, masses ~1e-20) cannot be accepted
-from a deceptively flat coarse pass.
+The quadrature runs to one absolute tolerance (_ABS_TOL) and enforces a
+minimum refinement depth (_MIN_DEPTH) so that sharply concentrated
+integrands (far shifts, masses ~1e-20) cannot be accepted from a
+deceptively flat coarse pass; it gives up past _MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Callable
 from .errors import DomainError, NumericError
 from .kernels import regularized_gamma_p, slab_mass, std_normal_pdf
 
-_DEFAULT_ABS_TOL = 1e-10
-_DEFAULT_MIN_DEPTH = 6
+_ABS_TOL = 1e-10
+_MIN_DEPTH = 6
 _MAX_DEPTH = 50
 
 
@@ -44,32 +45,19 @@ def chi_square_cdf(dof: int, x: float) -> float:
     return regularized_gamma_p(0.5 * dof, 0.5 * x)
 
 
-def adaptive_simpson(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    abs_tol: float = _DEFAULT_ABS_TOL,
-    min_depth: int = _DEFAULT_MIN_DEPTH,
-    max_depth: int = _MAX_DEPTH,
-) -> float:
-    """Adaptive Simpson integral of fn over [lo, hi] to absolute tolerance.
+def adaptive_simpson(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Adaptive Simpson integral of fn over [lo, hi] to absolute tolerance _ABS_TOL.
 
-    Bisects until both the depth is at least `min_depth` and the local
-    Richardson error estimate passes; raises NumericError if `max_depth`
+    Bisects until both the depth is at least _MIN_DEPTH and the local
+    Richardson error estimate passes; raises NumericError if _MAX_DEPTH
     is hit before convergence.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"integration interval must be finite with lo < hi, got [{lo}, {hi}]")
-    if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
-        raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
-    if min_depth < 0 or max_depth < min_depth:
-        raise DomainError("need 0 <= min_depth <= max_depth")
     mid = 0.5 * (lo + hi)
     f_lo, f_mid, f_hi = fn(lo), fn(mid), fn(hi)
     whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    return _adapt(
-        fn, lo, hi, f_lo, f_mid, f_hi, whole, abs_tol, 0, min_depth, max_depth
-    )
+    return _adapt(fn, lo, hi, f_lo, f_mid, f_hi, whole, _ABS_TOL, 0)
 
 
 def _adapt(
@@ -82,8 +70,6 @@ def _adapt(
     whole: float,
     tol: float,
     depth: int,
-    min_depth: int,
-    max_depth: int,
 ) -> float:
     mid = 0.5 * (lo + hi)
     lq = 0.5 * (lo + mid)
@@ -93,18 +79,16 @@ def _adapt(
     left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lq + f_mid)
     right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rq + f_hi)
     delta = left + right - whole
-    if depth >= min_depth and abs(delta) <= 15.0 * tol:
+    if depth >= _MIN_DEPTH and abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
-    if depth >= max_depth:
+    if depth >= _MAX_DEPTH:
         raise NumericError(
             f"adaptive Simpson failed to converge on [{lo}, {hi}] "
             f"(residual {delta:.3e} at depth {depth})"
         )
     half_tol = 0.5 * tol
-    return _adapt(
-        fn, lo, mid, f_lo, f_lq, f_mid, left, half_tol, depth + 1, min_depth, max_depth
-    ) + _adapt(
-        fn, mid, hi, f_mid, f_rq, f_hi, right, half_tol, depth + 1, min_depth, max_depth
+    return _adapt(fn, lo, mid, f_lo, f_lq, f_mid, left, half_tol, depth + 1) + _adapt(
+        fn, mid, hi, f_mid, f_rq, f_hi, right, half_tol, depth + 1
     )
 
 

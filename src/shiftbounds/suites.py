@@ -18,6 +18,7 @@ every check does.  The six suites mirror the package layers:
 Sample counts default to the acceptance-grade values; pass a smaller
 `samples` for smoke runs.  `seed` drives both the configuration draws
 and the Monte Carlo streams, so a suite run is fully reproducible.
+Every Monte Carlo check compares at Z_THRESHOLD sigmas (see :mod:`.mc`).
 `suite_sandwich` alone takes `upper_scale`, the fault-injection hook:
 values below 1 shrink the upper bound of its verdicts and must make
 the suite fail, which proves the machinery can detect violations.
@@ -146,13 +147,9 @@ def _halfwidth_grid() -> list[float]:
     return [0.0, *np.logspace(-3.0, math.log10(50.0), 198).tolist(), math.inf]
 
 
-def suite_kernels(
-    samples: int | None = None,
-    seed: int = 0,
-    z_threshold: float = Z_THRESHOLD,
-) -> list[CheckResult]:
-    """Analytic scalar battery; `samples`, `seed` and `z_threshold` are unused."""
-    del samples, seed, z_threshold
+def suite_kernels(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
+    """Analytic scalar battery; `samples` and `seed` are unused."""
+    del samples, seed
     results = []
 
     cases = [
@@ -251,17 +248,14 @@ def _ball_n3_closed_form(radius: float, t: float) -> float:
     return g - tail
 
 
-def _ball_decay_rate(radius: float, t: float, h: float = 1e-3) -> float:
+def _ball_decay_rate(radius: float, t: float) -> float:
     """-(d/dt) ln gamma_3(t e + B_R) by a central difference of the ball oracle."""
+    h = 1e-3
     upper = math.log(oracles.oracle_ball(3, radius, t + h))
     return -(upper - math.log(oracles.oracle_ball(3, radius, t - h))) / (2.0 * h)
 
 
-def suite_oracles(
-    samples: int | None = None,
-    seed: int = 0,
-    z_threshold: float = Z_THRESHOLD,
-) -> list[CheckResult]:
+def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Quadrature anchors and their Monte Carlo cross-checks."""
     ball_samples = samples if samples is not None else 10_000_000
     slab_samples = samples if samples is not None else 1_000_000
@@ -333,7 +327,7 @@ def suite_oracles(
     with closing(run_plans(plans)) as estimates:
         for (n, radius, t), est in zip(balls, estimates):
             want = oracles.oracle_ball(n, radius, t)
-            z, passed = score_agreement(est, want, z_threshold)
+            z, passed = score_agreement(est, want)
             results.append(_result(
                 f"oracle_ball_mc_n{n}_r{int(radius)}_t{int(t)}", passed, z,
                 "monte_carlo",
@@ -342,7 +336,7 @@ def suite_oracles(
         worst_z = 0.0
         all_agree = True
         for (a, t), est in zip(slabs, estimates):
-            z, passed = score_agreement(est, oracles.oracle_slab(a, t), z_threshold)
+            z, passed = score_agreement(est, oracles.oracle_slab(a, t))
             worst_z = max(worst_z, abs(z))
             all_agree = all_agree and passed
     results.append(_result(
@@ -435,10 +429,7 @@ def sandwich_battery(seed: int = 0) -> list[SandwichConfig]:
 
 
 def suite_sandwich(
-    samples: int | None = None,
-    seed: int = 0,
-    z_threshold: float = Z_THRESHOLD,
-    upper_scale: float = 1.0,
+    samples: int | None = None, seed: int = 0, upper_scale: float = 1.0
 ) -> list[CheckResult]:
     """The 20-configuration battery plus the extremal equality cases."""
     count = samples if samples is not None else 1_000_000
@@ -446,7 +437,7 @@ def suite_sandwich(
     plans = [
         sandwich_plan(
             cfg.cov, cfg.body, cfg.u, cfg.t, count, seed * SEED_STRIDE + i,
-            z_threshold=z_threshold, upper_scale=upper_scale,
+            upper_scale=upper_scale,
         )
         for i, cfg in enumerate(battery)
     ]
@@ -457,7 +448,7 @@ def suite_sandwich(
         u = Direction.from_vector(rng.standard_normal(3))
         plans.append(sandwich_plan(
             cov, extremal_slab(cov, u, 1.0), u, 1.0, count, seed * SEED_STRIDE + 500 + j,
-            z_threshold=z_threshold, upper_scale=upper_scale,
+            upper_scale=upper_scale,
         ))
 
     results = []
@@ -474,7 +465,7 @@ def suite_sandwich(
         # The extremal slab must sit on the upper bound, so |upper_z| stays
         # within the threshold (two-sided).
         for tag, verdict in zip(("eye", "rnd"), verdicts):
-            passed = verdict.passed and abs(verdict.upper_z) <= z_threshold
+            passed = verdict.passed and abs(verdict.upper_z) <= Z_THRESHOLD
             results.append(_result(
                 f"sandwich_extremal_{tag}", passed, verdict.upper_z,
                 "monte_carlo",
@@ -484,11 +475,7 @@ def suite_sandwich(
     return results
 
 
-def suite_derivative(
-    samples: int | None = None,
-    seed: int = 0,
-    z_threshold: float = Z_THRESHOLD,
-) -> list[CheckResult]:
+def suite_derivative(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Derivative identity and floor for slab and two-layer weights."""
     count = samples if samples is not None else 1_000_000
     rng = np.random.default_rng(seed + 41)
@@ -500,8 +487,7 @@ def suite_derivative(
     ])
     checks = [
         (tag, t, derivative_plan(
-            weight, u2, t, count, seed * SEED_STRIDE + 700 + 10 * i + int(2 * t),
-            z_threshold=z_threshold,
+            weight, u2, t, count, seed * SEED_STRIDE + 700 + 10 * i + int(2 * t)
         ))
         for i, (tag, weight) in enumerate((("slab", slab_weight), ("two_layer", two_layer)))
         for t in (0.5, 1.0)
@@ -529,11 +515,7 @@ def suite_derivative(
     return results
 
 
-def suite_conditional(
-    samples: int | None = None,
-    seed: int = 0,
-    z_threshold: float = Z_THRESHOLD,
-) -> list[CheckResult]:
+def suite_conditional(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Conditional-center ceiling, slab closed form, log-derivative link."""
     count = samples if samples is not None else 1_000_000
     rng = np.random.default_rng(seed + 53)
@@ -578,20 +560,20 @@ def suite_conditional(
         for (tag, _, t), est in zip(pairs, estimates):
             # The center lies in (-inf, ceiling].
             _, z_slack, passed = score_interval(
-                est, -math.inf, 0.0, conditional_coordinate_ceiling(t), 0.0, z_threshold
+                est, -math.inf, 0.0, conditional_coordinate_ceiling(t), 0.0
             )
             passed = passed and est.hits >= 10_000
             details = {"center": est.value, "stderr": est.stderr, "hits": est.hits, "t": t,
                        "samples": count}
             if tag == "slab_a1" and t == 1.0:
-                _, agrees = score_agreement(est, TRUNCATED_SLAB_CENTER_11, z_threshold)
+                _, agrees = score_agreement(est, TRUNCATED_SLAB_CENTER_11)
                 passed = passed and agrees
                 details["closed_form"] = TRUNCATED_SLAB_CENTER_11
             results.append(_result(f"conditional_{tag}_t{t}", passed, z_slack, "monte_carlo",
                                    **details))
         rate = _ball_decay_rate(radius, t0)
         (est,) = estimates
-    z, passed = score_agreement(est, rate, z_threshold)
+    z, passed = score_agreement(est, rate)
     results.append(_result(
         "conditional_log_derivative_link", passed, z, "monte_carlo",
         oracle_rate=rate, center=est.value, stderr=est.stderr, hits=est.hits,
@@ -599,11 +581,7 @@ def suite_conditional(
     return results
 
 
-def suite_power(
-    samples: int | None = None,
-    seed: int = 0,
-    z_threshold: float = Z_THRESHOLD,
-) -> list[CheckResult]:
+def suite_power(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Power envelope: slab closed-form size plus estimated-size configs."""
     count = samples if samples is not None else 1_000_000
     results = []
@@ -627,7 +605,7 @@ def suite_power(
         u_i = Direction.from_vector(rng.standard_normal(body.dim))
         plans.append(power_envelope_plan(
             cov_i, body, u_i, (ratio_bounds_set(cov_i, body, u_i, theta),), count,
-            seed * SEED_STRIDE + 1200 + i, z_threshold=z_threshold,
+            seed * SEED_STRIDE + 1200 + i,
         ))
 
     worst_chain = math.inf
@@ -639,7 +617,7 @@ def suite_power(
             )
             # The size is exact here, so only the power's stderr counts.
             low_z, up_z, passed = score_interval(
-                est, report.beta_lower, 0.0, report.beta_upper, 0.0, z_threshold
+                est, report.beta_lower, 0.0, report.beta_upper, 0.0
             )
             results.append(_result(
                 f"power_slab_theta{theta}", passed, min(low_z, up_z), "monte_carlo",

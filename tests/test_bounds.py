@@ -40,7 +40,7 @@ from shiftbounds import (
 )
 from shiftbounds.bounds import power_bounds
 from shiftbounds.cli import main
-from shiftbounds.mc import Z_THRESHOLD, verify_sandwich
+from shiftbounds.mc import verify_sandwich
 
 
 # Two ellipses with semi-axes (2, 1) and (1, 2): a mixture that is not nested.
@@ -374,7 +374,6 @@ class TestLayered:
         cov = build_covariance([[1.0, 0.4], [0.4, 0.7]]) if dense else identity_covariance(2)
         u = Direction.from_vector(np.array([0.6, 0.8]))
         verdict = verify_sandwich(cov, crossing_ellipses(), u, t, 200_000, seed=5)
-        assert verdict.z_threshold == Z_THRESHOLD
         assert verdict.passed
 
     def test_rejects_bad_weight(self):

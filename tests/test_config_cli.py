@@ -203,9 +203,22 @@ class TestParseRunConfig:
     def test_mc_block(self):
         cfg = parse_run_config(minimal(mc={"samples": 1000}))
         assert cfg.mc.samples == 1000
-        assert cfg.mc.seed == 0 and cfg.mc.z_threshold == 4.0
-        full = parse_run_config(minimal(mc={"samples": 10, "seed": 7, "z_threshold": 5.0}))
-        assert (full.mc.seed, full.mc.z_threshold) == (7, 5.0)
+        assert cfg.mc.seed == 0
+        full = parse_run_config(minimal(mc={"samples": 10, "seed": 7}))
+        assert (full.mc.samples, full.mc.seed) == (10, 7)
+        # Every check compares at mc.Z_THRESHOLD; a threshold is no option.
+        with pytest.raises(ConfigError, match=r"^mc\.z_threshold: unknown field$"):
+            parse_run_config(minimal(mc={"samples": 10, "seed": 7, "z_threshold": 5.0}))
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [({"sead": 3}, "sead"), ({"fault_upper_scal": 0.5}, "fault_upper_scal"),
+         ({"mc": {"samples": 10, "sead": 3}}, "mc.sead")],
+        ids=["top_level", "fault_scale_typo", "mc"],
+    )
+    def test_unknown_field_is_named(self, extra, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$"):
+            parse_run_config(minimal(**extra))
 
     @pytest.mark.parametrize(
         "mc", [{}, {"samples": 0}, {"samples": 1.5}, {"samples": 10, "seed": -1},
@@ -843,8 +856,8 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "field, text",
         [
-            # Halving the upper bound must fail the run (exit 1); an
-            # infinite z threshold would pass every verdict instead.
+            # A z threshold is no option: every check compares at
+            # mc.Z_THRESHOLD, so the old field is refused by name.
             ("mc.z_threshold",
              '{"dim": 1, "suite": "sandwich", "fault_upper_scale": 0.5,'
              ' "mc": {"samples": 16384, "seed": 1, "z_threshold": 1e400}}'),
@@ -897,14 +910,15 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "sigma, reason",
         [
-            ({"kind": "diagonal", "entries": [1e308, 1e308]}, "non-finite entries"),
+            ({"kind": "diagonal", "entries": [1e308, 1.0]}, "not positive definite"),
             ({"kind": "dense", "matrix": [[1.0, 1e308], [-1e308, 1.0]]}, "not symmetric"),
         ],
         ids=["diagonal", "asymmetric"],
     )
     def test_sigma_near_float_limit_is_a_config_error(self, tmp_path, capsys, sigma, reason):
-        # Symmetrizing overflows here; that raised a RuntimeWarning, not a
-        # ConfigError naming sigma.
+        # Symmetrizing overflowed here; that raised a RuntimeWarning, not a
+        # ConfigError naming sigma.  It now halves before adding, so the
+        # diagonal case reaches the definiteness check and is refused there.
         body = {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 1.0}
         config = {"dim": 2, "sigma": sigma, "body": body, "u": [1.0, 0.0], "t_grid": [0.5]}
         code, _, _ = run_cli(tmp_path, "bounds", config)

@@ -11,10 +11,12 @@ from shiftbounds import (
     DefinitenessError,
     Direction,
     DomainError,
+    LpBall,
     ShapeError,
     build_covariance,
     identity_covariance,
     mahalanobis_norm,
+    ratio_bounds_grid,
 )
 from shiftbounds.linalg import MAX_DIM, cholesky_lower, sym_eigen
 
@@ -59,14 +61,17 @@ class TestSymEigen:
             sym_eigen(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
-        "m", [[[1.0, 1e308], [1e308, 1.0]], [[1e308, 0.0], [0.0, 1.0]]],
+        "m, want",
+        [([[1.0, 1e308], [1e308, 1.0]], [-1e308, 1e308]),
+         ([[1e308, 0.0], [0.0, 1.0]], [1.0, 1e308])],
         ids=["off-diagonal", "diagonal"],
     )
-    def test_rejects_overflow_when_symmetrizing(self, m):
-        # m + m.T overflows to inf; an inf matrix would pass the
-        # convergence test at once and return wrong eigenpairs.
-        with pytest.raises(ShapeError, match="non-finite entries after symmetrizing"):
-            sym_eigen(np.array(m))
+    def test_symmetrizes_where_the_sum_overflows(self, m, want):
+        # m + m.T overflows to inf here, and these matrices were refused as
+        # non-finite; the halves are added instead, so they keep their entries.
+        w, v = sym_eigen(np.array(m))
+        np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(np.array(m) @ v, v * w, rtol=0.0, atol=1e-15 * 1e308)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e155, 1e300])
     def test_eigenpairs_at_the_edges_of_the_double_range(self, scale):
@@ -176,6 +181,26 @@ class TestBuildCovariance:
     def test_rejects_eigenvalue_ratio_below_threshold(self):
         with pytest.raises(DefinitenessError):
             build_covariance(np.diag([1.0, 1e-12]))
+
+    def test_rejects_ill_conditioned_matrix_at_the_top_of_the_range(self):
+        # 1e308 + 1e308 overflows; that read as non-finite (a ShapeError).
+        with pytest.raises(DefinitenessError):
+            build_covariance(np.diag([1e308, 1.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_well_conditioned_matrix_builds(self):
+        # Eigenvalue ratio 1/3, refused as non-finite while m + m.T overflowed.
+        m = np.array([[1e308, 5e307], [5e307, 1e308]])
+        cov = build_covariance(m)
+        assert cov.matrix.tobytes() == m.tobytes()
+        ball = LpBall(dim=2, p=2.0, radius=1e154)
+        for entries in ([1.0, 0.0], [1.0, 1.0], [1.0, -2.0]):
+            u = Direction.from_vector(np.array(entries))
+            reports = ratio_bounds_grid(cov, ball, u, (0.0, 1e-154, 1e154))
+            assert (reports[0].lower, reports[0].upper) == (1.0, 1.0)
+            for report in reports:
+                assert report.lower > 0.0
+                assert math.isfinite(report.upper) and math.isfinite(report.exponent_a)
 
     def test_rejects_indefinite(self):
         with pytest.raises(DefinitenessError):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from shiftbounds import bounds, mc, suites
+from shiftbounds import bounds, mc, oracles, suites
 from shiftbounds import (
     Direction,
     DomainError,
@@ -851,15 +851,11 @@ class TestVerifyDerivative:
 
     def test_threshold_scales_every_margin(self):
         default = verify_derivative_identity(UNIT_SLAB, E1, 0.5, 20000, seed=71)
-        wide = verify_derivative_identity(UNIT_SLAB, E1, 0.5, 20000, seed=71, z_threshold=8.0)
-        assert wide.sigma_diff == default.sigma_diff
         assert default.tolerance == 4.0 * default.sigma_diff + mc.DERIVATIVE_ALLOWANCE
-        assert wide.tolerance == 8.0 * wide.sigma_diff + mc.DERIVATIVE_ALLOWANCE
-        # The analytic-derivative margin moves with the same threshold.
-        margin = 8.0 * wide.fd_stderr + mc.DERIVATIVE_ALLOWANCE
-        assert wide.matches(wide.fd_estimate + 0.99 * margin)
-        assert not wide.matches(wide.fd_estimate + 1.01 * margin)
-        assert not default.matches(wide.fd_estimate + 0.99 * margin)
+        # The analytic-derivative margin reads the same threshold.
+        margin = 4.0 * default.fd_stderr + mc.DERIVATIVE_ALLOWANCE
+        assert default.matches(default.fd_estimate + 0.99 * margin)
+        assert not default.matches(default.fd_estimate + 1.01 * margin)
 
     def test_step_domain(self):
         # t must exceed the fixed step, so t - step stays a positive shift.
@@ -881,19 +877,19 @@ def _estimate(value: float, stderr: float) -> mc.McEstimate:
 class TestScores:
     def test_interval_combines_each_bounds_stderr(self):
         lower_z, upper_z, passed = mc.score_interval(
-            _estimate(0.5, 0.03), 0.4, 0.04, 0.9, 0.0, 4.0
+            _estimate(0.5, 0.03), 0.4, 0.04, 0.9, 0.0
         )
         assert lower_z == (0.5 - 0.4) / math.hypot(0.03, 0.04)
         assert upper_z == (0.9 - 0.5) / 0.03
         assert passed
 
     def test_interval_fails_past_the_threshold(self):
-        lower_z, _, passed = mc.score_interval(_estimate(0.5, 0.01), 0.55, 0.0, 1.0, 0.0, 4.0)
+        lower_z, _, passed = mc.score_interval(_estimate(0.5, 0.01), 0.55, 0.0, 1.0, 0.0)
         assert lower_z == pytest.approx(-5.0) and not passed
 
     def test_infinite_bound_never_fails(self):
         lower_z, upper_z, passed = mc.score_interval(
-            _estimate(0.5, 0.0), -math.inf, 0.0, 0.5, 0.0, 4.0
+            _estimate(0.5, 0.0), -math.inf, 0.0, 0.5, 0.0
         )
         assert (lower_z, upper_z, passed) == (math.inf, 0.0, True)
 
@@ -901,13 +897,13 @@ class TestScores:
         "value, z, passed", [(0.25, 0.0, True), (0.5, math.inf, False), (0.0, -math.inf, False)]
     )
     def test_zero_stderr_passes_only_on_the_reference(self, value, z, passed):
-        assert mc.score_agreement(_estimate(value, 0.0), 0.25, 4.0) == (z, passed)
-        lower_z, upper_z, ok = mc.score_interval(_estimate(value, 0.0), 0.25, 0.0, 0.25, 0.0, 4.0)
+        assert mc.score_agreement(_estimate(value, 0.0), 0.25) == (z, passed)
+        lower_z, upper_z, ok = mc.score_interval(_estimate(value, 0.0), 0.25, 0.0, 0.25, 0.0)
         assert (lower_z, upper_z, ok) == (z, -z, passed)
 
     def test_agreement_is_two_sided(self):
-        assert mc.score_agreement(_estimate(0.5, 0.1), 0.2, 4.0) == ((0.5 - 0.2) / 0.1, True)
-        z, passed = mc.score_agreement(_estimate(0.5, 0.05), 0.75, 4.0)
+        assert mc.score_agreement(_estimate(0.5, 0.1), 0.2) == ((0.5 - 0.2) / 0.1, True)
+        z, passed = mc.score_agreement(_estimate(0.5, 0.05), 0.75)
         assert z == (0.5 - 0.75) / 0.05 and not passed
 
 
@@ -935,7 +931,7 @@ class TestVerifyPower:
             value=size, stderr=0.0, samples=100, hits=int(100 * size), seed=record
         )
         beta = mc.McEstimate(value=0.5, stderr=0.05, samples=100, hits=50, seed=record)
-        verdict = mc.score_power_envelope(report, alpha, beta, 4.0)
+        verdict = mc.score_power_envelope(report, alpha, beta)
         assert verdict.beta_lower == 1.0 - report.upper * (1.0 - size)
         assert verdict.beta_upper == 1.0 - report.lower * (1.0 - size)
         assert verdict.lower_z == (0.5 - verdict.beta_lower) / 0.05
@@ -965,9 +961,12 @@ def _power_envelope_lower_at_upper(report, alpha):
     return dataclasses.replace(envelope, beta_lower=envelope.beta_upper)
 
 
-# Each bound the derivative, conditional and power suites score, patched
-# where the suite reads it, and the checks the patch must fail.  derivative_floor is negative, so
-# halving it raises the floor past the slab's true derivative.
+# Each bound the derivative, conditional and power suites score, and each
+# reference the oracles suite checks against, patched where the suite reads
+# it, and the checks the patch must fail.  derivative_floor is negative, so
+# halving it raises the floor past the slab's true derivative.  A 1% larger
+# ball mass leaves its log-derivative and the far tail's cap alone; the slab
+# oracle also serves oracle_ball at dim 1, so the dim-1 anchor still agrees.
 FAULT_PROBES = {
     "derivative_floor_halved": (
         "derivative", mc, "derivative_floor", _scaled(bounds.derivative_floor, 0.5),
@@ -987,6 +986,16 @@ FAULT_PROBES = {
         "power", suites, "power_envelope", _power_envelope_lower_at_upper,
         ["power_slab_theta0.5", "power_slab_theta1.0", "power_slab_theta2.0"],
     ),
+    "oracle_ball_raised": (
+        "oracles", oracles, "oracle_ball", _scaled(oracles.oracle_ball, 1.01),
+        ["oracle_ball_dim1_slab", "oracle_ball_frozen_values",
+         "oracle_ball_mc_n2_r2_t0", "oracle_ball_mc_n2_r2_t1",
+         "oracle_ball_mc_n3_r2_t0", "oracle_ball_mc_n3_r2_t1", "oracle_ball_n3_closed_form"],
+    ),
+    "oracle_slab_raised": (
+        "oracles", oracles, "oracle_slab", _scaled(oracles.oracle_slab, 1.01),
+        ["oracle_slab_mc_battery"],
+    ),
 }
 FAULT_PROBE_SAMPLES = 131_072
 
@@ -999,7 +1008,7 @@ def _failed_checks(suite: str) -> list[str]:
 class TestSuiteFaultProbes:
     """Each bound a suite scores can fail the suite: a wrong bound shows."""
 
-    @pytest.mark.parametrize("suite", ["conditional", "derivative", "power"])
+    @pytest.mark.parametrize("suite", ["conditional", "derivative", "oracles", "power"])
     def test_unpatched_suite_passes(self, suite):
         assert _failed_checks(suite) == []
 

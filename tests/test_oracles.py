@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from shiftbounds import DomainError, NumericError, oracle_ball, oracle_slab
+from shiftbounds import DomainError, NumericError, oracle_ball, oracle_slab, oracles
 from shiftbounds.kernels import std_normal_pdf
 from shiftbounds.oracles import adaptive_simpson, chi_square_cdf
 
@@ -42,33 +42,31 @@ class TestAdaptiveSimpson:
     def test_sine(self):
         assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-11)
 
-    def test_min_depth_catches_hidden_bump(self):
+    def test_min_depth_catches_hidden_bump(self, monkeypatch):
         # A bump invisible to the coarse pass but resolved at the forced
-        # depth (panels of width 2^-6): with min_depth=0 the first flat
+        # depth (panels of width 2^-6): with no forced depth the first flat
         # Richardson test accepts ~0, losing the whole bump mass.
         def bump(x):
             return math.exp(-((x - 0.123) ** 2) * 5e3)
 
         want = math.sqrt(math.pi / 5e3)  # full Gaussian mass, tails negligible
-        naive = adaptive_simpson(bump, 0.0, 1.0, abs_tol=1e-10, min_depth=0)
-        got = adaptive_simpson(bump, 0.0, 1.0, abs_tol=1e-10)
+        got = adaptive_simpson(bump, 0.0, 1.0)
+        monkeypatch.setattr(oracles, "_MIN_DEPTH", 0)
+        naive = adaptive_simpson(bump, 0.0, 1.0)
         assert naive == pytest.approx(0.0, abs=1e-12)
         assert got == pytest.approx(want, rel=1e-8)
 
-    def test_depth_cap_raises(self):
+    def test_depth_cap_raises(self, monkeypatch):
         step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
+        monkeypatch.setattr(oracles, "_MAX_DEPTH", 12)
         with pytest.raises(NumericError):
-            adaptive_simpson(step, 0.0, 1.0, abs_tol=1e-15, max_depth=12)
+            adaptive_simpson(step, 0.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             adaptive_simpson(math.sin, 1.0, 0.0)
         with pytest.raises(DomainError):
             adaptive_simpson(math.sin, 0.0, math.inf)
-        with pytest.raises(DomainError):
-            adaptive_simpson(math.sin, 0.0, 1.0, abs_tol=0.0)
-        with pytest.raises(DomainError):
-            adaptive_simpson(math.sin, 0.0, 1.0, min_depth=5, max_depth=4)
 
 
 class TestChiSquareCdf:

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import shiftbounds
+from shiftbounds import config
 from shiftbounds.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,6 +39,25 @@ def test_command_line_configs_run(tmp_path):
         codes.append(main([command, "--config", str(path),
                            "--out", str(tmp_path / f"{command}_report.json")]))
     assert codes == [0, 0, 1]
+
+
+def _grammar_rows() -> dict[str, str]:
+    """Field name -> meaning cell, for each row of the config grammar table."""
+    rows = {}
+    for line in _section("Config grammar").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            for name in re.findall(r"`(\w+)`", cells[0]):
+                rows[name] = cells[1]
+    return rows
+
+
+def test_grammar_table_names_every_parsed_field():
+    # The parser refuses every key outside this table, so the two must agree.
+    rows = _grammar_rows()
+    assert set(rows) == config._FIELDS
+    mc_block = re.match(r"`(\{.*?\})`", rows["mc"]).group(1)
+    assert set(re.findall(r'"(\w+)":', mc_block)) == config._MC_FIELDS == {"samples", "seed"}
 
 
 def test_every_exported_name_resolves_once():
