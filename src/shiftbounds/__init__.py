@@ -83,7 +83,7 @@ from .mc import (
     verify_power_envelope,
     verify_sandwich,
 )
-from .oracles import adaptive_simpson, chi_square_cdf, oracle_ball, oracle_slab
+from .oracles import adaptive_simpson, chi_square_cdf, oracle_ball, oracle_balls, oracle_slab
 from .suites import SUITES, CheckResult, sandwich_battery
 
 __version__ = "0.1.0"
@@ -137,6 +137,7 @@ __all__ = [
     "identity_covariance",
     "mahalanobis_norm",
     "oracle_ball",
+    "oracle_balls",
     "oracle_slab",
     "power_envelope",
     "ratio_bounds_grid",

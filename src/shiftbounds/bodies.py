@@ -536,18 +536,33 @@ def probe_scale(body: ConvexBody, rng: np.random.Generator) -> float:
     return float(min(max(np.median(finite), 1e-6), 1e6))
 
 
+# The fields of each body kind in the JSON config grammar, besides "kind".
+_BODY_FIELDS = {
+    "slab": {"normal", "halfwidth"},
+    "lp_ball": {"p", "dim", "radius"},
+    "ellipsoid": {"matrix"},
+    "h_polytope": {"normals", "offsets"},
+    "intersection": {"parts"},
+    "linear_image": {"base", "matrix"},
+}
+
+
 def body_from_dict(data: object, path: str = "body") -> ConvexBody:
     """Build a body from its dict form (the JSON config grammar).
 
-    Raises ConfigError naming the offending field path.  Every number
-    must be a JSON number (booleans and strings are refused); the lp_ball
-    exponent additionally accepts the string "inf".
+    Raises ConfigError naming the offending field path, an unknown field
+    included.  Every number must be a JSON number (booleans and strings
+    are refused); the lp_ball exponent additionally accepts the string
+    "inf".
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind is None:
         raise ConfigError(f"{path}.kind: missing")
+    if not isinstance(kind, str) or kind not in _BODY_FIELDS:
+        raise ConfigError(f"{path}.kind: unknown body kind {kind!r}")
+    refuse_unknown(data, {"kind", *_BODY_FIELDS[kind]}, f"{path}.")
     try:
         if kind == "slab":
             normal = json_array(data.get("normal"), f"{path}.normal", (None,))
@@ -590,7 +605,13 @@ def body_from_dict(data: object, path: str = "body") -> ConvexBody:
             )
     except (DomainError, ShapeError, DefinitenessError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown body kind {kind!r}")
+
+
+def refuse_unknown(raw: dict, fields: set | frozenset, prefix: str) -> None:
+    """ConfigError naming the first key of `raw` outside `fields`."""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{prefix}{key}: unknown field")
 
 
 def json_number(raw: object, path: str) -> float:

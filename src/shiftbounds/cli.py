@@ -59,7 +59,16 @@ def _require(cfg: RunConfig, command: str, *fields: str) -> None:
             raise ConfigError(f"{name}: required for the {command} command")
 
 
+def _refuse_verify_fields(cfg: RunConfig, command: str) -> None:
+    """ConfigError naming `suite` or `fault_upper_scale`, if `cfg` gives
+    either: only the verify command reads them."""
+    for name in ("suite", "fault_upper_scale"):
+        if name in cfg.raw:
+            raise ConfigError(f"{name}: only the verify command reads it, not {command}")
+
+
 def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
+    _refuse_verify_fields(cfg, "bounds")
     _require(cfg, "bounds", "u", "t_grid")
     if cfg.body is None and cfg.layers is None:
         raise ConfigError("body: bounds needs a body or layers")
@@ -69,6 +78,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
+    _refuse_verify_fields(cfg, "power")
     _require(cfg, "power", "u", "body", "theta_grid")
     if cfg.alpha is None and cfg.mc is None:
         raise ConfigError("alpha: give alpha or an mc block to estimate the size")
@@ -149,6 +159,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_support(cfg: RunConfig) -> tuple[dict, int]:
+    _refuse_verify_fields(cfg, "support")
     _require(cfg, "support", "body", "directions")
     records = []
     for v in cfg.directions:

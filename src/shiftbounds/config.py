@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import ConvexBody, body_from_dict, json_array, json_int, json_number
+from .bodies import (
+    ConvexBody, body_from_dict, json_array, json_int, json_number, refuse_unknown,
+)
 from .bounds import Layer, LayeredUnimodal, build_layered
 from .errors import ConfigError, ShiftBoundsError
 from .linalg import MAX_DIM, Covariance, Direction, build_covariance, identity_covariance
@@ -32,6 +34,9 @@ _FIELDS = frozenset({
     "fault_upper_scale", "directions",
 })
 _MC_FIELDS = frozenset({"samples", "seed"})
+_LAYER_FIELDS = frozenset({"weight", "body"})
+# The fields of each sigma kind, besides "kind".
+_SIGMA_FIELDS = {"identity": set(), "diagonal": {"entries"}, "dense": {"matrix"}}
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ def parse_run_config(raw: object) -> RunConfig:
     checked by the commands themselves (a config may serve several)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
-    _refuse_unknown(raw, _FIELDS, "")
+    refuse_unknown(raw, _FIELDS, "")
     warnings: list[str] = []
 
     dim = json_int(raw.get("dim"), "dim", 1, MAX_DIM)
@@ -160,14 +165,15 @@ def _parse_sigma(raw: object, dim: int) -> Covariance:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("sigma: expected an object with a \"kind\" field")
     kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _SIGMA_FIELDS:
+        raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
+    refuse_unknown(raw, {"kind", *_SIGMA_FIELDS[kind]}, "sigma.")
     if kind == "identity":
         return identity_covariance(dim)
     if kind == "diagonal":
         matrix = np.diag(json_array(raw.get("entries"), "sigma.entries", (dim,)))
-    elif kind == "dense":
-        matrix = json_array(raw.get("matrix"), "sigma.matrix", (dim, dim))
     else:
-        raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
+        matrix = json_array(raw.get("matrix"), "sigma.matrix", (dim, dim))
     try:
         return build_covariance(matrix)
     except ShiftBoundsError as exc:
@@ -181,6 +187,7 @@ def _parse_layers(raw: object, dim: int) -> LayeredUnimodal:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"layers[{i}]: expected an object")
+        refuse_unknown(entry, _LAYER_FIELDS, f"layers[{i}].")
         weight = json_number(entry.get("weight"), f"layers[{i}].weight")
         body = body_from_dict(entry.get("body"), f"layers[{i}].body")
         if body.dim != dim:
@@ -214,17 +221,10 @@ def _parse_mc(raw: object) -> McConfig | None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("mc: expected an object")
-    _refuse_unknown(raw, _MC_FIELDS, "mc.")
+    refuse_unknown(raw, _MC_FIELDS, "mc.")
     samples = json_int(raw.get("samples"), "mc.samples", 1, STREAM_CAPACITY)
     seed = json_int(raw.get("seed", 0), "mc.seed", 0, (1 << 64) - 1)
     return McConfig(samples=samples, seed=seed)
-
-
-def _refuse_unknown(raw: dict, fields: frozenset, prefix: str) -> None:
-    """ConfigError naming the first key of `raw` outside `fields`."""
-    for key in raw:
-        if key not in fields:
-            raise ConfigError(f"{prefix}{key}: unknown field")
 
 
 def _positive_finite(value: object, path: str) -> float:

@@ -22,6 +22,9 @@ Stability notes
   <= 3.4e-13 even at t = 32, and it approaches the true value from
   above, so the chain e^{-t^2/2} <= shift_ratio <= 1 and monotonicity in
   `a` survive the branch switch one-sidedly.
+* shift_ratio clamps its result into [e^{-t^2/2}, 1], the floor computed
+  as `ratio_bounds_grid` computes its lower bound: at t ~ 1e-20 the erfc
+  quotient rounds an ulp past either end.
 """
 
 from __future__ import annotations
@@ -123,11 +126,14 @@ def shift_ratio(t: float, a: float) -> float:
     if math.isinf(t):
         # Degenerate: all mass escapes unless a = inf (handled above).
         return 0.0
+    floor = math.exp(-0.5 * t * t)
     if a < SMALL_HALFWIDTH:
-        return math.exp(-0.5 * t * t) * math.cosh(t * a)
-    num = 0.5 * (math.erfc((t - a) * _INV_SQRT2) - math.erfc((t + a) * _INV_SQRT2))
-    den = math.erf(a * _INV_SQRT2)
-    return num / den
+        ratio = floor * math.cosh(t * a)
+    else:
+        num = 0.5 * (math.erfc((t - a) * _INV_SQRT2) - math.erfc((t + a) * _INV_SQRT2))
+        ratio = num / math.erf(a * _INV_SQRT2)
+    # At tiny t the quotient can round an ulp past either end.
+    return min(max(ratio, floor), 1.0)
 
 
 def regularized_gamma_p(shape: float, x: float) -> float:

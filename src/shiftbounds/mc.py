@@ -6,22 +6,27 @@ so each chunk depends only on its coordinates.  Uniforms are
 (53-bit integer + 0.5) * 2^-53, mapped through the inverse normal CDF;
 correlated Gaussians are L z for the covariance's Cholesky factor L.
 
-Chunks are drawn on a small thread pool (SAMPLER_WORKERS threads; the
-Philox fill and ndtri release the GIL), up to SAMPLER_WORKERS chunks
-ahead of the one being reduced.  Each run has a pool of its own: ending
-or closing the run cancels its queued draws and waits for those already
-running, so no sampler thread outlives it.  Everything else --
-membership tests, weights, BLAS calls and the reduction -- runs on the
-calling thread in chunk order, so no bit depends on the number of
-workers.
+The stream contract is per chunk; scheduling and memory are per piece.
+A piece is PIECE_ROWS rows of one chunk: Philox is counter-based, so
+rows [start, start + PIECE_ROWS) of chunk i come from chunk i's
+generator advanced past start * dim words, and the pieces of a chunk
+concatenate to the whole-chunk draw bit for bit.  Pieces are drawn on a
+small thread pool (SAMPLER_WORKERS threads; the Philox fill and ndtri
+release the GIL), up to PIECES_PER_WORKER * SAMPLER_WORKERS pieces ahead
+of the one being tested, so no walk holds a chunk-sized sample array.
+Each run has a pool of its own: ending or closing the run cancels its
+queued draws and waits for those already running, so no sampler thread
+outlives it.  Everything else -- membership tests, weights, BLAS calls
+and the reduction -- runs on the calling thread in chunk order, so no
+bit depends on the number of workers.
 
 Each Monte Carlo check is a :class:`Plan`: the walks it reads (a
 :class:`Walk` names a covariance, a target, a direction, the shifts and
 one stream) and a finisher that turns their totals into the check's
 estimate or verdict.  :func:`run_plans` runs a request's plans in order
-with one draw-ahead window over all their chunks, so the pool draws the
-next check's chunks while the caller finishes and scores the last one;
-the public estimators are one-plan runs.  Since a chunk's bits depend
+with one draw-ahead window over all their pieces, so the pool draws the
+next check's pieces while the caller finishes and scores the last one;
+the public estimators are one-plan runs.  Since a piece's bits depend
 only on its coordinates, and every reduction stays on the calling
 thread in chunk order, a check run among others has the bits of a check
 run alone.  The power check of a grid, for the library and the CLI
@@ -29,11 +34,13 @@ alike, is one plan (:func:`power_envelope_plan`): the power at each
 theta it is given (at 0, the estimated size) and a verdict per theta > 0.
 
 All five estimators run on one walk over the chunks (:func:`_accumulate`):
-it tests each (shift, layer) pair once per row, in blocks of BLOCK_ROWS
-rows, into a whole-chunk mask, and each estimator reduces the chunk and
-its masks to per-chunk sums, added in fixed chunk order (exact counts for
-indicator and layered weights, weighted after the pass; whole-chunk
-float sums for the conditional and derivative estimators).  A nonzero
+it tests each piece as it arrives, each (shift, layer) pair once per row,
+in blocks of BLOCK_ROWS rows, into a whole-chunk mask, and each
+estimator reduces the chunk's masks (and, for the conditional and
+derivative estimators, its coordinates <u, z>, one gemv per piece) to
+per-chunk sums, added in fixed chunk order (exact counts for indicator
+and layered weights, weighted after the pass; whole-chunk float sums for
+the conditional and derivative estimators).  A nonzero
 shift s is one flat add of the transformed block against s u tiled over
 SHIFT_TILE_ROWS rows, the IEEE add of the broadcast x + s u element for
 element; a zero shift skips the add, as identity Sigma skips the
@@ -100,8 +107,14 @@ BLOCK_ROWS = 4096
 # at MAX_DIM, twice one shift's 64 KiB chunk mask.
 SHIFT_TILE_ROWS = 256
 
-# Sampler threads, and chunks drawn ahead of the one being reduced.  The
-# cap bounds the chunks alive at once to about 1 + SAMPLER_WORKERS.
+# Rows per piece, the unit the sampler pool draws and a walk tests.  A
+# multiple of 4, so a piece starts on a Philox counter (4 words) at any dim.
+PIECE_ROWS = 16384
+
+# Sampler threads.  A run draws up to PIECES_PER_WORKER * SAMPLER_WORKERS
+# pieces ahead of the one being tested; a window of 4 pieces on 2 workers
+# left them idle (verify-suites wall +3% to +18%, 2-CPU host).
+PIECES_PER_WORKER = 3
 SAMPLER_WORKERS = min(
     4,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -184,7 +197,8 @@ def standard_normal_chunks(
     generator cancels the draws that have not started and waits for the rest.
     """
     _check_stream(seed, substream, count)
-    yield from _draw_ahead((seed, substream, index, rows, dim) for index, rows in _chunks(count))
+    specs = ((seed, substream, index, 0, rows, dim) for index, rows in _chunks(count))
+    yield from _draw_ahead(specs, SAMPLER_WORKERS)
 
 
 def _chunks(count: int) -> Iterator[tuple[int, int]]:
@@ -193,13 +207,22 @@ def _chunks(count: int) -> Iterator[tuple[int, int]]:
         yield index, min(CHUNK_SIZE, count - start)
 
 
-def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int]]) -> Iterator[np.ndarray]:
-    """Draw the chunk of each (seed, substream, index, rows, dim), in order.
+def _pieces(rows: int) -> Iterator[tuple[int, int]]:
+    """(start, rows) of each piece of a chunk of `rows` rows."""
+    for start in range(0, rows, PIECE_ROWS):
+        yield start, min(PIECE_ROWS, rows - start)
 
-    Up to SAMPLER_WORKERS chunks after the one being yielded are drawn on
-    a pool of this run's own; closing the generator cancels those not yet
+
+def _draw_ahead(
+    specs: Iterable[tuple[int, int, int, int, int, int]], window: int
+) -> Iterator[np.ndarray]:
+    """Draw rows [start, start + rows) of chunk `index` for each
+    (seed, substream, index, start, rows, dim), in order.
+
+    Up to `window` draws after the one being yielded run or wait on a
+    pool of this run's own; closing the generator cancels those not yet
     started and waits for the rest, so no sampler thread outlives the run.
-    Each chunk is allocated here and only filled on the pool: glibc gives
+    Each array is allocated here and only filled on the pool: glibc gives
     every thread a malloc arena of its own, and chunks allocated on the
     sampler threads left those arenas holding freed memory once draws ran
     across checks (7 to 11 MB more peak RSS on the benchmark workloads,
@@ -208,10 +231,10 @@ def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int]]) -> Iterator[np.
     pool = ThreadPoolExecutor(SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler")
     ahead: deque[Future] = deque()
     try:
-        for seed, substream, index, rows, dim in specs:
+        for seed, substream, index, start, rows, dim in specs:
             out = np.empty((rows, dim))
-            ahead.append(pool.submit(_normal_chunk, seed, substream, index, out))
-            if len(ahead) > SAMPLER_WORKERS:
+            ahead.append(pool.submit(_normal_chunk, seed, substream, index, out, start))
+            if len(ahead) > window:
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
@@ -219,12 +242,22 @@ def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int]]) -> Iterator[np.
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _normal_chunk(seed: int, substream: int, index: int, out: np.ndarray) -> np.ndarray:
-    """Fill `out`, a C-contiguous (rows, dim) array, with chunk `index` of the stream."""
+def _normal_chunk(
+    seed: int, substream: int, index: int, out: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """Fill `out`, a C-contiguous (rows, dim) array, with rows
+    [start, start + rows) of chunk `index` of the stream.
+
+    Each row takes dim Philox words, and each counter step gives 4, so
+    skipping the first start rows advances the counter start * dim / 4
+    steps; `start` must be a multiple of 4.
+    """
+    rng = _chunk_rng(seed, substream, index)
+    rng.bit_generator.advance(start * out.shape[1] // 4)
     # random() is (top 53 bits of a Philox word) * 2^-53, as integers(0,
     # 2^53) is; adding 2^-54 rounds as (bits + 0.5) * 2^-53 does, because
     # scaling by a power of two commutes with rounding.
-    uniforms = _chunk_rng(seed, substream, index).random(out=out)
+    uniforms = rng.random(out=out)
     uniforms += 2.0**-54
     return ndtri(uniforms, out=uniforms)
 
@@ -242,10 +275,12 @@ def sample_gaussian(
 class Walk:
     """One pass over the stream (seed, substream): what :func:`_accumulate` reads.
 
-    Its total is the sum of reduce(z, inside) over the stream's chunks.
-    The target is kept as a layered weight (a body is one layer).  The
-    dimensions and the stream are checked here, so a plan that holds the
-    walk is checked before any chunk of its run is drawn.
+    Its total is the sum of reduce(coords, inside) over the stream's
+    chunks, where coords holds <u, z> per row of the chunk if `coords` is
+    set and is None otherwise.  The target is kept as a layered weight (a
+    body is one layer).  The dimensions and the stream are checked here,
+    so a plan that holds the walk is checked before any piece of its run
+    is drawn.
     """
 
     cov: Covariance
@@ -255,7 +290,8 @@ class Walk:
     count: int
     seed: int
     substream: int
-    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reduce: Callable[[np.ndarray | None, np.ndarray], np.ndarray]
+    coords: bool = False
 
     def __post_init__(self) -> None:
         w = as_layered(self.target)
@@ -282,23 +318,24 @@ class Plan:
 def run_plans(plans: Sequence[Plan]) -> Iterator:
     """Yield each plan's result in order, from one draw-ahead window.
 
-    The window runs over the chunks of every walk of every plan, in
+    The window runs over the pieces of every walk of every plan, in
     order, so while the caller works on one check's result the pool
-    already draws the next check's chunks; no chunk is drawn that no walk
+    already draws the next check's pieces; no piece is drawn that no walk
     reads.  A plan's walks are reduced in chunk order on the calling
     thread, so each result has the bits of a run of its plan alone.
     Closing the generator, or an exception in a finisher, cancels the
     draws not yet started and waits for those already running.
     """
     specs = (
-        (walk.seed, walk.substream, index, rows, walk.cov.dim)
+        (walk.seed, walk.substream, index, start, rows, walk.cov.dim)
         for plan in plans
         for walk in plan.walks
-        for index, rows in _chunks(walk.count)
+        for index, chunk_rows in _chunks(walk.count)
+        for start, rows in _pieces(chunk_rows)
     )
-    with closing(_draw_ahead(specs)) as chunks:
+    with closing(_draw_ahead(specs, PIECES_PER_WORKER * SAMPLER_WORKERS)) as pieces:
         for plan in plans:
-            yield plan.finish(*[_accumulate(walk, chunks) for walk in plan.walks])
+            yield plan.finish(*[_accumulate(walk, pieces) for walk in plan.walks])
 
 
 def _run(plan: Plan):
@@ -335,47 +372,57 @@ def _shifted(x: np.ndarray, tile: np.ndarray | None, out: np.ndarray) -> np.ndar
     return out
 
 
-def _accumulate(walk: Walk, chunks: Iterator[np.ndarray]) -> list:
-    """Sum walk.reduce(z, inside) over the walk's chunks, as Python numbers.
+def _accumulate(walk: Walk, pieces: Iterator[np.ndarray]) -> list:
+    """Sum walk.reduce(coords, inside) over the walk's chunks, as Python numbers.
 
-    The walk's chunks are the next ones of `chunks`.  z is a standard
-    normal chunk, and inside[k, i, r] says whether row r of
-    X + shifts[k] u, X = L z, lies in layer i of the target; it is a
-    buffer that the next chunk overwrites.  This is the package's one
-    walk over chunks: it transforms and shifts each chunk in blocks of
-    BLOCK_ROWS rows, and a row's transform and verdict ignore its
-    neighbours, so `inside` does not depend on the block size.
+    The walk's pieces are the next ones of `pieces`, each a standard
+    normal piece z of a chunk, in order.  inside[k, i, r] says whether
+    row r of the chunk's X + shifts[k] u, X = L z, lies in layer i of the
+    target, and coords[r] = <u, z_r>; both are chunk-length buffers that
+    the next chunk overwrites.  This is the package's one walk over
+    chunks: it tests each piece as it arrives, transforming and shifting
+    it in blocks of BLOCK_ROWS rows, and a row's transform and verdict
+    ignore its neighbours, so `inside` depends on neither the block nor
+    the piece size.  coords is one gemv per piece, which gives the
+    whole-chunk gemv's bits.
     """
     tiles = [_offset_tile(s, walk.u) for s in walk.shifts]
     # Identity Sigma has an exactly-identity factor, whose product leaves
     # every row as it is (it could only turn -0.0 into +0.0).
     chol_t = None if walk.cov.is_identity() else np.asarray(walk.cov.chol).T
-    # One mask buffer and one shifted block per walk.
+    # One mask buffer, one coordinate buffer and one shifted block per walk.
     rows = min(walk.count, CHUNK_SIZE)
     inside = np.empty((len(tiles), len(walk.target.layers), rows), dtype=bool)
+    coords = np.empty(rows) if walk.coords else None
     shifted = np.empty((min(rows, BLOCK_ROWS), walk.cov.dim))
     total = 0
-    for _ in _chunks(walk.count):
-        total = total + _reduce_chunk(walk, next(chunks), chol_t, tiles, inside, shifted)
+    for _, chunk_rows in _chunks(walk.count):
+        for start, _ in _pieces(chunk_rows):
+            _test_piece(walk, next(pieces), start, chol_t, tiles, inside, coords, shifted)
+        total = total + walk.reduce(
+            None if coords is None else coords[:chunk_rows], inside[:, :, :chunk_rows]
+        )
     return total.tolist()
 
 
-def _reduce_chunk(
-    walk: Walk, z: np.ndarray, chol_t: np.ndarray | None, tiles: list,
-    inside: np.ndarray, shifted: np.ndarray,
-) -> np.ndarray:
-    """walk.reduce(z, masks) for one chunk; z is released when this returns,
-    before the next chunk is awaited."""
-    masks = inside[:, :, : len(z)]
-    for start in range(0, len(z), BLOCK_ROWS):
-        block = z[start : start + BLOCK_ROWS]
+def _test_piece(
+    walk: Walk, z: np.ndarray, start: int, chol_t: np.ndarray | None, tiles: list,
+    inside: np.ndarray, coords: np.ndarray | None, shifted: np.ndarray,
+) -> None:
+    """Fill rows [start, start + len(z)) of the chunk's masks (and coords)
+    from the piece z; z is released when this returns, before the next
+    piece is awaited."""
+    if coords is not None:
+        np.matmul(z, walk.u.entries, out=coords[start : start + len(z)])
+    for first in range(0, len(z), BLOCK_ROWS):
+        block = z[first : first + BLOCK_ROWS]
         x = block if chol_t is None else block @ chol_t
         out = shifted[: len(block)]
+        rows = slice(start + first, start + first + len(block))
         for k, tile in enumerate(tiles):
             points = _shifted(x, tile, out)
             for i, layer in enumerate(walk.target.layers):
-                masks[k, i, start : start + BLOCK_ROWS] = layer.body.contains_batch(points)
-    return walk.reduce(z, masks)
+                inside[k, i, rows] = layer.body.contains_batch(points)
 
 
 def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
@@ -518,7 +565,7 @@ def _membership_walk(
     layers = len(as_layered(target).layers)
     pairs = _layer_pairs(layers)
 
-    def counts(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    def counts(coords: None, inside: np.ndarray) -> np.ndarray:
         # Per shift: the pair counts, then the union's (one layer's pair count).
         hits = np.zeros((len(inside), len(pairs) + (layers > 1)), dtype=np.int64)
         for row, masks in zip(hits, inside):
@@ -554,10 +601,10 @@ def conditional_plan(
     """The plan of :func:`estimate_conditional_center`."""
     _check_shift(t)
 
-    def sums(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    def sums(coords: np.ndarray, inside: np.ndarray) -> np.ndarray:
         mask = inside[0, 0]
-        coords = (z @ u.entries)[mask]
-        return np.array([coords.sum(), coords @ coords, mask.sum()], dtype=float)
+        hit = coords[mask]
+        return np.array([hit.sum(), hit @ hit, mask.sum()], dtype=float)
 
     def finish(totals: list) -> McEstimate:
         s1, s2, hits = totals
@@ -571,7 +618,7 @@ def conditional_plan(
         return McEstimate(value, stderr, count, hits, SeedRecord(seed, substream, CHUNK_SIZE))
 
     cov = identity_covariance(u.dim)
-    return Plan((Walk(cov, body, u, (-t,), count, seed, substream, sums),), finish)
+    return Plan((Walk(cov, body, u, (-t,), count, seed, substream, sums, coords=True),), finish)
 
 
 @dataclass(frozen=True)
@@ -753,10 +800,9 @@ def derivative_plan(
         raise DomainError(f"derivative check needs a finite t > {step}, got {t!r}")
     inv_2h = 0.5 / step
 
-    def sums(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    def sums(coords: np.ndarray, inside: np.ndarray) -> np.ndarray:
         # Rows of w(Z - s u) at s = t + step, t - step and t.
         up, down, mid = (w.weigh(masks) for masks in inside)
-        coords = z @ u.entries
         fd = (up - down) * inv_2h
         direct = -coords * mid
         diff = fd - direct
@@ -796,7 +842,7 @@ def derivative_plan(
         )
 
     shifts = (-(t + step), -(t - step), -t)
-    return Plan((Walk(cov, w, u, shifts, count, seed, substream, sums),), finish)
+    return Plan((Walk(cov, w, u, shifts, count, seed, substream, sums, coords=True),), finish)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ paths:
 * Euclidean balls: the shifted mass reduces to a one-dimensional
   integral of phi(x + t) * ChiSquareCDF_{n-1}(R^2 - x^2) over [-R, R],
   evaluated here with adaptive Simpson quadrature after the
-  substitution x = R sin(theta) (see :func:`oracle_ball`).
+  substitution x = R sin(theta) (see :func:`oracle_ball`).  A batch of
+  balls (:func:`oracle_balls`) shares one memo of its chi-square CDF
+  values, since balls of one radius evaluate it at the same nodes.
 
 The quadrature runs to one absolute tolerance (_ABS_TOL) and enforces a
 minimum refinement depth (_MIN_DEPTH) so that sharply concentrated
@@ -19,7 +21,7 @@ deceptively flat coarse pass; it gives up past _MAX_DEPTH.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DomainError, NumericError
 from .kernels import regularized_gamma_p, slab_mass, std_normal_pdf
@@ -92,7 +94,7 @@ def _adapt(
     )
 
 
-def oracle_ball(dim: int, radius: float, t: float) -> float:
+def oracle_ball(dim: int, radius: float, t: float, cdf: dict | None = None) -> float:
     """Gaussian mass of a shifted Euclidean ball, P(Z in t e + B_radius).
 
     Splits Z into the coordinate along the shift and the orthogonal
@@ -104,6 +106,9 @@ def oracle_ball(dim: int, radius: float, t: float) -> float:
     integrand is analytic (sqrt(R^2 cos^2) = R cos on the interval).
     For dim = 1 the ball is an interval and the closed slab form is
     used directly.
+
+    `cdf`, if given, memoizes the CDF values, keyed on (dim - 1, x),
+    across the calls that share it (:func:`oracle_balls`).
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise DomainError(f"ball dimension must be a positive integer, got {dim!r}")
@@ -114,15 +119,27 @@ def oracle_ball(dim: int, radius: float, t: float) -> float:
     if dim == 1:
         return oracle_slab(radius, t)
     dof = dim - 1
+    memo = {} if cdf is None else cdf
 
     def integrand(theta: float) -> float:
         across = radius * math.cos(theta)
         if across <= 0.0:
             return 0.0
-        return (
-            std_normal_pdf(radius * math.sin(theta) + t)
-            * chi_square_cdf(dof, across * across)
-            * across
-        )
+        key = (dof, across * across)
+        if key not in memo:
+            memo[key] = chi_square_cdf(*key)
+        return std_normal_pdf(radius * math.sin(theta) + t) * memo[key] * across
 
     return adaptive_simpson(integrand, -0.5 * math.pi, 0.5 * math.pi)
+
+
+def oracle_balls(cases: Iterable[tuple[int, float, float]]) -> list[float]:
+    """:func:`oracle_ball` of each (dim, radius, t), in order, on one CDF memo.
+
+    Balls of one radius evaluate the chi-square CDF at the same nodes,
+    whatever their shift, and a memo value is the value a fresh call
+    returns, so every mass has the bits of its own call.  The memo lives
+    for this call only.
+    """
+    cdf: dict[tuple[int, float], float] = {}
+    return [oracle_ball(dim, radius, t, cdf) for dim, radius, t in cases]

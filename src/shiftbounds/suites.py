@@ -248,11 +248,19 @@ def _ball_n3_closed_form(radius: float, t: float) -> float:
     return g - tail
 
 
-def _ball_decay_rate(radius: float, t: float) -> float:
-    """-(d/dt) ln gamma_3(t e + B_R) by a central difference of the ball oracle."""
-    h = 1e-3
-    upper = math.log(oracles.oracle_ball(3, radius, t + h))
-    return -(upper - math.log(oracles.oracle_ball(3, radius, t - h))) / (2.0 * h)
+# Step of the central difference in :func:`_ball_decay_rate`.
+_DECAY_STEP = 1e-3
+
+
+def _decay_cases(radius: float, t: float) -> list[tuple[int, float, float]]:
+    """The ball-oracle cases (dim, radius, shift) of :func:`_ball_decay_rate`."""
+    return [(3, radius, t + _DECAY_STEP), (3, radius, t - _DECAY_STEP)]
+
+
+def _ball_decay_rate(upper: float, lower: float) -> float:
+    """-(d/dt) ln gamma_3(t e + B_R) by a central difference of the ball
+    oracle's masses at the two :func:`_decay_cases`."""
+    return -(math.log(upper) - math.log(lower)) / (2.0 * _DECAY_STEP)
 
 
 def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
@@ -262,55 +270,61 @@ def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult
     results = []
 
     frozen = [
-        (oracles.oracle_ball(2, 2.0, 0.0), BALL_2_2_0),
-        (oracles.oracle_ball(2, 1.0, 0.0), 1.0 - math.exp(-0.5)),
-        (oracles.oracle_ball(3, 1.0, 1.0), BALL_3_1_1),
-        (oracles.oracle_ball(5, 2.0, 1.0), BALL_5_2_1),
+        ((2, 2.0, 0.0), BALL_2_2_0),
+        ((2, 1.0, 0.0), 1.0 - math.exp(-0.5)),
+        ((3, 1.0, 1.0), BALL_3_1_1),
+        ((5, 2.0, 1.0), BALL_5_2_1),
     ]
-    results.append(_anchor_result("oracle_ball_frozen_values", "quadrature", frozen, 1e-9))
-
     closed_form = [
-        (oracles.oracle_ball(3, radius, t), _ball_n3_closed_form(radius, t))
+        ((3, radius, t), _ball_n3_closed_form(radius, t))
         for radius in (0.5, 1.0, 2.0) for t in (0.0, 0.7, 1.5)
     ]
-    results.append(
-        _anchor_result("oracle_ball_n3_closed_form", "quadrature", closed_form, 1e-9)
-    )
-
     dim1 = [
-        (oracles.oracle_ball(1, radius, t), oracles.oracle_slab(radius, t))
+        ((1, radius, t), oracles.oracle_slab(radius, t))
         for radius in (0.5, 2.0) for t in (0.0, 1.0, 3.0)
     ]
-    results.append(_anchor_result("oracle_ball_dim1_slab", "quadrature", dim1, 1e-12))
+    far_case = (2, 1.0, 10.0)
+    t0 = 1.0
+    balls = [(n, radius, t) for n in (2, 3, 5) for radius in (1.0, 2.0) for t in (0.0, 1.0)]
+    # One batch, so the quadratures share their chi-square evaluations.
+    cases = [case for case, _ in frozen + closed_form + dim1]
+    cases += [far_case, *_decay_cases(1.0, t0), *balls]
+    mass = dict(zip(cases, oracles.oracle_balls(cases)))
 
-    far = oracles.oracle_ball(2, 1.0, 10.0)
+    def anchors(pairs: list) -> list[tuple[float, float]]:
+        return [(mass[case], want) for case, want in pairs]
+
+    results.append(
+        _anchor_result("oracle_ball_frozen_values", "quadrature", anchors(frozen), 1e-9)
+    )
+    results.append(_anchor_result(
+        "oracle_ball_n3_closed_form", "quadrature", anchors(closed_form), 1e-9
+    ))
+    results.append(
+        _anchor_result("oracle_ball_dim1_slab", "quadrature", anchors(dim1), 1e-12)
+    )
+
+    far = mass[far_case]
     tail_cap = kernels.std_normal_cdf(-9.0)
     results.append(_result(
         "oracle_ball_far_tail", 0.0 < far <= tail_cap, far, "quadrature", tail_cap=tail_cap
     ))
 
     # The decay rate is a conditional center coordinate, so it lies in [0, t].
-    t0 = 1.0
-    rate = _ball_decay_rate(1.0, t0)
+    rate = _ball_decay_rate(*(mass[case] for case in _decay_cases(1.0, t0)))
     ceiling = conditional_coordinate_ceiling(t0)
     results.append(_result(
         "oracle_ball_log_derivative_range", -1e-3 <= rate <= ceiling + 1e-3, rate,
         "quadrature", t=t0,
     ))
 
-    balls = []
-    plans = []
-    for n in (2, 3, 5):
-        cov = identity_covariance(n)
-        u = Direction.axis(n)
-        for radius in (1.0, 2.0):
-            ball = LpBall(dim=n, p=2.0, radius=radius)
-            for t in (0.0, 1.0):
-                balls.append((n, radius, t))
-                plans.append(layered_plan(
-                    cov, ball, u, t, ball_samples,
-                    seed * SEED_STRIDE + n * 100 + int(radius) * 10 + int(t),
-                ))
+    plans = [
+        layered_plan(
+            identity_covariance(n), LpBall(dim=n, p=2.0, radius=radius), Direction.axis(n), t,
+            ball_samples, seed * SEED_STRIDE + n * 100 + int(radius) * 10 + int(t),
+        )
+        for n, radius, t in balls
+    ]
 
     rng = np.random.default_rng(seed + 17)
     slabs = []
@@ -326,7 +340,7 @@ def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult
 
     with closing(run_plans(plans)) as estimates:
         for (n, radius, t), est in zip(balls, estimates):
-            want = oracles.oracle_ball(n, radius, t)
+            want = mass[n, radius, t]
             z, passed = score_agreement(est, want)
             results.append(_result(
                 f"oracle_ball_mc_n{n}_r{int(radius)}_t{int(t)}", passed, z,
@@ -571,7 +585,7 @@ def suite_conditional(samples: int | None = None, seed: int = 0) -> list[CheckRe
                 details["closed_form"] = TRUNCATED_SLAB_CENTER_11
             results.append(_result(f"conditional_{tag}_t{t}", passed, z_slack, "monte_carlo",
                                    **details))
-        rate = _ball_decay_rate(radius, t0)
+        rate = _ball_decay_rate(*oracles.oracle_balls(_decay_cases(radius, t0)))
         (est,) = estimates
     z, passed = score_agreement(est, rate)
     results.append(_result(

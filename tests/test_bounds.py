@@ -228,6 +228,24 @@ class TestRatioBoundsGrid:
         with pytest.raises(DomainError):
             ratio_bounds_grid(DENSE3, POLYTOPE3, Direction.axis(3), np.array([]))
 
+    @pytest.mark.parametrize("sigma", ["identity", "dense"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "box"])
+    def test_tiny_shifts_keep_the_chain(self, sigma, p):
+        # At t near 1e-20 the erfc quotient of shift_ratio rounded an ulp
+        # past its range: LpBall(2, 1, 1.5) under identity Sigma read
+        # upper 1.0000000000000002 for u along (1, 1), and lower 1.0 above
+        # upper 0.9999999999999999 for u along (1, -2).
+        cov = identity_covariance(2) if sigma == "identity" else build_covariance(
+            np.array([[2.0, 0.6], [0.6, 1.0]])
+        )
+        body = LpBall(dim=2, p=p, radius=1.5)
+        ts = [10.0 ** -k for k in range(5, 301, 5)]
+        for v in ([1.0, 0.0], [1.0, 1.0], [1.0, -2.0], [0.3, 1.0]):
+            u = Direction.from_vector(np.array(v))
+            for r in ratio_bounds_grid(cov, body, u, ts):
+                assert 0.0 < r.lower <= r.upper <= 1.0, (v, r.t, r.lower, r.upper)
+                assert r.lower == math.exp(-0.5 * (r.t * r.mahalanobis) ** 2)
+
     @pytest.mark.parametrize(
         "grid", [np.array([0.0]), np.linspace(0.0, 2.0, 5)], ids=["one", "five"]
     )

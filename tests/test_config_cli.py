@@ -29,6 +29,7 @@ def minimal(**extra) -> dict:
 
 SLAB_E1 = {"kind": "slab", "normal": [1.0, 0.0], "halfwidth": 1.0}
 SLAB_E2 = {"kind": "slab", "normal": [0.0, 1.0], "halfwidth": 1.0}
+BALL1 = {"kind": "lp_ball", "dim": 1, "p": 2.0, "radius": 1.0}
 
 # Full `power` reports on a dense covariance, captured before the theta
 # grid shared one sampling pass: one config estimates the size, the
@@ -217,6 +218,31 @@ class TestParseRunConfig:
         ids=["top_level", "fault_scale_typo", "mc"],
     )
     def test_unknown_field_is_named(self, extra, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$"):
+            parse_run_config(minimal(**extra))
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"body": {**SLAB_E1, "halfwdith": 2.0}}, "body.halfwdith"),
+            ({"body": {"kind": "intersection", "parts": [{**SLAB_E1, "radius": 1.0}]}},
+             "body.parts[0].radius"),
+            ({"body": {"kind": "linear_image", "base": {**SLAB_E1, "p": 2.0},
+                       "matrix": [[1.0, 0.0], [0.0, 1.0]]}}, "body.base.p"),
+            ({"body": {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 1.0,
+                       "normal": [1.0, 0.0]}}, "body.normal"),
+            ({"sigma": {"kind": "identity", "entries": [4.0, 9.0]}}, "sigma.entries"),
+            ({"sigma": {"kind": "diagonal", "entries": [4.0, 9.0], "matrix": [[4.0]]}},
+             "sigma.matrix"),
+            ({"layers": [{"weight": 1.0, "body": SLAB_E1},
+                         {"weight": 1.0, "body": SLAB_E2, "wieght": 2.0}]}, "layers[1].wieght"),
+            ({"layers": [{"weight": 1.0, "body": {**SLAB_E2, "halfwdith": 2.0}}]},
+             "layers[0].body.halfwdith"),
+        ],
+        ids=["body", "part", "base", "lp_ball", "sigma_identity", "sigma_diagonal",
+             "layer", "layer_body"],
+    )
+    def test_unknown_nested_field_is_named(self, extra, field):
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$"):
             parse_run_config(minimal(**extra))
 
@@ -898,6 +924,35 @@ class TestCliErrors:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith("error: fault_upper_scale: ")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("bounds", {"u": [1.0], "t_grid": [1.0], "body": BALL1, "suite": "sandwich",
+                        "fault_upper_scale": 0.5}, "suite"),
+            ("bounds", {"u": [1.0], "t_grid": [1.0], "body": BALL1, "fault_upper_scale": 1.0},
+             "fault_upper_scale"),
+            ("power", {"u": [1.0], "theta_grid": [1.0], "alpha": 0.05, "body": BALL1,
+                       "suite": "power"}, "suite"),
+            ("support", {"directions": [[1.0]], "body": BALL1, "suite": "kernels"}, "suite"),
+        ],
+        ids=["bounds_sandwich_fault", "bounds_unit_fault", "power", "support"],
+    )
+    def test_verify_fields_are_refused_elsewhere(self, tmp_path, capsys, command, config, field):
+        # Only verify reads a suite and its fault scale.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dim": 1, **config}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: only the verify command reads it"), err
+        assert not (tmp_path / "r").exists()
+
+    def test_misspelled_body_field_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        body = {"kind": "slab", "normal": [1.0], "halfwidth": 1.0, "halfwdith": 2.0}
+        path.write_text(json.dumps({"dim": 1, "u": [1.0], "t_grid": [1.0], "body": body}))
+        assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: body.halfwdith: unknown field\n"
 
     @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
     def test_integer_past_float_range_is_a_config_error(self, tmp_path, capsys, field):

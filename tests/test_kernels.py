@@ -165,6 +165,14 @@ class TestShiftRatio:
                 r = shift_ratio(t, float(a))
                 assert floor <= r <= 1.0
 
+    def test_tiny_shift_stays_in_range(self):
+        # The erfc quotient rounded to 1.0000000000000002 here.
+        assert shift_ratio(1e-20, 1.0606601717798214) == 1.0
+        for t in (1e-300, 1e-100, 1e-20, 1e-10, 1e-5):
+            floor = math.exp(-0.5 * t * t)
+            for a in np.logspace(-7, 2, 200):
+                assert floor <= shift_ratio(t, float(a)) <= 1.0
+
     def test_nonincreasing_in_shift(self):
         for a in (0.25, 1.0, 4.0):
             values = [shift_ratio(float(t), a) for t in np.linspace(0.0, 8.0, 200)]

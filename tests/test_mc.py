@@ -2,6 +2,7 @@
 against closed forms, and the verification verdicts (including the
 fault-injection path that proves violations are detectable)."""
 
+import collections
 import dataclasses
 import math
 import multiprocessing
@@ -10,6 +11,7 @@ import queue
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from shiftbounds import (
 )
 from shiftbounds.cli import cmd_power, cmd_verify
 from shiftbounds.config import parse_run_config
+from shiftbounds.linalg import MAX_DIM
 from shiftbounds.mc import (
     CHUNK_SIZE,
     SUBSTREAM_DENOM,
@@ -141,6 +144,27 @@ WIDE_GRID_HITS = {
 }
 
 
+# Rejections of a 5-shift power grid at MAX_DIM (seed 7, 4 chunks), an l2
+# ball under the covariance 0.5^|i-j|, captured before walks ran in pieces.
+WIDEST_GRID_HITS = [120646, 122389, 127428, 135683, 146654]
+
+
+def _walk_bits(kind, sigma, count):
+    """Every estimate of the block-size test on BODIES3[kind], in hex."""
+    cov = DENSE3 if sigma == "dense" else identity_covariance(3)
+    body = BODIES3[kind]
+    weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
+    grid = estimate_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5, 1)
+    prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
+    layered = estimate_layered_expectation(cov, weight, U3, 0.9, count, seed=5)
+    estimates = [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
+    if sigma == "dense":
+        return estimates
+    center = estimate_conditional_center(body, U3, 0.9, count, seed=5)
+    check = verify_derivative_identity(weight, U3, 0.9, count, seed=5)
+    return [*estimates, _hex_fields(center), _hex_fields(check)]
+
+
 def _wide_grid_case(name, dim):
     cov = build_covariance(
         np.array([[0.5 ** abs(i - j) for j in range(dim)] for i in range(dim)])
@@ -159,16 +183,42 @@ def _wide_grid_case(name, dim):
     return cov, bodies[name], u
 
 def _count_draws(monkeypatch):
-    """Record the index of every chunk drawn; a run waits for its draws when it ends."""
+    """Record (seed, index, start, rows) of every draw, a piece or a whole
+    chunk; a run waits for its draws when it ends."""
     draws = []
     draw = mc._normal_chunk
 
-    def counting(seed, substream, index, out):
-        draws.append(index)
-        return draw(seed, substream, index, out)
+    def counting(seed, substream, index, out, start=0):
+        draws.append((seed, index, start, len(out)))
+        return draw(seed, substream, index, out, start)
 
     monkeypatch.setattr(mc, "_normal_chunk", counting)
     return draws
+
+
+def _tiles(pieces, rows):
+    """Whether the (start, rows) pieces, in order, tile rows [0, rows)."""
+    end = 0
+    for start, length in pieces:
+        if start != end or length < 1:
+            return False
+        end += length
+    return end == rows
+
+
+def _assert_walks_tile_their_chunks(draws, count, walks):
+    """Each of `walks` walks of `count` samples drew each piece of its
+    chunks once, and the pieces of every chunk tile that chunk."""
+    if walks == 0:
+        assert draws == []
+        return
+    copies = collections.Counter((index, start, rows) for _, index, start, rows in draws)
+    assert set(copies.values()) == {walks}
+    assert all(rows <= mc.PIECE_ROWS for _, _, rows in copies)
+    chunk_rows = [min(CHUNK_SIZE, count - start) for start in range(0, count, CHUNK_SIZE)]
+    assert {index for index, _, _ in copies} == set(range(len(chunk_rows)))
+    for index, rows in enumerate(chunk_rows):
+        assert _tiles(sorted((s, n) for i, s, n in copies if i == index), rows)
 
 
 def _hex_fields(result):
@@ -243,14 +293,42 @@ class TestStreams:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
+        "piece_rows, dims, rows",
+        [
+            (None, (1, 2, 3, 7, MAX_DIM), (CHUNK_SIZE, 2 * mc.PIECE_ROWS + 5)),
+            (12, range(1, MAX_DIM + 1), (29,)),
+        ],
+        ids=["piece_rows", "every_dim"],
+    )
+    def test_pieces_concatenate_to_the_chunk(self, monkeypatch, piece_rows, dims, rows):
+        # Each piece advances the chunk's Philox counter past the words of
+        # the rows before it, so the pieces of a chunk, the last one
+        # partial, give the whole-chunk draw bit for bit.  Pieces of 12
+        # rows cover every dim cheaply: 12 * dim words is a whole number of
+        # 4-word counters at any dim, as PIECE_ROWS * dim is.
+        if piece_rows is not None:
+            monkeypatch.setattr(mc, "PIECE_ROWS", piece_rows)
+        for dim in dims:
+            for count in rows:
+                want = mc._normal_chunk(5, SUBSTREAM_DENOM, 2, np.empty((count, dim)))
+                pieces = list(mc._pieces(count))
+                assert _tiles(pieces, count) and len(pieces) > 1
+                got = np.vstack([
+                    mc._normal_chunk(5, SUBSTREAM_DENOM, 2, np.empty((n, dim)), start)
+                    for start, n in pieces
+                ])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (dim, count)
+
+    @pytest.mark.parametrize(
         "abandon", ["probe", "close", "raising_sums", "raising_finisher"]
     )
     def test_abandoned_stream_stops_drawing(self, monkeypatch, abandon):
-        # One sampler thread, held inside the second chunk drawn, with four
-        # chunks in flight: the next three are still queued when the run is
-        # dropped after its first chunk, and must never be drawn.  The
+        # One sampler thread, held inside the first draw past chunk 0 of
+        # seed 3, with more draws in flight: the rest are still queued when
+        # the run is dropped after that chunk, and must never be drawn.  A
+        # stream yields chunk 0 whole; a run draws it in pieces.  The
         # multi-plan run drops its second, 153-chunk check when the first,
-        # one-chunk check's finisher raises.  Closing the run waits for the
+        # one-piece check's finisher raises.  Closing the run waits for the
         # held draw, so a timer releases it.
         draws = _count_draws(monkeypatch)
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 4)
@@ -261,10 +339,10 @@ class TestStreams:
         timer = threading.Timer(0.5, release.set)
         draw = mc._normal_chunk
 
-        def held(seed, substream, index, out):
+        def held(seed, substream, index, out, start=0):
             if (seed, index) != (3, 0):
                 release.wait(timeout=30)
-            return draw(seed, substream, index, out)
+            return draw(seed, substream, index, out, start)
 
         monkeypatch.setattr(mc, "_normal_chunk", held)
         count = 10_000_000
@@ -276,8 +354,8 @@ class TestStreams:
         def failing(*args):
             raise ArithmeticError("reduction failed")
 
-        def count_rows(z, inside):
-            return np.array([len(z)])
+        def count_rows(coords, inside):
+            return np.array([inside.shape[-1]])
 
         timer.start()
         try:
@@ -297,8 +375,10 @@ class TestStreams:
         finally:
             release.set()
             timer.cancel()
-        assert len(draws) <= 2
-        assert draws[0] == 0
+        read = [(start, rows) for seed, index, start, rows in draws if (seed, index) == (3, 0)]
+        assert _tiles(read, 1000 if abandon == "raising_finisher" else CHUNK_SIZE)
+        assert len(draws) <= len(read) + 1
+        assert draws[0][:3] == (3, 0, 0)
 
     @pytest.mark.parametrize(
         "run", ["estimator", "read", "closed", "raising_finisher", "dropped_chunks"]
@@ -306,8 +386,8 @@ class TestStreams:
     def test_no_sampler_thread_outlives_a_run(self, run):
         count = 3 * CHUNK_SIZE
 
-        def count_rows(z, inside):
-            return np.array([len(z)])
+        def count_rows(coords, inside):
+            return np.array([inside.shape[-1]])
 
         def plan(finish=lambda totals: totals):
             walk = mc.Walk(COV2, UNIT_SLAB, E1, (0.0,), count, 5, SUBSTREAM_MAIN, count_rows)
@@ -490,6 +570,20 @@ class TestDeterminism:
             if count == GOLDEN_COUNT:
                 hits = [hits for *_, hits in runs[0][:5]]
                 assert hits == BLOCKED_PASS_HITS[kind, sigma]
+
+    @pytest.mark.parametrize("sigma", ["dense", "identity"])
+    @pytest.mark.parametrize("kind", sorted(BODIES3))
+    def test_piece_size_does_not_move_a_bit(self, monkeypatch, kind, sigma):
+        # Pieces concatenate to their chunk, each row is tested on its
+        # own, the coordinates <u, z> are one gemv per piece and every
+        # reduction still runs over whole chunks, so no piece size may
+        # move a bit of the block-size test's estimates.
+        runs = []
+        for rows in (CHUNK_SIZE, 16384, 4096):
+            monkeypatch.setattr(mc, "PIECE_ROWS", rows)
+            runs.append(_walk_bits(kind, sigma, GOLDEN_COUNT))
+        assert all(run == runs[0] for run in runs)
+        assert [hits for *_, hits in runs[0][:5]] == BLOCKED_PASS_HITS[kind, sigma]
 
     @pytest.mark.parametrize("name, dim", sorted(WIDE_GRID_HITS))
     def test_wide_ball_grid_hits_are_pinned(self, name, dim):
@@ -687,18 +781,32 @@ class TestWalker:
         *results, (_, (verdict,)) = mc.run_plans(plans)
         assert [_hex_tree(r) for r in [*results, verdict]] == [_hex_tree(r) for r in singles]
 
+    def test_widest_walk_holds_pieces_not_chunks(self, monkeypatch):
+        # On 2 workers a walk holds 1 + 3 * 2 pieces of 16,384 x 64 doubles
+        # (8.4 MB each), about 68 MB traced in all; whole chunks (33.5 MB
+        # each, one tested and two drawn ahead) peaked at 110 MB.
+        monkeypatch.setattr(mc, "SAMPLER_WORKERS", 2)
+        cov, body, u = _wide_grid_case("l2", MAX_DIM)
+        thetas = [0.0, 0.5, 1.0, 1.5, 2.0]
+        tracemalloc.start()
+        try:
+            grid = estimate_power_grid(cov, body, u, thetas, 4 * CHUNK_SIZE, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [est.hits for est in grid] == WIDEST_GRID_HITS
+        assert peak < 80e6
+
     @pytest.mark.parametrize("suite", sorted(SUITE_WALKS))
     def test_suite_draws_exactly_the_chunks_it_reads(self, monkeypatch, suite):
         # Two chunks per walk, the second of one row: the window runs over
-        # every check of the run and stops at the last chunk read.
+        # every check of the run and stops at the last piece read.
         draws = _count_draws(monkeypatch)
         cfg = parse_run_config(
             {"dim": 1, "suite": suite, "mc": {"samples": CHUNK_SIZE + 1, "seed": 0}}
         )
         cmd_verify(cfg)
-        walks = SUITE_WALKS[suite]
-        assert len(draws) == 2 * walks
-        assert sorted(draws) == [0] * walks + [1] * walks
+        _assert_walks_tile_their_chunks(draws, CHUNK_SIZE + 1, SUITE_WALKS[suite])
 
 
     @pytest.mark.parametrize(
@@ -716,8 +824,7 @@ class TestWalker:
         draws = _count_draws(monkeypatch)
         body = {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 2.0}
         cmd_power(parse_run_config({"dim": 2, "u": [1.0, 0.0], "body": body, **config}))
-        assert len(draws) == 2 * walks
-        assert sorted(draws) == [0] * walks + [1] * walks
+        _assert_walks_tile_their_chunks(draws, CHUNK_SIZE + 1, walks)
 
 
 class TestEstimators:

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from shiftbounds import DomainError, NumericError, oracle_ball, oracle_slab, oracles
+from shiftbounds import (
+    DomainError, NumericError, oracle_ball, oracle_balls, oracle_slab, oracles,
+)
 from shiftbounds.kernels import std_normal_pdf
 from shiftbounds.oracles import adaptive_simpson, chi_square_cdf
 
@@ -118,6 +120,29 @@ class TestOracleBall:
         got = oracle_ball(2, 1.0, 10.0)
         assert got == pytest.approx(3.413648946230375e-20, rel=1e-10)
         assert got <= 0.5 * math.erfc(9.0 / math.sqrt(2.0))
+
+    def test_batch_shares_the_chi_square_memo(self, monkeypatch):
+        # Balls of one radius meet the CDF at the same nodes whatever their
+        # shift; a batch evaluates each node once, and every mass keeps the
+        # bits of its own call.
+        cases = [(n, radius, t) for n in (2, 3) for radius in (1.0, 2.0)
+                 for t in (0.0, 0.7, 1.5)] + [(1, 0.5, 1.0), (3, 1.0, 1.0)]
+        single = [oracle_ball(*case) for case in cases]
+        calls = []
+        cdf = oracles.chi_square_cdf
+
+        def counting(dof, x):
+            calls.append((dof, x))
+            return cdf(dof, x)
+
+        monkeypatch.setattr(oracles, "chi_square_cdf", counting)
+        for case in cases:
+            oracle_ball(*case)
+        alone = len(calls)
+        calls.clear()
+        assert oracle_balls(cases) == single
+        assert len(calls) == len(set(calls)) < alone / 2
+        assert oracle_balls([]) == []
 
     def test_monotone_in_radius_and_shift(self):
         masses_r = [oracle_ball(3, r, 0.5) for r in (0.5, 1.0, 1.5, 2.0, 3.0)]

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import shiftbounds
-from shiftbounds import config
+from shiftbounds import config, mc
 from shiftbounds.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,6 +58,13 @@ def test_grammar_table_names_every_parsed_field():
     assert set(rows) == config._FIELDS
     mc_block = re.match(r"`(\{.*?\})`", rows["mc"]).group(1)
     assert set(re.findall(r'"(\w+)":', mc_block)) == config._MC_FIELDS == {"samples", "seed"}
+
+
+def test_determinism_names_the_piece_window():
+    # The piece size and the draw-ahead window, as mc defines them.
+    text = " ".join(_section("Determinism").split())
+    assert f"`mc.PIECE_ROWS` = {mc.PIECE_ROWS:,} rows" in text
+    assert f"`mc.PIECES_PER_WORKER` = {mc.PIECES_PER_WORKER} pieces per worker" in text
 
 
 def test_every_exported_name_resolves_once():
