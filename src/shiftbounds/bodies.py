@@ -277,8 +277,9 @@ class LpBall(ConvexBody):
     )
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dim, int) and 1 <= self.dim <= MAX_DIM):
-            raise ShapeError(f"lp ball dim must be an int in [1, {MAX_DIM}]")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise ShapeError(f"lp ball dim must be an int in [1, {MAX_DIM}], got {dim!r}")
         p = float(self.p)
         if math.isnan(p) or p < 1.0:
             raise DomainError(f"lp ball exponent must satisfy p >= 1, got {p!r}")
@@ -287,7 +288,7 @@ class LpBall(ConvexBody):
             raise DomainError(f"lp ball radius must be finite and > 0, got {r!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "_band", _sum_band(p, r, self.dim))
+        object.__setattr__(self, "_band", _sum_band(p, r, dim))
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         x = _as_points(pts, self.dim)

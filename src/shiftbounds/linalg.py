@@ -308,6 +308,10 @@ class Direction:
 
     @classmethod
     def axis(cls, dim: int, index: int = 0) -> "Direction":
+        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise ShapeError(f"axis dim must be an int in [1, {MAX_DIM}], got {dim!r}")
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < dim:
+            raise ShapeError(f"axis index must be an int in [0, {dim}), got {index!r}")
         e = np.zeros(dim)
         e[index] = 1.0
         return cls(entries=e)

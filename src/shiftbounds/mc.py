@@ -14,20 +14,21 @@ concatenate to the whole-chunk draw bit for bit.  Pieces are drawn on a
 small thread pool (SAMPLER_WORKERS threads; the Philox fill and ndtri
 release the GIL), up to PIECES_PER_WORKER * SAMPLER_WORKERS pieces ahead
 of the one being tested, so no walk holds a chunk-sized sample array.
-Each run has a pool of its own: ending or closing the run cancels its
-queued draws and waits for those already running, so no sampler thread
-outlives it.  Everything else -- membership tests, weights, BLAS calls
-and the reduction -- runs on the calling thread in chunk order, so no
-bit depends on the number of workers.
+Each run has a pool of its own, which cancels its queued draws and
+waits for those already running before the run returns or raises, so
+no sampler thread outlives it.  Everything else -- membership tests,
+weights, BLAS calls and the reduction -- runs on the calling thread in
+chunk order, so no bit depends on the number of workers.
 
 Each Monte Carlo check is a :class:`Plan`: the walks it reads (a
 :class:`Walk` names a covariance, a target, a direction, the shifts and
 one stream) and a finisher that turns their totals into the check's
 estimate or verdict.  :func:`run_plans` runs a request's plans in order
-with one draw-ahead window over all their pieces, so the pool draws the
-next check's pieces while the caller finishes and scores the last one;
-the public estimators are one-plan runs.  Since a piece's bits depend
-only on its coordinates, and every reduction stays on the calling
+in one call that returns their results, with one draw-ahead window over
+all their pieces, so the pool draws the next check's pieces while the
+calling thread finishes the last one; the public estimators are one-plan
+runs, and only the sample streams are generators.  Since a piece's bits
+depend only on its coordinates, and every reduction stays on the calling
 thread in chunk order, a check run among others has the bits of a check
 run alone.  The power check of a grid, for the library and the CLI
 alike, is one plan (:func:`power_envelope_plan`): the power at each
@@ -315,15 +316,15 @@ class Plan:
     finish: Callable[..., object]
 
 
-def run_plans(plans: Sequence[Plan]) -> Iterator:
-    """Yield each plan's result in order, from one draw-ahead window.
+def run_plans(plans: Sequence[Plan]) -> list:
+    """Each plan's result, in order, from one draw-ahead window.
 
     The window runs over the pieces of every walk of every plan, in
-    order, so while the caller works on one check's result the pool
+    order, so while the calling thread finishes one check the pool
     already draws the next check's pieces; no piece is drawn that no walk
     reads.  A plan's walks are reduced in chunk order on the calling
-    thread, so each result has the bits of a run of its plan alone.
-    Closing the generator, or an exception in a finisher, cancels the
+    thread, so each result has the bits of a run of its plan alone.  The
+    pool has joined before the results return; an exception cancels the
     draws not yet started and waits for those already running.
     """
     specs = (
@@ -334,8 +335,7 @@ def run_plans(plans: Sequence[Plan]) -> Iterator:
         for start, rows in _pieces(chunk_rows)
     )
     with closing(_draw_ahead(specs, PIECES_PER_WORKER * SAMPLER_WORKERS)) as pieces:
-        for plan in plans:
-            yield plan.finish(*[_accumulate(walk, pieces) for walk in plan.walks])
+        return [plan.finish(*[_accumulate(w, pieces) for w in plan.walks]) for plan in plans]
 
 
 def _run(plan: Plan):
@@ -584,21 +584,17 @@ def estimate_conditional_center(
     t: float,
     count: int,
     seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
     """Estimate E(<u, Z> | Z in t u + A) for standard Gaussian Z.
 
     Raises InsufficientHitsError below MIN_CONDITIONAL_HITS conditioning
     hits; the stderr is the within-hits plug-in form.
     """
-    return _run(conditional_plan(body, u, t, count, seed, substream))
+    return _run(conditional_plan(body, u, t, count, seed))
 
 
-def conditional_plan(
-    body: ConvexBody, u: Direction, t: float, count: int, seed: int,
-    substream: int = SUBSTREAM_MAIN,
-) -> Plan:
-    """The plan of :func:`estimate_conditional_center`."""
+def conditional_plan(body: ConvexBody, u: Direction, t: float, count: int, seed: int) -> Plan:
+    """The plan of :func:`estimate_conditional_center`, on the MAIN substream."""
     _check_shift(t)
 
     def sums(coords: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -615,10 +611,11 @@ def conditional_plan(
                 f"(body mass too small at t={t}; raise the sample count)"
             )
         value, stderr = _plug_in(s1, s2, hits)
-        return McEstimate(value, stderr, count, hits, SeedRecord(seed, substream, CHUNK_SIZE))
+        return McEstimate(value, stderr, count, hits, SeedRecord(seed, SUBSTREAM_MAIN, CHUNK_SIZE))
 
     cov = identity_covariance(u.dim)
-    return Plan((Walk(cov, body, u, (-t,), count, seed, substream, sums, coords=True),), finish)
+    walk = Walk(cov, body, u, (-t,), count, seed, SUBSTREAM_MAIN, sums, coords=True)
+    return Plan((walk,), finish)
 
 
 @dataclass(frozen=True)
@@ -775,7 +772,6 @@ def verify_derivative_identity(
     t: float,
     count: int,
     seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> DerivativeCheck:
     """Check d/dt E w(Z - t u) = -E <u, Z> w(Z - t u) for standard Z.
 
@@ -786,14 +782,13 @@ def verify_derivative_identity(
     analytic decay floor (:func:`derivative_floor` for the identity
     covariance), each within Z_THRESHOLD of its own stderr.
     """
-    return _run(derivative_plan(weight, u, t, count, seed, substream))
+    return _run(derivative_plan(weight, u, t, count, seed))
 
 
 def derivative_plan(
     weight: LayeredUnimodal | ConvexBody, u: Direction, t: float, count: int, seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> Plan:
-    """The plan of :func:`verify_derivative_identity`."""
+    """The plan of :func:`verify_derivative_identity`, on the MAIN substream."""
     w = as_layered(weight)
     step = DERIVATIVE_STEP
     if not math.isfinite(t) or t <= step:
@@ -842,7 +837,7 @@ def derivative_plan(
         )
 
     shifts = (-(t + step), -(t - step), -t)
-    return Plan((Walk(cov, w, u, shifts, count, seed, substream, sums, coords=True),), finish)
+    return Plan((Walk(cov, w, u, shifts, count, seed, SUBSTREAM_MAIN, sums, coords=True),), finish)
 
 
 @dataclass(frozen=True)

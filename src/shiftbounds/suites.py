@@ -27,7 +27,6 @@ the suite fail, which proves the machinery can detect violations.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -338,21 +337,21 @@ def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult
         slabs.append((a, t))
         plans.append(layered_plan(cov, slab, u, t, slab_samples, seed * 999983 + i))
 
-    with closing(run_plans(plans)) as estimates:
-        for (n, radius, t), est in zip(balls, estimates):
-            want = mass[n, radius, t]
-            z, passed = score_agreement(est, want)
-            results.append(_result(
-                f"oracle_ball_mc_n{n}_r{int(radius)}_t{int(t)}", passed, z,
-                "monte_carlo",
-                oracle=want, estimate=est.value, stderr=est.stderr, samples=est.samples,
-            ))
-        worst_z = 0.0
-        all_agree = True
-        for (a, t), est in zip(slabs, estimates):
-            z, passed = score_agreement(est, oracles.oracle_slab(a, t))
-            worst_z = max(worst_z, abs(z))
-            all_agree = all_agree and passed
+    estimates = run_plans(plans)
+    for (n, radius, t), est in zip(balls, estimates[: len(balls)], strict=True):
+        want = mass[n, radius, t]
+        z, passed = score_agreement(est, want)
+        results.append(_result(
+            f"oracle_ball_mc_n{n}_r{int(radius)}_t{int(t)}", passed, z,
+            "monte_carlo",
+            oracle=want, estimate=est.value, stderr=est.stderr, samples=est.samples,
+        ))
+    worst_z = 0.0
+    all_agree = True
+    for (a, t), est in zip(slabs, estimates[len(balls) :], strict=True):
+        z, passed = score_agreement(est, oracles.oracle_slab(a, t))
+        worst_z = max(worst_z, abs(z))
+        all_agree = all_agree and passed
     results.append(_result(
         "oracle_slab_mc_battery", all_agree, worst_z, "monte_carlo",
         configurations=20, samples=slab_samples,
@@ -465,27 +464,27 @@ def suite_sandwich(
             upper_scale=upper_scale,
         ))
 
+    verdicts = run_plans(plans)
     results = []
-    with closing(run_plans(plans)) as verdicts:
-        for cfg, verdict in zip(battery, verdicts):
-            worst_z = min(verdict.lower_z, verdict.upper_z)
-            results.append(_result(
-                cfg.name, verdict.passed, worst_z, "monte_carlo",
-                ratio=verdict.ratio, ratio_stderr=verdict.ratio_stderr,
-                lower=verdict.bounds.lower, upper=verdict.bounds.upper,
-                lower_z=verdict.lower_z, upper_z=verdict.upper_z,
-                violation_sigmas=max(0.0, -worst_z), samples=count, t=cfg.t,
-            ))
-        # The extremal slab must sit on the upper bound, so |upper_z| stays
-        # within the threshold (two-sided).
-        for tag, verdict in zip(("eye", "rnd"), verdicts):
-            passed = verdict.passed and abs(verdict.upper_z) <= Z_THRESHOLD
-            results.append(_result(
-                f"sandwich_extremal_{tag}", passed, verdict.upper_z,
-                "monte_carlo",
-                ratio=verdict.ratio, upper=verdict.bounds.upper,
-                lower_z=verdict.lower_z, upper_z=verdict.upper_z, samples=count,
-            ))
+    for cfg, verdict in zip(battery, verdicts[: len(battery)], strict=True):
+        worst_z = min(verdict.lower_z, verdict.upper_z)
+        results.append(_result(
+            cfg.name, verdict.passed, worst_z, "monte_carlo",
+            ratio=verdict.ratio, ratio_stderr=verdict.ratio_stderr,
+            lower=verdict.bounds.lower, upper=verdict.bounds.upper,
+            lower_z=verdict.lower_z, upper_z=verdict.upper_z,
+            violation_sigmas=max(0.0, -worst_z), samples=count, t=cfg.t,
+        ))
+    # The extremal slab must sit on the upper bound, so |upper_z| stays
+    # within the threshold (two-sided).
+    for tag, verdict in zip(("eye", "rnd"), verdicts[len(battery) :], strict=True):
+        passed = verdict.passed and abs(verdict.upper_z) <= Z_THRESHOLD
+        results.append(_result(
+            f"sandwich_extremal_{tag}", passed, verdict.upper_z,
+            "monte_carlo",
+            ratio=verdict.ratio, upper=verdict.bounds.upper,
+            lower_z=verdict.lower_z, upper_z=verdict.upper_z, samples=count,
+        ))
     return results
 
 
@@ -506,26 +505,26 @@ def suite_derivative(samples: int | None = None, seed: int = 0) -> list[CheckRes
         for i, (tag, weight) in enumerate((("slab", slab_weight), ("two_layer", two_layer)))
         for t in (0.5, 1.0)
     ]
+    verdicts = run_plans([plan for *_, plan in checks])
     results = []
-    with closing(run_plans([plan for *_, plan in checks])) as verdicts:
-        for (tag, t, _), check in zip(checks, verdicts):
-            details = {
-                "fd_estimate": check.fd_estimate,
-                "direct_estimate": check.direct_estimate,
-                "difference": check.difference,
-                "tolerance": check.tolerance,
-                "floor_value": check.floor_value,
-                "t": t,
-                "samples": count,
-            }
-            passed = check.passed
-            if tag == "slab":
-                details["analytic_derivative"] = kernels.slab_mass(1.0, t).derivative
-                passed = passed and check.matches(details["analytic_derivative"])
-            results.append(_result(
-                f"derivative_{tag}_t{t}", passed, abs(check.difference) / check.tolerance,
-                "monte_carlo", **details,
-            ))
+    for (tag, t, _), check in zip(checks, verdicts, strict=True):
+        details = {
+            "fd_estimate": check.fd_estimate,
+            "direct_estimate": check.direct_estimate,
+            "difference": check.difference,
+            "tolerance": check.tolerance,
+            "floor_value": check.floor_value,
+            "t": t,
+            "samples": count,
+        }
+        passed = check.passed
+        if tag == "slab":
+            details["analytic_derivative"] = kernels.slab_mass(1.0, t).derivative
+            passed = passed and check.matches(details["analytic_derivative"])
+        results.append(_result(
+            f"derivative_{tag}_t{t}", passed, abs(check.difference) / check.tolerance,
+            "monte_carlo", **details,
+        ))
     return results
 
 
@@ -565,32 +564,31 @@ def suite_conditional(samples: int | None = None, seed: int = 0) -> list[CheckRe
     # ball oracle.
     t0 = 1.0
     radius = 1.5
+    rate = _ball_decay_rate(*oracles.oracle_balls(_decay_cases(radius, t0)))
     plans.append(conditional_plan(
         LpBall(dim=3, p=2.0, radius=radius), Direction.axis(3), t0, count,
         seed * SEED_STRIDE + 990,
     ))
 
-    with closing(run_plans(plans)) as estimates:
-        for (tag, _, t), est in zip(pairs, estimates):
-            # The center lies in (-inf, ceiling].
-            _, z_slack, passed = score_interval(
-                est, -math.inf, 0.0, conditional_coordinate_ceiling(t), 0.0
-            )
-            passed = passed and est.hits >= 10_000
-            details = {"center": est.value, "stderr": est.stderr, "hits": est.hits, "t": t,
-                       "samples": count}
-            if tag == "slab_a1" and t == 1.0:
-                _, agrees = score_agreement(est, TRUNCATED_SLAB_CENTER_11)
-                passed = passed and agrees
-                details["closed_form"] = TRUNCATED_SLAB_CENTER_11
-            results.append(_result(f"conditional_{tag}_t{t}", passed, z_slack, "monte_carlo",
-                                   **details))
-        rate = _ball_decay_rate(*oracles.oracle_balls(_decay_cases(radius, t0)))
-        (est,) = estimates
-    z, passed = score_agreement(est, rate)
+    *estimates, link = run_plans(plans)
+    for (tag, _, t), est in zip(pairs, estimates, strict=True):
+        # The center lies in (-inf, ceiling].
+        _, z_slack, passed = score_interval(
+            est, -math.inf, 0.0, conditional_coordinate_ceiling(t), 0.0
+        )
+        passed = passed and est.hits >= 10_000
+        details = {"center": est.value, "stderr": est.stderr, "hits": est.hits, "t": t,
+                   "samples": count}
+        if tag == "slab_a1" and t == 1.0:
+            _, agrees = score_agreement(est, TRUNCATED_SLAB_CENTER_11)
+            passed = passed and agrees
+            details["closed_form"] = TRUNCATED_SLAB_CENTER_11
+        results.append(_result(f"conditional_{tag}_t{t}", passed, z_slack, "monte_carlo",
+                               **details))
+    z, passed = score_agreement(link, rate)
     results.append(_result(
         "conditional_log_derivative_link", passed, z, "monte_carlo",
-        oracle_rate=rate, center=est.value, stderr=est.stderr, hits=est.hits,
+        oracle_rate=rate, center=link.value, stderr=link.stderr, hits=link.hits,
     ))
     return results
 
@@ -622,35 +620,35 @@ def suite_power(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
             seed * SEED_STRIDE + 1200 + i,
         ))
 
+    verdicts = run_plans(plans)
     worst_chain = math.inf
-    with closing(run_plans(plans)) as verdicts:
-        for theta, (est,) in zip(thetas, verdicts):
-            report = power_envelope(ratio_bounds_set(cov, slab, u, theta), alpha)
-            worst_chain = min(
-                worst_chain, report.beta_lower - alpha, report.beta_upper - report.beta_lower
-            )
-            # The size is exact here, so only the power's stderr counts.
-            low_z, up_z, passed = score_interval(
-                est, report.beta_lower, 0.0, report.beta_upper, 0.0
-            )
-            results.append(_result(
-                f"power_slab_theta{theta}", passed, min(low_z, up_z), "monte_carlo",
-                beta_estimate=est.value, stderr=est.stderr, beta_lower=report.beta_lower,
-                beta_upper=report.beta_upper, alpha=alpha, samples=count,
-            ))
+    for theta, (est,) in zip(thetas, verdicts[: len(thetas)], strict=True):
+        report = power_envelope(ratio_bounds_set(cov, slab, u, theta), alpha)
+        worst_chain = min(
+            worst_chain, report.beta_lower - alpha, report.beta_upper - report.beta_lower
+        )
+        # The size is exact here, so only the power's stderr counts.
+        low_z, up_z, passed = score_interval(
+            est, report.beta_lower, 0.0, report.beta_upper, 0.0
+        )
         results.append(_result(
-            "power_envelope_chain", worst_chain >= -1e-12, worst_chain, "analytic",
-            tolerance=1e-12,
+            f"power_slab_theta{theta}", passed, min(low_z, up_z), "monte_carlo",
+            beta_estimate=est.value, stderr=est.stderr, beta_lower=report.beta_lower,
+            beta_upper=report.beta_upper, alpha=alpha, samples=count,
         ))
-        for (tag, _, theta), (_, (verdict,)) in zip(extra, verdicts):
-            results.append(_result(
-                f"power_estimated_alpha_{tag}", verdict.passed,
-                min(verdict.lower_z, verdict.upper_z), "monte_carlo",
-                alpha_estimate=verdict.alpha_estimate.value,
-                beta_estimate=verdict.beta_estimate.value,
-                beta_lower=verdict.beta_lower, beta_upper=verdict.beta_upper,
-                theta=theta, samples=count,
-            ))
+    results.append(_result(
+        "power_envelope_chain", worst_chain >= -1e-12, worst_chain, "analytic",
+        tolerance=1e-12,
+    ))
+    for (tag, _, theta), (_, (verdict,)) in zip(extra, verdicts[len(thetas) :], strict=True):
+        results.append(_result(
+            f"power_estimated_alpha_{tag}", verdict.passed,
+            min(verdict.lower_z, verdict.upper_z), "monte_carlo",
+            alpha_estimate=verdict.alpha_estimate.value,
+            beta_estimate=verdict.beta_estimate.value,
+            beta_lower=verdict.beta_lower, beta_upper=verdict.beta_upper,
+            theta=theta, samples=count,
+        ))
     return results
 
 

@@ -273,6 +273,8 @@ class TestLpBall:
             LpBall(dim=2, p=2.0, radius=0.0)
         with pytest.raises(ShapeError):
             LpBall(dim=0, p=2.0, radius=1.0)
+        with pytest.raises(ShapeError, match="got True$"):
+            LpBall(dim=True, p=2.0, radius=1.0)
 
 
 class TestEllipsoid:

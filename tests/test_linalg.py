@@ -233,6 +233,17 @@ class TestDirection:
         u = Direction.axis(3, 1)
         np.testing.assert_allclose(u.entries, [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "dim, index, value",
+        [(2, 5, "5"), (2, 2, "2"), (2, -1, "-1"), (2, True, "True"), (2, 0.0, "0.0"),
+         (0, 0, "0"), (MAX_DIM + 1, 0, str(MAX_DIM + 1)), (True, 0, "True"), (2.0, 0, "2.0")],
+    )
+    def test_axis_refuses_malformed_dim_and_index(self, dim, index, value):
+        # A bare IndexError, or a negative index counting from the end,
+        # used to pass for an axis.
+        with pytest.raises(ShapeError, match=f"got {value}$"):
+            Direction.axis(dim, index)
+
     def test_rejects_non_unit(self):
         with pytest.raises(DomainError):
             Direction(entries=np.array([1.0, 1.0]))

@@ -78,6 +78,20 @@ STREAM_CALLS = {
     "conditional": lambda t=0.5, **kw: estimate_conditional_center(UNIT_SLAB, E1, t, **kw),
     "derivative": lambda t=0.5, **kw: verify_derivative_identity(UNIT_SLAB, E1, t, **kw),
 }
+# The calls that take a substream; the conditional and derivative checks
+# always draw SUBSTREAM_MAIN.
+SUBSTREAM_CALLS = ("layered", "power", "power_grid", "shift_prob")
+BAD_STREAMS = [
+    {"count": 0},
+    {"count": True},
+    {"seed": -1},
+    {"seed": 2**64},
+    {"substream": 1 << 15},
+    {"substream": True},
+    {"t": math.inf},
+    {"t": math.nan},
+    {"count": mc.STREAM_CAPACITY + 1},
+]
 
 # Three chunks, the last one partial.
 GOLDEN_COUNT = 2 * CHUNK_SIZE + 123
@@ -367,11 +381,11 @@ class TestStreams:
                 chunks.close()
             elif abandon == "raising_sums":
                 with pytest.raises(ArithmeticError):
-                    list(mc.run_plans([plan(count, 3, failing)]))
+                    mc.run_plans([plan(count, 3, failing)])
             else:
                 plans = [plan(1000, 3, count_rows, failing), plan(count, 4, count_rows)]
                 with pytest.raises(ArithmeticError):
-                    list(mc.run_plans(plans))
+                    mc.run_plans(plans)
         finally:
             release.set()
             timer.cancel()
@@ -380,9 +394,7 @@ class TestStreams:
         assert len(draws) <= len(read) + 1
         assert draws[0][:3] == (3, 0, 0)
 
-    @pytest.mark.parametrize(
-        "run", ["estimator", "read", "closed", "raising_finisher", "dropped_chunks"]
-    )
+    @pytest.mark.parametrize("run", ["estimator", "read", "raising_finisher", "dropped_chunks"])
     def test_no_sampler_thread_outlives_a_run(self, run):
         count = 3 * CHUNK_SIZE
 
@@ -399,14 +411,10 @@ class TestStreams:
         if run == "estimator":
             estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, count, seed=7)
         elif run == "read":
-            list(mc.run_plans([plan(), plan()]))
-        elif run == "closed":
-            results = mc.run_plans([plan(), plan()])
-            next(results)
-            results.close()
+            assert mc.run_plans([plan(), plan()]) == [[count], [count]]
         elif run == "raising_finisher":
             with pytest.raises(ArithmeticError):
-                list(mc.run_plans([plan(failing), plan()]))
+                mc.run_plans([plan(failing), plan()])
         else:
             chunks = standard_normal_chunks(2, count, seed=7)
             next(chunks)
@@ -450,24 +458,19 @@ class TestStreams:
             next(standard_normal_chunks(2, 10, seed=1, substream=1 << 20))
 
     @pytest.mark.parametrize(
-        "bad",
+        "estimator, bad",
         [
-            {"count": 0},
-            {"count": True},
-            {"seed": -1},
-            {"seed": 2**64},
-            {"substream": 1 << 15},
-            {"substream": True},
-            {"t": math.inf},
-            {"t": math.nan},
-            {"count": mc.STREAM_CAPACITY + 1},
+            pytest.param(estimator, bad, id=f"{estimator}-{bad!r}")
+            for estimator in sorted(STREAM_CALLS)
+            for bad in BAD_STREAMS
+            if estimator in SUBSTREAM_CALLS or "substream" not in bad
         ],
-        ids=repr,
     )
-    @pytest.mark.parametrize("estimator", sorted(STREAM_CALLS))
     def test_estimators_validate_stream_before_sampling(self, monkeypatch, estimator, bad):
         draws = _count_draws(monkeypatch)
-        stream = {"count": 1000, "seed": 1, "substream": SUBSTREAM_MAIN, **bad}
+        stream = {"count": 1000, "seed": 1, **bad}
+        if estimator in SUBSTREAM_CALLS:
+            stream = {"substream": SUBSTREAM_MAIN, **stream}
         with pytest.raises(DomainError):
             STREAM_CALLS[estimator](**stream)
         assert len(draws) == 0
@@ -1068,12 +1071,18 @@ def _power_envelope_lower_at_upper(report, alpha):
     return dataclasses.replace(envelope, beta_lower=envelope.beta_upper)
 
 
-# Each bound the derivative, conditional and power suites score, and each
-# reference the oracles suite checks against, patched where the suite reads
-# it, and the checks the patch must fail.  derivative_floor is negative, so
-# halving it raises the floor past the slab's true derivative.  A 1% larger
-# ball mass leaves its log-derivative and the far tail's cap alone; the slab
-# oracle also serves oracle_ball at dim 1, so the dim-1 anchor still agrees.
+def _edited_ratio_bounds(edit):
+    return lambda *args: [edit(report) for report in bounds.ratio_bounds_grid(*args)]
+
+
+# Each bound the derivative, conditional, power and sandwich suites score,
+# and each reference the oracles suite checks against, patched where the
+# suite reads it, and the checks the patch must fail.  derivative_floor is
+# negative, so halving it raises the floor past the slab's true derivative.
+# A 1% larger ball mass leaves its log-derivative and the far tail's cap
+# alone; the slab oracle also serves oracle_ball at dim 1, so the dim-1
+# anchor still agrees.  An upper bound 5% too high (capped at 1) fails only
+# the extremal slabs, which must sit on it, not merely below it.
 FAULT_PROBES = {
     "derivative_floor_halved": (
         "derivative", mc, "derivative_floor", _scaled(bounds.derivative_floor, 0.5),
@@ -1103,19 +1112,29 @@ FAULT_PROBES = {
         "oracles", oracles, "oracle_slab", _scaled(oracles.oracle_slab, 1.01),
         ["oracle_slab_mc_battery"],
     ),
+    "sandwich_upper_raised": (
+        "sandwich", mc, "ratio_bounds_grid",
+        _edited_ratio_bounds(lambda r: dataclasses.replace(r, upper=min(1.0, 1.05 * r.upper))),
+        ["sandwich_extremal_eye", "sandwich_extremal_rnd"],
+    ),
 }
 FAULT_PROBE_SAMPLES = 131_072
 
 
+def _run_suite(suite: str) -> list:
+    return suites.SUITES[suite](samples=FAULT_PROBE_SAMPLES, seed=0)
+
+
 def _failed_checks(suite: str) -> list[str]:
-    results = suites.SUITES[suite](samples=FAULT_PROBE_SAMPLES, seed=0)
-    return sorted(r.name for r in results if not r.passed)
+    return sorted(r.name for r in _run_suite(suite) if not r.passed)
 
 
 class TestSuiteFaultProbes:
     """Each bound a suite scores can fail the suite: a wrong bound shows."""
 
-    @pytest.mark.parametrize("suite", ["conditional", "derivative", "oracles", "power"])
+    @pytest.mark.parametrize(
+        "suite", ["conditional", "derivative", "oracles", "power", "sandwich"]
+    )
     def test_unpatched_suite_passes(self, suite):
         assert _failed_checks(suite) == []
 
@@ -1124,3 +1143,18 @@ class TestSuiteFaultProbes:
         suite, module, name, patched, expected = FAULT_PROBES[probe]
         monkeypatch.setattr(module, name, patched)
         assert _failed_checks(suite) == expected
+
+    def test_sandwich_lower_at_upper_fails_every_check_with_room(self, monkeypatch):
+        # With lower := upper, both sides share one sigma and a - b = -(b - a)
+        # in IEEE arithmetic, so every lower_z is exactly -upper_z: the
+        # checks fail whose upper bound has more than Z_THRESHOLD sigmas of
+        # room.  The upper side is untouched, so upper_z keeps its unpatched
+        # bits; two battery checks sit near the threshold, so the set is read
+        # off them rather than pinned.
+        lower_at_upper = _edited_ratio_bounds(lambda r: dataclasses.replace(r, lower=r.upper))
+        monkeypatch.setattr(mc, "ratio_bounds_grid", lower_at_upper)
+        results = _run_suite("sandwich")
+        assert all(r.details["lower_z"] == -r.details["upper_z"] for r in results)
+        roomy = sorted(r.name for r in results if r.details["upper_z"] > mc.Z_THRESHOLD)
+        assert sorted(r.name for r in results if not r.passed) == roomy
+        assert len(roomy) >= len(results) // 2

@@ -6,7 +6,9 @@ one of them would crash `perfbench/run.py --trace 1` with an
 AttributeError.  These checks read the two tables and patch nothing.
 The `--trace 1` microbenchmarks in `perfbench/micro.py` import package
 names and reach into the `mc` and `lp` modules by attribute; those
-names are read from its syntax tree, without importing it.
+names are read from its syntax tree, without importing it.  Every
+request of the benchmark workloads must pass the config grammar, so a
+tightened grammar cannot quietly turn a timed request into a refusal.
 """
 
 import ast
@@ -17,21 +19,25 @@ from pathlib import Path
 
 import pytest
 
+from shiftbounds.config import parse_run_config
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MICRO = TRACING.with_name("micro.py")
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
-def _load_tracing() -> types.ModuleType:
+def _load(path: Path) -> types.ModuleType:
     # Compiled from the source text, so no bytecode cache is written
     # next to it; dataclasses need the module registered while it runs.
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    module.__file__ = str(path)
     sys.modules[module.__name__] = module
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), vars(module))
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
     return module
 
 
-tracing = _load_tracing()
+tracing = _load(TRACING)
+workloads = _load(WORKLOADS)
 
 
 @pytest.mark.parametrize(
@@ -84,3 +90,14 @@ def test_micro_names_are_found():
 @pytest.mark.parametrize("module, name", _micro_names())
 def test_micro_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_requests_parse(workload):
+    # Seed 0 at full size, as the benchmark runs them.
+    requests = workloads.WORKLOADS[workload](0)
+    assert requests
+    for request in requests:
+        parse_run_config(request.config)
+        if request.command != "verify":
+            assert not {"suite", "fault_upper_scale"} & request.config.keys(), request.name
