@@ -40,7 +40,8 @@ import numpy as np
 from . import lp
 from .errors import ConfigError, DefinitenessError, DomainError, ShapeError
 from .linalg import (
-    MAX_DIM, Covariance, Direction, build_covariance, readonly_copy, unit_scale, unscale,
+    MAX_DIM, Covariance, Direction, build_covariance, check_dim, readonly_copy, unit_scale,
+    unscale,
 )
 
 # Orthogonal residual below this (relative) counts as "parallel to the
@@ -277,9 +278,7 @@ class LpBall(ConvexBody):
     )
 
     def __post_init__(self) -> None:
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
-            raise ShapeError(f"lp ball dim must be an int in [1, {MAX_DIM}], got {dim!r}")
+        check_dim(self.dim, "lp ball")
         p = float(self.p)
         if math.isnan(p) or p < 1.0:
             raise DomainError(f"lp ball exponent must satisfy p >= 1, got {p!r}")
@@ -288,7 +287,7 @@ class LpBall(ConvexBody):
             raise DomainError(f"lp ball radius must be finite and > 0, got {r!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "_band", _sum_band(p, r, dim))
+        object.__setattr__(self, "_band", _sum_band(p, r, self.dim))
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         x = _as_points(pts, self.dim)

@@ -83,7 +83,9 @@ def parse_run_config(raw: object) -> RunConfig:
             u = Direction.from_vector(vec)
         except ShiftBoundsError as exc:
             raise ConfigError(f"u: {exc}") from exc
-        norm = float(vec @ u.entries)  # ||vec||, as u = vec / ||vec||, without squares
+        # ||vec||, as u = vec / ||vec||, without squares; inf past the double range.
+        with np.errstate(over="ignore"):
+            norm = float(vec @ u.entries)
         if abs(norm - 1.0) > _NORMALIZE_WARN_TOL:
             warnings.append(f"u normalized on load (input norm was {norm!r})")
 

@@ -40,6 +40,12 @@ _JACOBI_MAX_SWEEPS = 50
 _JACOBI_TOL = 1e-14
 
 
+def check_dim(dim: object, what: str) -> None:
+    """Refuse a dim that is not an int (bools are not) in [1, MAX_DIM]."""
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        raise ShapeError(f"{what} dim must be an int in [1, {MAX_DIM}], got {dim!r}")
+
+
 def _as_square_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -254,6 +260,7 @@ def build_covariance(matrix: np.ndarray) -> Covariance:
 
 def identity_covariance(dim: int) -> Covariance:
     """Covariance for the standard Gaussian; all factors exactly the identity."""
+    check_dim(dim, "identity")
     return build_covariance(np.eye(dim))
 
 
@@ -308,8 +315,7 @@ class Direction:
 
     @classmethod
     def axis(cls, dim: int, index: int = 0) -> "Direction":
-        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
-            raise ShapeError(f"axis dim must be an int in [1, {MAX_DIM}], got {dim!r}")
+        check_dim(dim, "axis")
         if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < dim:
             raise ShapeError(f"axis index must be an int in [0, {dim}), got {index!r}")
         e = np.zeros(dim)

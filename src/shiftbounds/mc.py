@@ -10,15 +10,16 @@ The stream contract is per chunk; scheduling and memory are per piece.
 A piece is PIECE_ROWS rows of one chunk: Philox is counter-based, so
 rows [start, start + PIECE_ROWS) of chunk i come from chunk i's
 generator advanced past start * dim words, and the pieces of a chunk
-concatenate to the whole-chunk draw bit for bit.  Pieces are drawn on a
-small thread pool (SAMPLER_WORKERS threads; the Philox fill and ndtri
-release the GIL), up to PIECES_PER_WORKER * SAMPLER_WORKERS pieces ahead
-of the one being tested, so no walk holds a chunk-sized sample array.
-Each run has a pool of its own, which cancels its queued draws and
-waits for those already running before the run returns or raises, so
-no sampler thread outlives it.  Everything else -- membership tests,
-weights, BLAS calls and the reduction -- runs on the calling thread in
-chunk order, so no bit depends on the number of workers.
+concatenate to the whole-chunk draw bit for bit.  A run draws its pieces
+on a small thread pool (SAMPLER_WORKERS threads; the Philox fill and
+ndtri release the GIL), up to PIECES_PER_WORKER * SAMPLER_WORKERS pieces
+ahead of the one being tested, so no walk holds a chunk-sized sample
+array.  Only a run has a pool, of its own, which cancels its queued
+draws and waits for those already running before the run returns or
+raises, so no sampler thread outlives it; the public sample streams draw
+each chunk on the calling thread when it is read.  Everything else --
+membership tests, weights, BLAS calls and the reduction -- runs on the
+calling thread in chunk order, so no bit depends on the number of workers.
 
 Each Monte Carlo check is a :class:`Plan`: the walks it reads (a
 :class:`Walk` names a covariance, a target, a direction, the shifts and
@@ -27,12 +28,12 @@ estimate or verdict.  :func:`run_plans` runs a request's plans in order
 in one call that returns their results, with one draw-ahead window over
 all their pieces, so the pool draws the next check's pieces while the
 calling thread finishes the last one; the public estimators are one-plan
-runs, and only the sample streams are generators.  Since a piece's bits
-depend only on its coordinates, and every reduction stays on the calling
-thread in chunk order, a check run among others has the bits of a check
-run alone.  The power check of a grid, for the library and the CLI
-alike, is one plan (:func:`power_envelope_plan`): the power at each
-theta it is given (at 0, the estimated size) and a verdict per theta > 0.
+runs on the MAIN substream.  Since a piece's bits depend only on its
+coordinates, and every reduction stays on the calling thread in chunk
+order, a check run among others has the bits of a check run alone.  The
+power check of a grid, for the library and the CLI alike, is one plan
+(:func:`power_envelope_plan`): the power at each theta it is given (at
+0, the estimated size) and a verdict per theta > 0.
 
 All five estimators run on one walk over the chunks (:func:`_accumulate`):
 it tests each piece as it arrives, each (shift, layer) pair once per row,
@@ -188,18 +189,12 @@ def _chunk_rng(seed: int, substream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal_chunks(
-    dim: int, count: int, seed: int, substream: int = SUBSTREAM_MAIN
-) -> Iterator[np.ndarray]:
-    """Yield standard normal chunks of shape (<=CHUNK_SIZE, dim), in order.
-
-    Up to SAMPLER_WORKERS later chunks are drawn on the sampler pool
-    while the caller works on the current one; closing or dropping the
-    generator cancels the draws that have not started and waits for the rest.
-    """
-    _check_stream(seed, substream, count)
-    specs = ((seed, substream, index, 0, rows, dim) for index, rows in _chunks(count))
-    yield from _draw_ahead(specs, SAMPLER_WORKERS)
+def standard_normal_chunks(dim: int, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield standard normal chunks of shape (<=CHUNK_SIZE, dim), in order,
+    of the MAIN substream, each drawn on the calling thread when asked for."""
+    _check_stream(seed, SUBSTREAM_MAIN, count)
+    for index, rows in _chunks(count):
+        yield _normal_chunk(seed, SUBSTREAM_MAIN, index, np.empty((rows, dim)))
 
 
 def _chunks(count: int) -> Iterator[tuple[int, int]]:
@@ -214,21 +209,20 @@ def _pieces(rows: int) -> Iterator[tuple[int, int]]:
         yield start, min(PIECE_ROWS, rows - start)
 
 
-def _draw_ahead(
-    specs: Iterable[tuple[int, int, int, int, int, int]], window: int
-) -> Iterator[np.ndarray]:
+def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int, int]]) -> Iterator[np.ndarray]:
     """Draw rows [start, start + rows) of chunk `index` for each
     (seed, substream, index, start, rows, dim), in order.
 
-    Up to `window` draws after the one being yielded run or wait on a
-    pool of this run's own; closing the generator cancels those not yet
-    started and waits for the rest, so no sampler thread outlives the run.
-    Each array is allocated here and only filled on the pool: glibc gives
-    every thread a malloc arena of its own, and chunks allocated on the
-    sampler threads left those arenas holding freed memory once draws ran
-    across checks (7 to 11 MB more peak RSS on the benchmark workloads,
-    2-CPU host).
+    Up to PIECES_PER_WORKER * SAMPLER_WORKERS draws after the one being
+    yielded run or wait on a pool of this run's own; closing the
+    generator cancels those not yet started and waits for the rest, so no
+    sampler thread outlives the run.  Each array is allocated here and
+    only filled on the pool: glibc gives every thread a malloc arena of
+    its own, and chunks allocated on the sampler threads left those
+    arenas holding freed memory once draws ran across checks (7 to 11 MB
+    more peak RSS on the benchmark workloads, 2-CPU host).
     """
+    window = PIECES_PER_WORKER * SAMPLER_WORKERS
     pool = ThreadPoolExecutor(SAMPLER_WORKERS, thread_name_prefix="shiftbounds-sampler")
     ahead: deque[Future] = deque()
     try:
@@ -263,12 +257,10 @@ def _normal_chunk(
     return ndtri(uniforms, out=uniforms)
 
 
-def sample_gaussian(
-    cov: Covariance, count: int, seed: int, substream: int = SUBSTREAM_MAIN
-) -> Iterator[np.ndarray]:
-    """Yield chunks of N(0, Sigma) samples (rows) from the given stream."""
+def sample_gaussian(cov: Covariance, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield chunks of N(0, Sigma) samples (rows), drawn as standard_normal_chunks'."""
     chol_t = np.asarray(cov.chol).T
-    for z in standard_normal_chunks(cov.dim, count, seed, substream):
+    for z in standard_normal_chunks(cov.dim, count, seed):
         yield z @ chol_t
 
 
@@ -334,7 +326,7 @@ def run_plans(plans: Sequence[Plan]) -> list:
         for index, chunk_rows in _chunks(walk.count)
         for start, rows in _pieces(chunk_rows)
     )
-    with closing(_draw_ahead(specs, PIECES_PER_WORKER * SAMPLER_WORKERS)) as pieces:
+    with closing(_draw_ahead(specs)) as pieces:
         return [plan.finish(*[_accumulate(w, pieces) for w in plan.walks]) for plan in plans]
 
 
@@ -452,10 +444,9 @@ def estimate_shift_prob(
     t: float,
     count: int,
     seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
-    """Estimate P(X in t u + A) for X ~ N(0, Sigma)."""
-    return estimate_layered_expectation(cov, body, u, t, count, seed, substream)
+    """Estimate P(X in t u + A) for X ~ N(0, Sigma), on the MAIN substream."""
+    return estimate_layered_expectation(cov, body, u, t, count, seed)
 
 
 def estimate_layered_expectation(
@@ -465,17 +456,17 @@ def estimate_layered_expectation(
     t: float,
     count: int,
     seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
-    """Estimate E w(X - t u) for w = sum_k c_k 1{A_k}, or a body's indicator."""
-    return _run(layered_plan(cov, target, u, t, count, seed, substream))
+    """Estimate E w(X - t u) for w = sum_k c_k 1{A_k}, or a body's
+    indicator, on the MAIN substream."""
+    return _run(layered_plan(cov, target, u, t, count, seed))
 
 
 def layered_plan(
     cov: Covariance, target: ConvexBody | LayeredUnimodal, u: Direction, t: float,
     count: int, seed: int, substream: int = SUBSTREAM_MAIN,
 ) -> Plan:
-    """The plan of :func:`estimate_layered_expectation`."""
+    """The plan of :func:`estimate_layered_expectation`, on any substream."""
     w = as_layered(target)
     _check_shift(t)
     c = [layer.weight for layer in w.layers]
@@ -499,14 +490,13 @@ def estimate_power(
     theta: float,
     count: int,
     seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> McEstimate:
     """Estimate the rejection probability P(X + theta u not in A).
 
     This is the power of the accept-inside-A test at mean shift
-    theta u; theta = 0 gives the size of the test.
+    theta u; theta = 0 gives the size of the test, on the MAIN substream.
     """
-    (estimate,) = estimate_power_grid(cov, body, u, (theta,), count, seed, substream)
+    (estimate,) = estimate_power_grid(cov, body, u, (theta,), count, seed)
     return estimate
 
 
@@ -517,23 +507,23 @@ def estimate_power_grid(
     thetas: Sequence[float],
     count: int,
     seed: int,
-    substream: int = SUBSTREAM_MAIN,
 ) -> list[McEstimate]:
-    """Estimate the power at every theta of a grid from one pass over the stream.
+    """Estimate the power at every theta of a grid from one pass over the
+    MAIN substream.
 
     Each chunk is transformed once and tested at every shift, so the
     whole grid shares common random numbers.  Entry k does not depend on
     the rest of the grid: it has the bits of a grid holding thetas[k]
     alone.  The grid may be in any order and may repeat values.
     """
-    return _run(power_grid_plan(cov, body, u, thetas, count, seed, substream))
+    return _run(power_grid_plan(cov, body, u, thetas, count, seed))
 
 
 def power_grid_plan(
     cov: Covariance, body: ConvexBody, u: Direction, thetas: Sequence[float],
     count: int, seed: int, substream: int = SUBSTREAM_MAIN,
 ) -> Plan:
-    """The plan of :func:`estimate_power_grid`."""
+    """The plan of :func:`estimate_power_grid`, on any substream."""
     if len(thetas) == 0:
         raise DomainError("power grid needs at least one theta")
     for theta in thetas:

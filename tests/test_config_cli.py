@@ -327,6 +327,12 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match=r"^directions\[0\]: \[1\]: "):
             parse_run_config(minimal(directions=[[1.0, "0"]]))
 
+    def test_direction_past_the_double_range_warns_inf(self):
+        # Its norm overflows; numpy said so with a RuntimeWarning.
+        cfg = parse_run_config({"dim": 4, "u": [1e308] * 4})
+        assert cfg.warnings == ("u normalized on load (input norm was inf)",)
+        np.testing.assert_array_equal(cfg.u.entries, np.full(4, 0.5))
+
     def test_readme_examples_load(self):
         # A tightened grammar must not leave a documented example behind.
         readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -153,6 +153,14 @@ class TestBuildCovariance:
         assert np.array_equal(cov.inv_sqrt, np.eye(4))
         assert not build_covariance(np.diag([1.0, 2.0])).is_identity()
 
+    @pytest.mark.parametrize(
+        "dim, value", [(True, "True"), (2.0, "2.0"), (-1, "-1"), (0, "0"), (MAX_DIM + 1, "65")]
+    )
+    def test_identity_refuses_malformed_dim(self, dim, value):
+        # np.eye raised a bare TypeError or ValueError, or built a 0 x 0 matrix.
+        with pytest.raises(ShapeError, match=f"got {value}$"):
+            identity_covariance(dim)
+
     def test_cached_arrays_are_readonly(self):
         cov = identity_covariance(3)
         with pytest.raises(ValueError):

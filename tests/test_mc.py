@@ -78,9 +78,17 @@ STREAM_CALLS = {
     "conditional": lambda t=0.5, **kw: estimate_conditional_center(UNIT_SLAB, E1, t, **kw),
     "derivative": lambda t=0.5, **kw: verify_derivative_identity(UNIT_SLAB, E1, t, **kw),
 }
-# The calls that take a substream; the conditional and derivative checks
-# always draw SUBSTREAM_MAIN.
-SUBSTREAM_CALLS = ("layered", "power", "power_grid", "shift_prob")
+# The plan each call of STREAM_CALLS runs, for the calls whose plan takes
+# a substream: the calls themselves always draw SUBSTREAM_MAIN, so a bad
+# substream reaches those checks only through their plans.
+SUBSTREAM_PLANS = {
+    "shift_prob": lambda t=0.5, **kw: mc.layered_plan(COV2, UNIT_SLAB, E1, t, **kw),
+    "layered": lambda t=0.5, **kw: mc.layered_plan(COV2, as_layered(UNIT_SLAB), E1, t, **kw),
+    "power": lambda t=0.5, **kw: mc.power_grid_plan(COV2, UNIT_SLAB, E1, (t,), **kw),
+    "power_grid": lambda t=0.5, **kw: mc.power_grid_plan(
+        COV2, UNIT_SLAB, E1, [0.0, t, 1.0], **kw
+    ),
+}
 BAD_STREAMS = [
     {"count": 0},
     {"count": True},
@@ -163,12 +171,18 @@ WIDE_GRID_HITS = {
 WIDEST_GRID_HITS = [120646, 122389, 127428, 135683, 146654]
 
 
+def _denom_power_grid(cov, body, u, thetas, count, seed):
+    """The power grid on substream 1, which only a plan, never a public
+    estimator, draws."""
+    return mc._run(mc.power_grid_plan(cov, body, u, thetas, count, seed, substream=1))
+
+
 def _walk_bits(kind, sigma, count):
     """Every estimate of the block-size test on BODIES3[kind], in hex."""
     cov = DENSE3 if sigma == "dense" else identity_covariance(3)
     body = BODIES3[kind]
     weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
-    grid = estimate_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5, 1)
+    grid = _denom_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5)
     prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
     layered = estimate_layered_expectation(cov, weight, U3, 0.9, count, seed=5)
     estimates = [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
@@ -271,9 +285,32 @@ class TestStreams:
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
-        a = next(standard_normal_chunks(2, 1000, seed=9, substream=SUBSTREAM_MAIN))
-        b = next(standard_normal_chunks(2, 1000, seed=9, substream=SUBSTREAM_DENOM))
+        a = mc._normal_chunk(9, SUBSTREAM_MAIN, 0, np.empty((1000, 2)))
+        b = mc._normal_chunk(9, SUBSTREAM_DENOM, 0, np.empty((1000, 2)))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stream", ["normal", "gaussian"])
+    def test_streams_draw_in_line(self, monkeypatch, stream):
+        # A stream draws each chunk on the calling thread when it is read:
+        # no pool, and nothing drawn ahead of the chunks read before the
+        # stream is dropped.
+        draws = _count_draws(monkeypatch)
+        pools = []
+
+        def pool(*args, **kwargs):
+            pools.append(args)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", pool)
+        count = 10 * CHUNK_SIZE
+        if stream == "normal":
+            chunks = standard_normal_chunks(3, count, seed=7)
+        else:
+            chunks = sample_gaussian(DENSE3, count, seed=7)
+        assert [next(chunks).shape for _ in range(2)] == [(CHUNK_SIZE, 3)] * 2
+        del chunks
+        assert pools == []
+        assert draws == [(7, 0, 0, CHUNK_SIZE), (7, 1, 0, CHUNK_SIZE)]
 
     def test_moments(self):
         z = np.vstack(list(standard_normal_chunks(4, 200000, seed=11)))
@@ -333,17 +370,15 @@ class TestStreams:
                 ])
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (dim, count)
 
-    @pytest.mark.parametrize(
-        "abandon", ["probe", "close", "raising_sums", "raising_finisher"]
-    )
+    @pytest.mark.parametrize("abandon", ["raising_sums", "raising_finisher"])
     def test_abandoned_stream_stops_drawing(self, monkeypatch, abandon):
         # One sampler thread, held inside the first draw past chunk 0 of
         # seed 3, with more draws in flight: the rest are still queued when
         # the run is dropped after that chunk, and must never be drawn.  A
-        # stream yields chunk 0 whole; a run draws it in pieces.  The
-        # multi-plan run drops its second, 153-chunk check when the first,
-        # one-piece check's finisher raises.  Closing the run waits for the
-        # held draw, so a timer releases it.
+        # run draws chunk 0 in pieces.  The multi-plan run drops its
+        # second, 153-chunk check when the first, one-piece check's
+        # finisher raises.  Closing the run waits for the held draw, so a
+        # timer releases it.
         draws = _count_draws(monkeypatch)
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 4)
         monkeypatch.setattr(
@@ -373,13 +408,7 @@ class TestStreams:
 
         timer.start()
         try:
-            if abandon == "probe":
-                assert next(standard_normal_chunks(2, count, seed=3)).shape == (CHUNK_SIZE, 2)
-            elif abandon == "close":
-                chunks = standard_normal_chunks(2, count, seed=3)
-                next(chunks)
-                chunks.close()
-            elif abandon == "raising_sums":
+            if abandon == "raising_sums":
                 with pytest.raises(ArithmeticError):
                     mc.run_plans([plan(count, 3, failing)])
             else:
@@ -394,7 +423,7 @@ class TestStreams:
         assert len(draws) <= len(read) + 1
         assert draws[0][:3] == (3, 0, 0)
 
-    @pytest.mark.parametrize("run", ["estimator", "read", "raising_finisher", "dropped_chunks"])
+    @pytest.mark.parametrize("run", ["estimator", "read", "raising_finisher"])
     def test_no_sampler_thread_outlives_a_run(self, run):
         count = 3 * CHUNK_SIZE
 
@@ -412,13 +441,9 @@ class TestStreams:
             estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, count, seed=7)
         elif run == "read":
             assert mc.run_plans([plan(), plan()]) == [[count], [count]]
-        elif run == "raising_finisher":
+        else:
             with pytest.raises(ArithmeticError):
                 mc.run_plans([plan(failing), plan()])
-        else:
-            chunks = standard_normal_chunks(2, count, seed=7)
-            next(chunks)
-            del chunks
         names = [thread.name for thread in threading.enumerate()]
         assert not [name for name in names if name.startswith("shiftbounds-sampler")]
 
@@ -455,7 +480,7 @@ class TestStreams:
         with pytest.raises(DomainError):
             next(standard_normal_chunks(2, 0, seed=1))
         with pytest.raises(DomainError):
-            next(standard_normal_chunks(2, 10, seed=1, substream=1 << 20))
+            mc.Walk(COV2, UNIT_SLAB, E1, (0.0,), 10, 1, 1 << 20, lambda coords, inside: 0)
 
     @pytest.mark.parametrize(
         "estimator, bad",
@@ -463,16 +488,17 @@ class TestStreams:
             pytest.param(estimator, bad, id=f"{estimator}-{bad!r}")
             for estimator in sorted(STREAM_CALLS)
             for bad in BAD_STREAMS
-            if estimator in SUBSTREAM_CALLS or "substream" not in bad
+            if estimator in SUBSTREAM_PLANS or "substream" not in bad
         ],
     )
     def test_estimators_validate_stream_before_sampling(self, monkeypatch, estimator, bad):
         draws = _count_draws(monkeypatch)
         stream = {"count": 1000, "seed": 1, **bad}
-        if estimator in SUBSTREAM_CALLS:
-            stream = {"substream": SUBSTREAM_MAIN, **stream}
         with pytest.raises(DomainError):
-            STREAM_CALLS[estimator](**stream)
+            if "substream" in bad:
+                mc._run(SUBSTREAM_PLANS[estimator](**stream))
+            else:
+                STREAM_CALLS[estimator](**stream)
         assert len(draws) == 0
 
 
@@ -508,7 +534,7 @@ class TestDeterminism:
                 "0x1.aac37a0a2e8ddp-1", "0x1.5c50e7813cf9cp-10", 101232,
             ),
             (
-                estimate_power(cov, ball, u, 1.2, n, seed=3, substream=1),
+                _denom_power_grid(cov, ball, u, (1.2,), n, seed=3)[0],
                 "0x1.0ff7aa00a8d77p-1", "0x1.692a11b5e6848p-10", 69689,
             ),
             (
@@ -529,10 +555,10 @@ class TestDeterminism:
         u = Direction.from_vector(np.array([1.0, -1.0, 2.0]))
         ball = LpBall(dim=3, p=2.0, radius=2.0)
         thetas = [1.2, 0.0, 0.4, 2.5, 1.2]
-        grid = estimate_power_grid(cov, ball, u, thetas, GOLDEN_COUNT, seed=3, substream=1)
+        grid = _denom_power_grid(cov, ball, u, thetas, GOLDEN_COUNT, seed=3)
         assert len(grid) == len(thetas)
         for theta, est in zip(thetas, grid):
-            single = estimate_power(cov, ball, u, theta, GOLDEN_COUNT, seed=3, substream=1)
+            (single,) = _denom_power_grid(cov, ball, u, (theta,), GOLDEN_COUNT, seed=3)
             assert (est.value.hex(), est.stderr.hex(), est.hits) == (
                 single.value.hex(), single.stderr.hex(), single.hits
             )
@@ -554,7 +580,7 @@ class TestDeterminism:
         weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
 
         def bits(count):
-            grid = estimate_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5, 1)
+            grid = _denom_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5)
             prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
             layered = estimate_layered_expectation(cov, weight, U3, 0.9, count, seed=5)
             estimates = [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
@@ -609,8 +635,8 @@ class TestDeterminism:
                 estimate_shift_prob(cov, ball, U3, 0.8, count, seed=3),
                 estimate_layered_expectation(cov, weight, U3, 0.8, count, seed=3),
                 estimate_layered_expectation(cov, CROSSING, U3, 0.8, count, seed=3),
-                estimate_power(cov, ball, U3, 1.2, count, seed=3, substream=1),
-                *estimate_power_grid(cov, ball, U3, [0.7, 0.0, 1.3], count, 5, 1),
+                *_denom_power_grid(cov, ball, U3, (1.2,), count, seed=3),
+                *_denom_power_grid(cov, ball, U3, [0.7, 0.0, 1.3], count, 5),
                 estimate_conditional_center(ball, U3, 0.8, count, seed=3),
                 verify_derivative_identity(weight, U3, 0.8, count, seed=3),
             ]
@@ -775,7 +801,7 @@ class TestWalker:
         ]
         singles = [
             verify_sandwich(DENSE3, ball, U3, 0.8, n, seed=3),
-            estimate_power_grid(DENSE3, polytope, U3, [0.7, 0.0, 1.3], n, seed=5, substream=1),
+            _denom_power_grid(DENSE3, polytope, U3, [0.7, 0.0, 1.3], n, seed=5),
             estimate_conditional_center(ball, U3, 0.8, n, seed=7),
             verify_derivative_identity(CROSSING, U3, 0.8, n, seed=9),
             verify_sandwich(DENSE3, CROSSING, U3, 1.5, n, seed=11),

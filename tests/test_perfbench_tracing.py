@@ -6,13 +6,15 @@ one of them would crash `perfbench/run.py --trace 1` with an
 AttributeError.  These checks read the two tables and patch nothing.
 The `--trace 1` microbenchmarks in `perfbench/micro.py` import package
 names and reach into the `mc` and `lp` modules by attribute; those
-names are read from its syntax tree, without importing it.  Every
+names, and the arguments each call of them passes, are read from its
+syntax tree, without importing it.  Every
 request of the benchmark workloads must pass the config grammar, so a
 tightened grammar cannot quietly turn a timed request into a refusal.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -90,6 +92,59 @@ def test_micro_names_are_found():
 @pytest.mark.parametrize("module, name", _micro_names())
 def test_micro_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def _micro_calls() -> list[tuple[str, ast.Call]]:
+    """(dotted callee, call) for every call in micro.py whose callee is a
+    package name, or an attribute of one (`mc.<name>`, `Direction.from_vector`)."""
+    tree = ast.parse(MICRO.read_text(encoding="utf-8"), str(MICRO))
+    imported = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shiftbounds")
+        for alias in node.names
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, callee = [], node.func
+        while isinstance(callee, ast.Attribute):
+            parts.insert(0, callee.attr)
+            callee = callee.value
+        if isinstance(callee, ast.Name) and callee.id in imported:
+            calls.append((".".join([imported[callee.id], *parts]), node))
+    return calls
+
+
+def _resolve(dotted: str) -> object:
+    """The object a dotted shiftbounds name names: a module's attribute,
+    a submodule's, or a class's."""
+    package, *names = dotted.split(".")
+    found = importlib.import_module(package)
+    for name in names:
+        found = getattr(found, name)
+    return found
+
+
+def test_micro_calls_are_found():
+    callees = {callee for callee, _ in _micro_calls()}
+    for name in ("mc.sample_gaussian", "mc.standard_normal_chunks", "lp.simplex_max"):
+        assert f"shiftbounds.{name}" in callees
+    assert "shiftbounds.linalg.Direction.from_vector" in callees
+
+
+@pytest.mark.parametrize(
+    "callee, call",
+    [pytest.param(callee, call, id=f"{callee}:{call.lineno}") for callee, call in _micro_calls()],
+)
+def test_micro_call_binds_to_its_signature(callee, call):
+    # A placeholder per argument, as many and as named as the call passes:
+    # a dropped or renamed parameter fails here, not at `--trace 1`.
+    assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+    assert all(keyword.arg is not None for keyword in call.keywords)
+    signature = inspect.signature(_resolve(callee))
+    signature.bind(*[None] * len(call.args), **{kw.arg: None for kw in call.keywords})
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
