@@ -48,15 +48,6 @@ from .linalg import (
 # slab normal" when deciding between a finite support value and +inf.
 _PARALLEL_RTOL = 1e-10
 
-# Membership kernels walk at most this many columns one at a time.  A
-# reduction over a short last axis costs numpy about as much per row as
-# the arithmetic.  Measured on a 2-core Xeon: on the 4,096-row blocks of
-# mc every column walk beats the reduction up to 24 columns; on 65,536-row
-# inputs the l1 walk, the slowest, is within 15% of it either way at 8
-# and 9 columns and loses from 10 (2.68 ms against 2.53).  Wider rows
-# keep the reduction.
-_COLUMN_WALK_MAX = 8
-
 # Random directions whose median support sets probe_scale.
 _SCALE_DIRECTIONS = 16
 
@@ -177,8 +168,6 @@ def _all_columns(a: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
     column.  `bound` is a scalar or holds one entry per column.
     """
     bounds = np.broadcast_to(bound, a.shape[1:])
-    if a.shape[1] > _COLUMN_WALK_MAX:
-        return np.all(np.abs(a) <= bounds, axis=1)
     ok = np.abs(a[:, 0]) <= bounds[0]
     column = np.empty(a.shape[0])
     passed = np.empty(a.shape[0], dtype=bool)
@@ -245,13 +234,13 @@ def _sum_band(p: float, radius: float, dim: int) -> tuple[float, float] | None:
     is inside (outside) by the reference too.  Rows in between take the
     reference.
 
-    None (every row takes the reference) for other exponents, for rows
-    wider than _COLUMN_WALK_MAX, and when T is outside [2^-960, 2^960].
-    Near the subnormal range a rounded square errs by more than u
-    relative, and near overflow the band edge and the sums close to it
-    could overflow; the range keeps wide margins from both.
+    None (every row takes the reference) for other exponents and when T
+    is outside [2^-960, 2^960].  Near the subnormal range a rounded
+    square errs by more than u relative, and near overflow the band edge
+    and the sums close to it could overflow; the range keeps wide margins
+    from both.
     """
-    if p not in (1.0, 2.0) or dim > _COLUMN_WALK_MAX:
+    if p not in (1.0, 2.0):
         return None
     bound = radius
     if p == 2.0:
@@ -445,8 +434,6 @@ class Intersection(ConvexBody):
         mask = np.ones(p.shape[0], dtype=bool)
         for part in self.parts:
             mask &= part.contains_batch(p)
-            if not mask.any():
-                break
         return mask
 
     def support(self, v: np.ndarray) -> SupportValue:

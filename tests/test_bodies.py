@@ -223,7 +223,7 @@ class TestLpBall:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    @pytest.mark.parametrize("dim", [2, 20], ids=["column_walk", "reduction"])
+    @pytest.mark.parametrize("dim", [2, 20], ids=["narrow", "wide"])
     def test_membership_where_the_row_sum_overflows(self, p, dim):
         # An overflowed sum of nonnegative terms is inf, outside the ball.
         ball = LpBall(dim=dim, p=p, radius=1e100)
@@ -505,7 +505,7 @@ class TestMembershipKernels:
     non-finite and huge coordinates, and radii whose bound leaves the
     range where row sums are compared against a band."""
 
-    DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
+    DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24, 32, 64)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
@@ -531,7 +531,7 @@ class TestMembershipKernels:
         # The boundary rows fall on both sides.
         assert 0 < np.count_nonzero(got) < len(got)
 
-    @pytest.mark.parametrize("rows", [1, 8, 9])
+    @pytest.mark.parametrize("rows", [1, 8, 9, 24, 64])
     @pytest.mark.parametrize("dim", DIMS)
     def test_h_polytope_matches_old_expression(self, dim, rows):
         rng = np.random.default_rng([dim, rows])
@@ -566,6 +566,31 @@ class TestMembershipKernels:
             old = _old_contains_batch(polytope, pts)
         np.testing.assert_array_equal(got[:-3], old[:-3])
         assert got[-3] and not got[-2] and not got[-1]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0], ids=["l1", "l2"])
+    @pytest.mark.parametrize("dim", [20, 64])
+    def test_rows_off_the_band_skip_the_norm(self, monkeypatch, dim, p):
+        # Rows whose norm is at most R/2 or in [2R, 3R] are decided by their
+        # row sum alone, at every width; a row on the sphere takes the norm.
+        calls = []
+
+        def counted(a, q):
+            calls.append(a.shape)
+            return _lp_norm(a, q)
+
+        monkeypatch.setattr("shiftbounds.bodies._lp_norm", counted)
+        radius = 1.5
+        ball = LpBall(dim=dim, p=p, radius=radius)
+        rng = np.random.default_rng([dim, int(p)])
+        g = rng.standard_normal((1000, dim))
+        units = g / _lp_norm(np.abs(g), p)[:, None]
+        norms = np.concatenate([
+            rng.uniform(0.0, 0.5 * radius, 500), rng.uniform(2.0 * radius, 3.0 * radius, 500)
+        ])
+        np.testing.assert_array_equal(ball.contains_batch(units * norms[:, None]), norms <= radius)
+        assert calls == []
+        ball.contains(radius * units[0])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("radius", [1e-160, 1e150])
     def test_extreme_l2_radius_takes_the_plain_expression(self, radius):

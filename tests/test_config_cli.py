@@ -852,9 +852,12 @@ class TestCliVerify:
 
     @pytest.mark.parametrize("suite", ["oracles", "sandwich", "power"])
     def test_indicator_records_do_not_depend_on_blas_threads(self, tmp_path, suite):
-        # At 20,000 samples a whole-chunk BLAS call runs threaded (a gemm
-        # at dim >= 4, any gemv or ddot), so a record that depended on the
-        # thread count would differ from the single-thread child's.
+        # These suites make only small BLAS calls, which OpenBLAS keeps on
+        # the calling thread: a gemm per 4,096-row block and a gemv per
+        # 16,384-row piece.  Only the whole-chunk ddot square sums of the
+        # conditional and derivative checks, not run here, are threaded.  A
+        # record that came to depend on the thread count would differ from
+        # the single-thread child's.
         payload = {"dim": 2, "suite": suite, "mc": {"samples": 20000, "seed": 3}}
         code, report, _ = run_cli(tmp_path, "verify", payload)
         out = tmp_path / "single_thread.json"
