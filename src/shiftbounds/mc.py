@@ -6,20 +6,19 @@ so each chunk depends only on its coordinates.  Uniforms are
 (53-bit integer + 0.5) * 2^-53, mapped through the inverse normal CDF;
 correlated Gaussians are L z for the covariance's Cholesky factor L.
 
-The stream contract is per chunk; scheduling and memory are per piece.
-A piece is PIECE_ROWS rows of one chunk: Philox is counter-based, so
-rows [start, start + PIECE_ROWS) of chunk i come from chunk i's
-generator advanced past start * dim words, and the pieces of a chunk
+The stream contract is per chunk; scheduling and memory are per piece,
+_piece_rows(dim) rows of a chunk (about PIECE_VALUES values): Philox is
+counter-based, so rows [start, start + rows) of chunk i come from chunk
+i's generator advanced past start * dim words, and the pieces of a chunk
 concatenate to the whole-chunk draw bit for bit.  A run draws its pieces
-on a small thread pool (SAMPLER_WORKERS threads; the Philox fill and
+on a thread pool of its own (SAMPLER_WORKERS threads; the Philox fill and
 ndtri release the GIL), up to PIECES_PER_WORKER * SAMPLER_WORKERS pieces
-ahead of the one being tested, so no walk holds a chunk-sized sample
-array.  Only a run has a pool, of its own, which cancels its queued
-draws and waits for those already running before the run returns or
-raises, so no sampler thread outlives it; the public sample streams draw
-each chunk on the calling thread when it is read.  Everything else --
-membership tests, weights, BLAS calls and the reduction -- runs on the
-calling thread in chunk order, so no bit depends on the number of workers.
+ahead of the one being tested, so no walk holds a chunk-sized array; it
+cancels its queued draws and waits for those running before it returns
+or raises, so no sampler thread outlives it.  The public streams draw
+each chunk on the calling thread when read.  Everything else --
+membership tests, weights, BLAS calls, the reduction -- runs on the
+calling thread in chunk order, so no bit depends on the worker count.
 
 Each Monte Carlo check is a :class:`Plan`: the walks it reads (a
 :class:`Walk` names a covariance, a target, a direction, the shifts and
@@ -36,20 +35,19 @@ power check of a grid, for the library and the CLI alike, is one plan
 0, the estimated size) and a verdict per theta > 0.
 
 All five estimators run on one walk over the chunks (:func:`_accumulate`):
-it tests each piece as it arrives, each (shift, layer) pair once per row,
-in blocks of BLOCK_ROWS rows, into a whole-chunk mask, and each
-estimator reduces the chunk's masks (and, for the conditional and
-derivative estimators, its coordinates <u, z>, one gemv per piece) to
-per-chunk sums, added in fixed chunk order (exact counts for indicator
-and layered weights, weighted after the pass; whole-chunk float sums for
-the conditional and derivative estimators).  A nonzero
-shift s is one flat add of the transformed block against s u tiled over
-SHIFT_TILE_ROWS rows, the IEEE add of the broadcast x + s u element for
-element; a zero shift skips the add, as identity Sigma skips the
-transform: either could only turn -0.0 into +0.0, and no body tells
-those apart.  mean = S1/N
-and stderr = sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which
-for indicator weights is exactly the binomial stderr.
+it tests each piece whole as it arrives, each (shift, layer) pair once
+per row, into a whole-chunk mask, and each estimator reduces the chunk's
+masks (and, for the conditional and derivative estimators, its
+coordinates <u, z>, one gemv per piece) to per-chunk sums, added in
+fixed chunk order (exact counts for indicator and layered weights,
+weighted after the pass; whole-chunk float sums for the conditional and
+derivative estimators).  A nonzero shift s is one flat add of the
+transformed piece against s u tiled over SHIFT_TILE_ROWS rows, the IEEE
+add of the broadcast x + s u element for element; a zero shift skips
+the add, as identity Sigma skips the transform: either could only turn
+-0.0 into +0.0, and no body tells those apart.  mean = S1/N and stderr =
+sqrt((S2/N - mean^2)/N), the plug-in (ddof=0) form, which for indicator
+weights is exactly the binomial stderr.
 
 Verdicts score bound violations in numerator units:
 
@@ -97,21 +95,17 @@ from .linalg import Covariance, Direction, identity_covariance
 
 CHUNK_SIZE = 65536
 
-# Rows per block of the membership pass.  OpenBLAS runs a gemm on the
-# calling thread up to m*n*k = 262,144, so a 4,096-row block at dim <= 8
-# wakes no helper thread (one that then spins between calls), and every
-# temporary of the block stays in cache.
-BLOCK_ROWS = 4096
-
-# Rows of a shift's tiled offset.  Adding a (rows, dim) block and a (dim,)
+# Rows of a shift's tiled offset.  Adding a (rows, dim) piece and a (dim,)
 # offset, numpy loops over dim columns per row; against the tile it loops
 # over SHIFT_TILE_ROWS * dim elements.  256 rows keep a tile at 128 KiB
 # at MAX_DIM, twice one shift's 64 KiB chunk mask.
 SHIFT_TILE_ROWS = 256
 
-# Rows per piece, the unit the sampler pool draws and a walk tests.  A
-# multiple of 4, so a piece starts on a Philox counter (4 words) at any dim.
-PIECE_ROWS = 16384
+# Values per piece, the unit the sampler pool draws and a walk tests whole,
+# and the fewest rows of a piece (:func:`_piece_rows`).  OpenBLAS runs a gemm
+# on the calling thread up to m*n*k = 262,144: rows * dim^2 at dim <= 8.
+PIECE_VALUES = 32768
+PIECE_MIN_ROWS = 4096
 
 # Sampler threads.  A run draws up to PIECES_PER_WORKER * SAMPLER_WORKERS
 # pieces ahead of the one being tested; a window of 4 pieces on 2 workers
@@ -193,20 +187,22 @@ def standard_normal_chunks(dim: int, count: int, seed: int) -> Iterator[np.ndarr
     """Yield standard normal chunks of shape (<=CHUNK_SIZE, dim), in order,
     of the MAIN substream, each drawn on the calling thread when asked for."""
     _check_stream(seed, SUBSTREAM_MAIN, count)
-    for index, rows in _chunks(count):
+    for index, (_, rows) in enumerate(_spans(count, CHUNK_SIZE)):
         yield _normal_chunk(seed, SUBSTREAM_MAIN, index, np.empty((rows, dim)))
 
 
-def _chunks(count: int) -> Iterator[tuple[int, int]]:
-    """(index, rows) of each chunk of a count-sample stream."""
-    for index, start in enumerate(range(0, count, CHUNK_SIZE)):
-        yield index, min(CHUNK_SIZE, count - start)
+def _spans(rows: int, step: int) -> Iterator[tuple[int, int]]:
+    """(start, rows) of each step-row span of `rows` rows, the last one
+    partial: the chunks of a stream, or the pieces of a chunk."""
+    for start in range(0, rows, step):
+        yield start, min(step, rows - start)
 
 
-def _pieces(rows: int) -> Iterator[tuple[int, int]]:
-    """(start, rows) of each piece of a chunk of `rows` rows."""
-    for start in range(0, rows, PIECE_ROWS):
-        yield start, min(PIECE_ROWS, rows - start)
+def _piece_rows(dim: int) -> int:
+    """Rows per piece of a dim-wide stream: PIECE_VALUES values, rounded
+    down to whole 4-word Philox counters (a multiple of 4 rows, so a piece
+    starts on a counter at any dim), and at least PIECE_MIN_ROWS."""
+    return max(PIECE_MIN_ROWS, PIECE_VALUES // dim // 4 * 4)
 
 
 def _draw_ahead(specs: Iterable[tuple[int, int, int, int, int, int]]) -> Iterator[np.ndarray]:
@@ -323,8 +319,8 @@ def run_plans(plans: Sequence[Plan]) -> list:
         (walk.seed, walk.substream, index, start, rows, walk.cov.dim)
         for plan in plans
         for walk in plan.walks
-        for index, chunk_rows in _chunks(walk.count)
-        for start, rows in _pieces(chunk_rows)
+        for index, (_, chunk_rows) in enumerate(_spans(walk.count, CHUNK_SIZE))
+        for start, rows in _spans(chunk_rows, _piece_rows(walk.cov.dim))
     )
     with closing(_draw_ahead(specs)) as pieces:
         return [plan.finish(*[_accumulate(w, pieces) for w in plan.walks]) for plan in plans]
@@ -372,25 +368,28 @@ def _accumulate(walk: Walk, pieces: Iterator[np.ndarray]) -> list:
     row r of the chunk's X + shifts[k] u, X = L z, lies in layer i of the
     target, and coords[r] = <u, z_r>; both are chunk-length buffers that
     the next chunk overwrites.  This is the package's one walk over
-    chunks: it tests each piece as it arrives, transforming and shifting
-    it in blocks of BLOCK_ROWS rows, and a row's transform and verdict
-    ignore its neighbours, so `inside` depends on neither the block nor
-    the piece size.  coords is one gemv per piece, which gives the
-    whole-chunk gemv's bits.
+    chunks: it tests each piece whole as it arrives, with one transform,
+    one shift per shift and one contains_batch per (shift, layer) pair; a
+    row's transform and verdict ignore its neighbours, so `inside` does
+    not depend on the piece size.  coords is one gemv per piece, which
+    gives the whole-chunk gemv's bits.
     """
     tiles = [_offset_tile(s, walk.u) for s in walk.shifts]
     # Identity Sigma has an exactly-identity factor, whose product leaves
     # every row as it is (it could only turn -0.0 into +0.0).
     chol_t = None if walk.cov.is_identity() else np.asarray(walk.cov.chol).T
-    # One mask buffer, one coordinate buffer and one shifted block per walk.
+    # Per walk: one mask and one coordinate buffer, one transformed and one shifted piece.
     rows = min(walk.count, CHUNK_SIZE)
     inside = np.empty((len(tiles), len(walk.target.layers), rows), dtype=bool)
     coords = np.empty(rows) if walk.coords else None
-    shifted = np.empty((min(rows, BLOCK_ROWS), walk.cov.dim))
+    step = _piece_rows(walk.cov.dim)
+    piece = (min(rows, step), walk.cov.dim)
+    x = None if chol_t is None else np.empty(piece)
+    shifted = np.empty(piece)
     total = 0
-    for _, chunk_rows in _chunks(walk.count):
-        for start, _ in _pieces(chunk_rows):
-            _test_piece(walk, next(pieces), start, chol_t, tiles, inside, coords, shifted)
+    for _, chunk_rows in _spans(walk.count, CHUNK_SIZE):
+        for start, _ in _spans(chunk_rows, step):
+            _test_piece(walk, next(pieces), start, chol_t, tiles, inside, coords, x, shifted)
         total = total + walk.reduce(
             None if coords is None else coords[:chunk_rows], inside[:, :, :chunk_rows]
         )
@@ -399,22 +398,21 @@ def _accumulate(walk: Walk, pieces: Iterator[np.ndarray]) -> list:
 
 def _test_piece(
     walk: Walk, z: np.ndarray, start: int, chol_t: np.ndarray | None, tiles: list,
-    inside: np.ndarray, coords: np.ndarray | None, shifted: np.ndarray,
+    inside: np.ndarray, coords: np.ndarray | None, x: np.ndarray | None, shifted: np.ndarray,
 ) -> None:
     """Fill rows [start, start + len(z)) of the chunk's masks (and coords)
-    from the piece z; z is released when this returns, before the next
-    piece is awaited."""
+    from the piece z, transformed into x and shifted into `shifted`; z is
+    released when this returns, before the next piece is awaited."""
+    rows = slice(start, start + len(z))
     if coords is not None:
-        np.matmul(z, walk.u.entries, out=coords[start : start + len(z)])
-    for first in range(0, len(z), BLOCK_ROWS):
-        block = z[first : first + BLOCK_ROWS]
-        x = block if chol_t is None else block @ chol_t
-        out = shifted[: len(block)]
-        rows = slice(start + first, start + first + len(block))
-        for k, tile in enumerate(tiles):
-            points = _shifted(x, tile, out)
-            for i, layer in enumerate(walk.target.layers):
-                inside[k, i, rows] = layer.body.contains_batch(points)
+        np.matmul(z, walk.u.entries, out=coords[rows])
+    if chol_t is not None:
+        z = np.matmul(z, chol_t, out=x[: len(z)])
+    out = shifted[: len(z)]
+    for k, tile in enumerate(tiles):
+        points = _shifted(z, tile, out)
+        for i, layer in enumerate(walk.target.layers):
+            inside[k, i, rows] = layer.body.contains_batch(points)
 
 
 def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
@@ -550,7 +548,7 @@ def _membership_walk(
     last the rows in any layer (for one layer, its N_00).
 
     Entry k has the bits of a walk at shifts[k] alone: the counts are
-    integers, so neither the grid nor the block size moves them.
+    integers, so neither the grid nor the piece size moves them.
     """
     layers = len(as_layered(target).layers)
     pairs = _layer_pairs(layers)
@@ -787,12 +785,14 @@ def derivative_plan(
 
     def sums(coords: np.ndarray, inside: np.ndarray) -> np.ndarray:
         # Rows of w(Z - s u) at s = t + step, t - step and t.
+        # In place: fd = (up - down) * inv_2h, direct = -coords * mid, diff = fd - direct.
         up, down, mid = (w.weigh(masks) for masks in inside)
-        fd = (up - down) * inv_2h
-        direct = -coords * mid
-        diff = fd - direct
+        mid_sum = mid.sum()
+        fd = np.multiply(np.subtract(up, down, out=up), inv_2h, out=up)
+        direct = np.multiply(np.negative(coords, out=down), mid, out=down)
+        diff = np.subtract(fd, direct, out=mid)
         return np.array([
-            fd.sum(), fd @ fd, direct.sum(), direct @ direct, diff.sum(), diff @ diff, mid.sum()
+            fd.sum(), fd @ fd, direct.sum(), direct @ direct, diff.sum(), diff @ diff, mid_sum
         ])
 
     cov = identity_covariance(w.dim)

@@ -853,8 +853,8 @@ class TestCliVerify:
     @pytest.mark.parametrize("suite", ["oracles", "sandwich", "power"])
     def test_indicator_records_do_not_depend_on_blas_threads(self, tmp_path, suite):
         # These suites make only small BLAS calls, which OpenBLAS keeps on
-        # the calling thread: a gemm per 4,096-row block and a gemv per
-        # 16,384-row piece.  Only the whole-chunk ddot square sums of the
+        # the calling thread: one gemm per piece, within m*n*k <= 262,144 at
+        # every d <= 8.  Only the whole-chunk ddot square sums of the
         # conditional and derivative checks, not run here, are threaded.  A
         # record that came to depend on the thread count would differ from
         # the single-thread child's.

@@ -166,6 +166,12 @@ WIDE_GRID_HITS = {
 }
 
 
+# Traced peak bytes of test_narrow_walks_hold_little on 2 sampler
+# workers.  Measured: the derivative check 4.96 MB, and 5.78 MB with
+# 16,384-row pieces and out-of-place sums (5.95 MB with out-of-place sums
+# alone); the d = 6 power grid 2.77 MB, and 6.50 MB with 16,384-row pieces.
+NARROW_PEAK_BOUNDS = {"derivative": 5.4e6, "dense_power_grid": 4.0e6}
+
 # Rejections of a 5-shift power grid at MAX_DIM (seed 7, 4 chunks), an l2
 # ball under the covariance 0.5^|i-j|, captured before walks ran in pieces.
 WIDEST_GRID_HITS = [120646, 122389, 127428, 135683, 146654]
@@ -178,7 +184,7 @@ def _denom_power_grid(cov, body, u, thetas, count, seed):
 
 
 def _walk_bits(kind, sigma, count):
-    """Every estimate of the block-size test on BODIES3[kind], in hex."""
+    """Every estimate of the piece-size tests on BODIES3[kind], in hex."""
     cov = DENSE3 if sigma == "dense" else identity_covariance(3)
     body = BODIES3[kind]
     weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
@@ -211,13 +217,13 @@ def _wide_grid_case(name, dim):
     return cov, bodies[name], u
 
 def _count_draws(monkeypatch):
-    """Record (seed, index, start, rows) of every draw, a piece or a whole
-    chunk; a run waits for its draws when it ends."""
+    """Record (seed, index, start, rows, dim) of every draw, a piece or a
+    whole chunk; a run waits for its draws when it ends."""
     draws = []
     draw = mc._normal_chunk
 
     def counting(seed, substream, index, out, start=0):
-        draws.append((seed, index, start, len(out)))
+        draws.append((seed, index, start, *out.shape))
         return draw(seed, substream, index, out, start)
 
     monkeypatch.setattr(mc, "_normal_chunk", counting)
@@ -236,17 +242,28 @@ def _tiles(pieces, rows):
 
 def _assert_walks_tile_their_chunks(draws, count, walks):
     """Each of `walks` walks of `count` samples drew each piece of its
-    chunks once, and the pieces of every chunk tile that chunk."""
-    if walks == 0:
-        assert draws == []
-        return
-    copies = collections.Counter((index, start, rows) for _, index, start, rows in draws)
-    assert set(copies.values()) == {walks}
-    assert all(rows <= mc.PIECE_ROWS for _, _, rows in copies)
+    chunks once, and the pieces of every chunk tile that chunk; walks of
+    one width draw the same pieces."""
     chunk_rows = [min(CHUNK_SIZE, count - start) for start in range(0, count, CHUNK_SIZE)]
-    assert {index for index, _, _ in copies} == set(range(len(chunk_rows)))
-    for index, rows in enumerate(chunk_rows):
-        assert _tiles(sorted((s, n) for i, s, n in copies if i == index), rows)
+    walked = 0
+    for dim in {dim for *_, dim in draws}:
+        copies = collections.Counter(
+            (index, start, rows) for _, index, start, rows, d in draws if d == dim
+        )
+        (dim_walks,) = set(copies.values())
+        walked += dim_walks
+        assert all(rows <= mc._piece_rows(dim) for _, _, rows in copies)
+        assert {index for index, _, _ in copies} == set(range(len(chunk_rows)))
+        for index, rows in enumerate(chunk_rows):
+            assert _tiles(sorted((s, n) for i, s, n in copies if i == index), rows)
+    assert walked == walks
+
+
+def _set_piece_rows(monkeypatch, rows, dim=3):
+    """Make a dim-wide stream draw pieces of `rows` rows, a multiple of 4."""
+    monkeypatch.setattr(mc, "PIECE_MIN_ROWS", 4)
+    monkeypatch.setattr(mc, "PIECE_VALUES", rows * dim)
+    assert mc._piece_rows(dim) == rows
 
 
 def _hex_fields(result):
@@ -310,7 +327,7 @@ class TestStreams:
         assert [next(chunks).shape for _ in range(2)] == [(CHUNK_SIZE, 3)] * 2
         del chunks
         assert pools == []
-        assert draws == [(7, 0, 0, CHUNK_SIZE), (7, 1, 0, CHUNK_SIZE)]
+        assert draws == [(7, 0, 0, CHUNK_SIZE, 3), (7, 1, 0, CHUNK_SIZE, 3)]
 
     def test_moments(self):
         z = np.vstack(list(standard_normal_chunks(4, 200000, seed=11)))
@@ -344,31 +361,44 @@ class TestStreams:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
-        "piece_rows, dims, rows",
-        [
-            (None, (1, 2, 3, 7, MAX_DIM), (CHUNK_SIZE, 2 * mc.PIECE_ROWS + 5)),
-            (12, range(1, MAX_DIM + 1), (29,)),
-        ],
+        "piece_rows, dims",
+        [(None, (1, 2, 3, 7, 8, 9, MAX_DIM)), (12, range(1, MAX_DIM + 1))],
         ids=["piece_rows", "every_dim"],
     )
-    def test_pieces_concatenate_to_the_chunk(self, monkeypatch, piece_rows, dims, rows):
+    def test_pieces_concatenate_to_the_chunk(self, monkeypatch, piece_rows, dims):
         # Each piece advances the chunk's Philox counter past the words of
         # the rows before it, so the pieces of a chunk, the last one
         # partial, give the whole-chunk draw bit for bit.  Pieces of 12
         # rows cover every dim cheaply: 12 * dim words is a whole number of
-        # 4-word counters at any dim, as PIECE_ROWS * dim is.
-        if piece_rows is not None:
-            monkeypatch.setattr(mc, "PIECE_ROWS", piece_rows)
+        # 4-word counters at any dim, as every piece's rows * dim is.
         for dim in dims:
+            if piece_rows is None:
+                rows = (CHUNK_SIZE, 2 * mc._piece_rows(dim) + 5)
+            else:
+                _set_piece_rows(monkeypatch, piece_rows, dim)
+                rows = (29,)
             for count in rows:
                 want = mc._normal_chunk(5, SUBSTREAM_DENOM, 2, np.empty((count, dim)))
-                pieces = list(mc._pieces(count))
+                pieces = list(mc._spans(count, mc._piece_rows(dim)))
                 assert _tiles(pieces, count) and len(pieces) > 1
                 got = np.vstack([
                     mc._normal_chunk(5, SUBSTREAM_DENOM, 2, np.empty((n, dim)), start)
                     for start, n in pieces
                 ])
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (dim, count)
+
+    def test_piece_geometry(self):
+        # Whole Philox counters, at least the row floor, about PIECE_VALUES
+        # values above it, and a transform (rows * dim^2 multiply-adds)
+        # within OpenBLAS's calling-thread gemm bound at dim <= 8.
+        assert mc._piece_rows(2) == 16384 and mc._piece_rows(6) == 5460
+        for dim in range(1, MAX_DIM + 1):
+            rows = mc._piece_rows(dim)
+            assert rows % 4 == 0 and rows >= mc.PIECE_MIN_ROWS == 4096, dim
+            assert rows == mc.PIECE_MIN_ROWS or rows * dim <= mc.PIECE_VALUES, dim
+            assert rows * dim > mc.PIECE_VALUES - 4 * dim or rows == mc.PIECE_MIN_ROWS, dim
+            if dim <= 8:
+                assert rows * dim * dim <= 262_144, dim
 
     @pytest.mark.parametrize("abandon", ["raising_sums", "raising_finisher"])
     def test_abandoned_stream_stops_drawing(self, monkeypatch, abandon):
@@ -418,7 +448,7 @@ class TestStreams:
         finally:
             release.set()
             timer.cancel()
-        read = [(start, rows) for seed, index, start, rows in draws if (seed, index) == (3, 0)]
+        read = [(start, rows) for seed, index, start, rows, _ in draws if (seed, index) == (3, 0)]
         assert _tiles(read, 1000 if abandon == "raising_finisher" else CHUNK_SIZE)
         assert len(draws) <= len(read) + 1
         assert draws[0][:3] == (3, 0, 0)
@@ -569,36 +599,19 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", sorted(BODIES3))
     def test_block_size_does_not_move_a_bit(self, monkeypatch, kind, sigma):
         # A row's transform and verdict ignore its neighbours, and the
-        # reductions run over whole chunks, so no block size may move a bit.
-        # Blocks of 1 and 7 rows loop in Python per block (seconds per call
-        # at GOLDEN_COUNT), so they run on 1,000 samples: 142 blocks of 7
-        # and a partial one.  The layered estimate and the derivative check
-        # pair the body with a box under non-dyadic weights; the conditional
-        # and derivative estimators sample the identity covariance only.
-        cov = DENSE3 if sigma == "dense" else identity_covariance(3)
-        body = BODIES3[kind]
-        weight = LayeredUnimodal((Layer(0.3, body), Layer(0.7, BOX3)))
-
-        def bits(count):
-            grid = _denom_power_grid(cov, body, U3, [0.7, 0.0, 1.3, 0.7], count, 5)
-            prob = estimate_shift_prob(cov, body, U3, 0.9, count, seed=5)
-            layered = estimate_layered_expectation(cov, weight, U3, 0.9, count, seed=5)
-            estimates = [(e.value.hex(), e.stderr.hex(), e.hits) for e in [*grid, prob, layered]]
-            if sigma == "dense":
-                return estimates
-            center = estimate_conditional_center(body, U3, 0.9, count, seed=5)
-            check = verify_derivative_identity(weight, U3, 0.9, count, seed=5)
-            return [*estimates, _hex_fields(center), _hex_fields(check)]
-
-        for count, sizes in ((GOLDEN_COUNT, (CHUNK_SIZE, 4096)), (1000, (CHUNK_SIZE, 7, 1))):
-            runs = []
-            for rows in sizes:
-                monkeypatch.setattr(mc, "BLOCK_ROWS", rows)
-                runs.append(bits(count))
-            assert all(run == runs[0] for run in runs)
-            if count == GOLDEN_COUNT:
-                hits = [hits for *_, hits in runs[0][:5]]
-                assert hits == BLOCKED_PASS_HITS[kind, sigma]
+        # reductions run over whole chunks, so no piece, however small, may
+        # move a bit.  Pieces of 4 and 12 rows (a piece starts on a 4-word
+        # Philox counter) loop in Python per piece, so they run on 1,000
+        # samples: 83 pieces of 12 and a partial one, against the whole
+        # 1,000-row chunk as one piece.  The layered estimate and the
+        # derivative check pair the body with a box under non-dyadic
+        # weights; the conditional and derivative estimators sample the
+        # identity covariance only.
+        runs = [_walk_bits(kind, sigma, 1000)]
+        for rows in (12, 4):
+            _set_piece_rows(monkeypatch, rows)
+            runs.append(_walk_bits(kind, sigma, 1000))
+        assert all(run == runs[0] for run in runs)
 
     @pytest.mark.parametrize("sigma", ["dense", "identity"])
     @pytest.mark.parametrize("kind", sorted(BODIES3))
@@ -606,11 +619,14 @@ class TestDeterminism:
         # Pieces concatenate to their chunk, each row is tested on its
         # own, the coordinates <u, z> are one gemv per piece and every
         # reduction still runs over whole chunks, so no piece size may
-        # move a bit of the block-size test's estimates.
-        runs = []
-        for rows in (CHUNK_SIZE, 16384, 4096):
-            monkeypatch.setattr(mc, "PIECE_ROWS", rows)
-            runs.append(_walk_bits(kind, sigma, GOLDEN_COUNT))
+        # move a bit of the block-size test's estimates: PIECE_VALUES's
+        # pieces, the row floor's and whole chunks give the same bits.
+        runs = [_walk_bits(kind, sigma, GOLDEN_COUNT)]
+        monkeypatch.setattr(mc, "PIECE_VALUES", 0)
+        assert mc._piece_rows(3) == mc.PIECE_MIN_ROWS
+        runs.append(_walk_bits(kind, sigma, GOLDEN_COUNT))
+        _set_piece_rows(monkeypatch, CHUNK_SIZE)
+        runs.append(_walk_bits(kind, sigma, GOLDEN_COUNT))
         assert all(run == runs[0] for run in runs)
         assert [hits for *_, hits in runs[0][:5]] == BLOCKED_PASS_HITS[kind, sigma]
 
@@ -673,8 +689,9 @@ class TestDeterminism:
 
     def test_only_sampling_leaves_the_calling_thread(self, monkeypatch):
         # Membership tests, weights and the reduction stay on the caller's
-        # thread (a single span stack in a tracer stays valid); the draws
-        # run on the pool.
+        # thread, in one-plan runs and a multi-plan run alike (the single
+        # span stack of perfbench/tracing.py and the nesting check of
+        # perfbench/smoke.py rely on it); the draws run on the pool.
         caller = threading.get_ident()
         threads = {"sample": set(), "reduce": set()}
 
@@ -687,12 +704,9 @@ class TestDeterminism:
 
         draw = mc._normal_chunk
         monkeypatch.setattr(mc, "_normal_chunk", on_thread("sample", draw))
-        for kind in (LpBall, Intersection):
+        for kind in {type(body) for body in BODIES3.values()}:
             monkeypatch.setattr(kind, "contains_batch", on_thread("reduce", kind.contains_batch))
-        monkeypatch.setattr(
-            LayeredUnimodal, "evaluate_batch",
-            on_thread("reduce", LayeredUnimodal.evaluate_batch),
-        )
+        monkeypatch.setattr(LayeredUnimodal, "weigh", on_thread("reduce", LayeredUnimodal.weigh))
         body = BODIES3["intersection"]
         weight = as_layered(LpBall(dim=3, p=2.0, radius=2.0))
         estimate_shift_prob(DENSE3, body, U3, 0.8, GOLDEN_COUNT, seed=3)
@@ -700,6 +714,15 @@ class TestDeterminism:
         estimate_layered_expectation(DENSE3, weight, U3, 0.8, GOLDEN_COUNT, seed=3)
         estimate_conditional_center(body, U3, 0.8, GOLDEN_COUNT, seed=3)
         verify_derivative_identity(weight, U3, 0.8, GOLDEN_COUNT, seed=3)
+        n = CHUNK_SIZE + 123
+        mc.run_plans([
+            mc.sandwich_plan(DENSE3, CROSSING, U3, 0.8, n, seed=3),
+            mc.power_grid_plan(DENSE3, BODIES3["h_polytope"], U3, [0.7, 0.0], n, seed=5),
+            mc.derivative_plan(CROSSING, U3, 0.8, n, seed=9),
+            mc.layered_plan(DENSE3, BODIES3["linear_image"], U3, 0.4, n, seed=11),
+            mc.layered_plan(DENSE3, BODIES3["slab"], U3, 0.4, n, seed=11),
+            mc.layered_plan(DENSE3, BODIES3["ellipsoid"], U3, 0.4, n, seed=11),
+        ])
         assert threads["reduce"] == {caller}
         assert threads["sample"] and caller not in threads["sample"]
 
@@ -811,9 +834,11 @@ class TestWalker:
         assert [_hex_tree(r) for r in [*results, verdict]] == [_hex_tree(r) for r in singles]
 
     def test_widest_walk_holds_pieces_not_chunks(self, monkeypatch):
-        # On 2 workers a walk holds 1 + 3 * 2 pieces of 16,384 x 64 doubles
-        # (8.4 MB each), about 68 MB traced in all; whole chunks (33.5 MB
-        # each, one tested and two drawn ahead) peaked at 110 MB.
+        # On 2 workers a walk holds 1 + 3 * 2 pieces at the 4,096-row floor
+        # (2.1 MB of doubles each at d = 64) and one transformed and one
+        # shifted piece, about 20 MB traced in all; 16,384-row pieces
+        # peaked at 66 MB, and whole chunks (33.5 MB each, one tested and
+        # two drawn ahead) at 110 MB.
         monkeypatch.setattr(mc, "SAMPLER_WORKERS", 2)
         cov, body, u = _wide_grid_case("l2", MAX_DIM)
         thetas = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -824,7 +849,25 @@ class TestWalker:
         finally:
             tracemalloc.stop()
         assert [est.hits for est in grid] == WIDEST_GRID_HITS
-        assert peak < 80e6
+        assert peak < 30e6
+
+    @pytest.mark.parametrize("check", ["derivative", "dense_power_grid"])
+    def test_narrow_walks_hold_little(self, monkeypatch, check):
+        # Pieces of PIECE_VALUES values hold about the same bytes at every
+        # dim <= 8, and the derivative check reduces its weight rows in
+        # place (NARROW_PEAK_BOUNDS).
+        monkeypatch.setattr(mc, "SAMPLER_WORKERS", 2)
+        tracemalloc.start()
+        try:
+            if check == "derivative":
+                verify_derivative_identity(CROSSING, U3, 0.9, 2 * CHUNK_SIZE, seed=5)
+            else:
+                cov, body, u = _wide_grid_case("l2", 6)
+                estimate_power_grid(cov, body, u, [0.0, 0.5, 1.0, 1.5, 2.0], 2 * CHUNK_SIZE, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < NARROW_PEAK_BOUNDS[check]
 
     @pytest.mark.parametrize("suite", sorted(SUITE_WALKS))
     def test_suite_draws_exactly_the_chunks_it_reads(self, monkeypatch, suite):

@@ -63,7 +63,10 @@ def test_grammar_table_names_every_parsed_field():
 def test_determinism_names_the_piece_window():
     # The piece size and the draw-ahead window, as mc defines them.
     text = " ".join(_section("Determinism").split())
-    assert f"`mc.PIECE_ROWS` = {mc.PIECE_ROWS:,} rows" in text
+    assert f"`mc.PIECE_VALUES` = {mc.PIECE_VALUES:,} values" in text
+    assert f"`mc.PIECE_MIN_ROWS` = {mc.PIECE_MIN_ROWS:,} rows" in text
+    geometry = f"{mc._piece_rows(2):,} rows at d = 2, {mc._piece_rows(6):,} at d = 6"
+    assert geometry in text
     assert f"`mc.PIECES_PER_WORKER` = {mc.PIECES_PER_WORKER} pieces per worker" in text
 
 
