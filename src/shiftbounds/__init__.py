@@ -73,7 +73,6 @@ from .mc import (
     McEstimate,
     PowerVerdict,
     SandwichVerdict,
-    SeedRecord,
     estimate_conditional_center,
     estimate_layered_expectation,
     estimate_power,
@@ -114,7 +113,6 @@ __all__ = [
     "PowerVerdict",
     "SUITES",
     "SandwichVerdict",
-    "SeedRecord",
     "ShapeError",
     "ShiftBoundsError",
     "Slab",

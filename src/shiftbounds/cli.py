@@ -22,7 +22,7 @@ from . import __version__
 from .bounds import BoundReport, power_envelope, ratio_bounds_grid
 from .config import RunConfig, encode_report, jsonable, parse_run_config
 from .errors import ConfigError, ShiftBoundsError
-from .mc import power_envelope_plan, run_plans
+from .mc import CHUNK_SIZE, power_envelope_plan, run_plans
 from .suites import SUITES
 
 
@@ -46,9 +46,9 @@ def _mc_record(est, kind: str) -> dict:
         "stderr": est.stderr,
         "samples": est.samples,
         "hits": est.hits,
-        "seed": est.seed.seed,
-        "substream": est.seed.substream,
-        "chunk_size": est.seed.chunk_size,
+        "seed": est.seed,
+        "substream": est.substream,
+        "chunk_size": CHUNK_SIZE,
     }
 
 

@@ -138,27 +138,21 @@ STREAM_CAPACITY = CHUNK_SIZE << _SUBSTREAM_SHIFT
 
 
 @dataclass(frozen=True)
-class SeedRecord:
-    """Provenance of one estimate: stream coordinates and chunking."""
-
-    seed: int
-    substream: int
-    chunk_size: int
-
-
-@dataclass(frozen=True)
 class McEstimate:
     """A Monte Carlo mean with its plug-in standard error.
 
     `hits` counts samples with a strictly positive integrand (body
     membership or conditioning-event hits, depending on the estimator).
+    `seed` and `substream` name the stream it was drawn from; its chunks
+    are always CHUNK_SIZE rows.
     """
 
     value: float
     stderr: float
     samples: int
     hits: int
-    seed: SeedRecord
+    seed: int
+    substream: int
 
 
 def _is_int(value: object) -> bool:
@@ -421,15 +415,6 @@ def _plug_in(s1: float, s2: float, n: int) -> tuple[float, float]:
     return mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n)
 
 
-def _mean_estimate(
-    s1: float, s2: float, hits: float, count: int, seed: int, substream: int
-) -> McEstimate:
-    """The estimate from a reduced sum, sum of squares and hit count."""
-    value, stderr = _plug_in(s1, s2, count)
-    record = SeedRecord(seed=seed, substream=substream, chunk_size=CHUNK_SIZE)
-    return McEstimate(value, stderr, count, int(hits), record)
-
-
 def _check_shift(t: float) -> None:
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"shift magnitude t must be finite and >= 0, got {t!r}")
@@ -476,7 +461,7 @@ def layered_plan(
         s1 = math.fsum(c[i] * n for (i, j), n in both.items() if i == j)
         # Off the diagonal, (i, j) stands for both N_ij and N_ji.
         s2 = math.fsum((1.0 if i == j else 2.0) * c[i] * c[j] * n for (i, j), n in both.items())
-        return _mean_estimate(s1, s2, row[-1], count, seed, substream)
+        return McEstimate(*_plug_in(s1, s2, count), count, row[-1], seed, substream)
 
     return Plan((_membership_walk(cov, w, u, (-t,), count, seed, substream),), finish)
 
@@ -529,7 +514,7 @@ def power_grid_plan(
 
     def finish(rows: list) -> list[McEstimate]:
         misses = [count - row[-1] for row in rows]
-        return [_mean_estimate(m, m, m, count, seed, substream) for m in misses]
+        return [McEstimate(*_plug_in(m, m, count), count, m, seed, substream) for m in misses]
 
     return Plan((_membership_walk(cov, body, u, thetas, count, seed, substream),), finish)
 
@@ -598,8 +583,7 @@ def conditional_plan(body: ConvexBody, u: Direction, t: float, count: int, seed:
                 f"conditional estimate starved: {hits} hits < {MIN_CONDITIONAL_HITS} "
                 f"(body mass too small at t={t}; raise the sample count)"
             )
-        value, stderr = _plug_in(s1, s2, hits)
-        return McEstimate(value, stderr, count, hits, SeedRecord(seed, SUBSTREAM_MAIN, CHUNK_SIZE))
+        return McEstimate(*_plug_in(s1, s2, hits), count, hits, seed, SUBSTREAM_MAIN)
 
     cov = identity_covariance(u.dim)
     walk = Walk(cov, body, u, (-t,), count, seed, SUBSTREAM_MAIN, sums, coords=True)
@@ -723,11 +707,11 @@ class DerivativeCheck:
     so their difference has far smaller variance than either alone;
     `sigma_diff` is the stderr of that paired difference.  `floor_value`
     is -t <u, u> Ehat(t), the analytic decay floor at the estimated
-    expectation.
+    expectation.  Every check steps by DERIVATIVE_STEP and allows
+    DERIVATIVE_ALLOWANCE for the step's bias.
     """
 
     t: float
-    step: float
     fd_estimate: float
     fd_stderr: float
     direct_estimate: float
@@ -739,7 +723,6 @@ class DerivativeCheck:
     floor_value: float
     identity_ok: bool
     floor_ok: bool
-    allowance: float
 
     @property
     def passed(self) -> bool:
@@ -748,9 +731,10 @@ class DerivativeCheck:
     def matches(self, derivative: float) -> bool:
         """Whether the finite difference agrees with a known exact derivative.
 
-        The margin is Z_THRESHOLD finite-difference stderrs plus the allowance.
+        The margin is Z_THRESHOLD finite-difference stderrs plus
+        DERIVATIVE_ALLOWANCE.
         """
-        margin = Z_THRESHOLD * self.fd_stderr + self.allowance
+        margin = Z_THRESHOLD * self.fd_stderr + DERIVATIVE_ALLOWANCE
         return abs(self.fd_estimate - derivative) <= margin
 
 
@@ -811,7 +795,6 @@ def derivative_plan(
         )
         return DerivativeCheck(
             t=float(t),
-            step=step,
             fd_estimate=fd_mean,
             fd_stderr=fd_se,
             direct_estimate=dir_mean,
@@ -823,7 +806,6 @@ def derivative_plan(
             floor_value=floor_value,
             identity_ok=identity_ok,
             floor_ok=floor_ok,
-            allowance=DERIVATIVE_ALLOWANCE,
         )
 
     shifts = (-(t + step), -(t - step), -t)

@@ -26,6 +26,7 @@ the suite fail, which proves the machinery can detect violations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -317,9 +318,11 @@ def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult
         "quadrature", t=t0,
     ))
 
+    # One identity Sigma per dimension, shared by the ball and slab plans.
+    identity = functools.cache(identity_covariance)
     plans = [
         layered_plan(
-            identity_covariance(n), LpBall(dim=n, p=2.0, radius=radius), Direction.axis(n), t,
+            identity(n), LpBall(dim=n, p=2.0, radius=radius), Direction.axis(n), t,
             ball_samples, seed * SEED_STRIDE + n * 100 + int(radius) * 10 + int(t),
         )
         for n, radius, t in balls
@@ -331,11 +334,10 @@ def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult
         a = float(rng.uniform(0.4, 2.5))
         t = float(rng.uniform(0.0, 2.0))
         n = int(rng.integers(2, 4))
-        cov = identity_covariance(n)
         u = Direction.from_vector(rng.standard_normal(n))
         slab = Slab(normal=u, halfwidth=a)
         slabs.append((a, t))
-        plans.append(layered_plan(cov, slab, u, t, slab_samples, seed * 999983 + i))
+        plans.append(layered_plan(identity(n), slab, u, t, slab_samples, seed * 999983 + i))
 
     estimates = run_plans(plans)
     for (n, radius, t), est in zip(balls, estimates[: len(balls)], strict=True):

@@ -18,7 +18,7 @@ from shiftbounds import (
     slab_decay_slack,
     slab_mass,
 )
-from shiftbounds.kernels import SMALL_HALFWIDTH, std_normal_cdf, std_normal_pdf
+from shiftbounds.kernels import QUADRATURE_HALFWIDTH, std_normal_cdf, std_normal_pdf
 
 
 class TestStdNormal:
@@ -110,6 +110,15 @@ class TestSlabDecaySlack:
             slab_decay_slack(a, t)
 
 
+def _exact_ratio(t: float, a: float) -> float:
+    """r_t(a) at 80 digits, rounded to double."""
+    with mpmath.workdps(80):
+        t, a = mpmath.mpf(t), mpmath.mpf(a)
+        if a == 0:
+            return float(mpmath.exp(-t * t / 2))
+        return float((mpmath.ncdf(t + a) - mpmath.ncdf(t - a)) / (mpmath.ncdf(a) - mpmath.ncdf(-a)))
+
+
 class TestShiftRatio:
     """r_t(a): frozen values, exact endpoints, monotonicity, chain bounds."""
 
@@ -132,23 +141,36 @@ class TestShiftRatio:
                 assert shift_ratio(t, a) == pytest.approx(want, rel=1e-13)
 
     def test_small_halfwidth_branch_accuracy(self):
-        # Each branch meets its documented accuracy at the switch point:
-        # the cosh limit is good to ~(ta)^2/3 relative, the erfc quotient
-        # to ~3e-16/a absolute (its denominator shrinks like a).
-        mpmath.mp.dps = 40
+        # Both sides of the quadrature cutoff agree with mpmath, so the
+        # step between them is a rounding error, and a = 0 is the floor.
+        cut = QUADRATURE_HALFWIDTH
+        below = math.nextafter(cut, 0.0)
+        for t in (1e-6, 0.5, 1.0, 2.0, 3.0, 12.0):
+            for a in (below, cut):
+                assert shift_ratio(t, a) == pytest.approx(_exact_ratio(t, a), abs=1e-13)
+            assert abs(shift_ratio(t, cut) - shift_ratio(t, below)) <= 1e-13
+            assert shift_ratio(t, 0.0) == math.exp(-0.5 * t * t)
 
-        def exact(t, a):
-            t, a = mpmath.mpf(t), mpmath.mpf(a)
-            num = mpmath.ncdf(t + a) - mpmath.ncdf(t - a)
-            return float(num / (mpmath.ncdf(a) - mpmath.ncdf(-a)))
+    @pytest.mark.parametrize("t", [1e-6, 0.5, 1.0, 3.0, 6.0, 12.0])
+    def test_matches_mpmath_at_small_halfwidths(self, t):
+        # A cosh limit below a = 1e-7 and the erfc quotient above it read
+        # up to 4.4e-10 off on this grid (t = 0.5, a = 1.33e-7).
+        grid = [0.0, 1.26e-7, *np.logspace(-12, -2, 81)]
+        worst = max(abs(shift_ratio(t, float(a)) - _exact_ratio(t, float(a))) for a in grid)
+        assert worst <= 1e-13
 
-        t = 2.0
-        below = SMALL_HALFWIDTH * 0.99
-        above = SMALL_HALFWIDTH * 1.01
-        assert shift_ratio(t, below) == pytest.approx(exact(t, below), rel=1e-12)
-        assert shift_ratio(t, above) == pytest.approx(exact(t, above), rel=1e-7)
-        # The limit branch approaches from above, preserving the chain.
-        assert shift_ratio(t, below) >= math.exp(-0.5 * t * t)
+    def test_nondecreasing_across_the_cutoff(self):
+        grid = np.linspace(0.5 * QUADRATURE_HALFWIDTH, 1.5 * QUADRATURE_HALFWIDTH, 1001)
+        for t in (1e-6, 0.5, 1.0, 3.0, 6.0, 12.0):
+            values = [shift_ratio(t, float(a)) for a in grid]
+            assert np.diff(values).min() >= -1e-13
+
+    def test_huge_shift_at_small_halfwidths_stays_in_range(self):
+        for t in (20.0, 1e3, 1e6):
+            floor = math.exp(-0.5 * t * t)
+            for a in np.logspace(-12, -2, 41):
+                r = shift_ratio(t, float(a))
+                assert math.isfinite(r) and floor <= r <= 1.0
 
     def test_nondecreasing_in_halfwidth(self):
         grid = [0.0, *np.logspace(-3, math.log10(50.0), 198), math.inf]

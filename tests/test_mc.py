@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from shiftbounds import bounds, mc, oracles, suites
+from shiftbounds import bounds, linalg, mc, oracles, suites
 from shiftbounds import (
     Direction,
     DomainError,
@@ -746,14 +746,13 @@ class TestDeterminism:
         got = {
             name: getattr(check, name).hex()
             for name in (
-                "t", "step", "fd_estimate", "fd_stderr", "direct_estimate",
+                "t", "fd_estimate", "fd_stderr", "direct_estimate",
                 "direct_stderr", "expectation", "difference", "sigma_diff",
                 "tolerance", "floor_value",
             )
         }
         assert got == {
             "t": "0x1.6666666666666p-1",
-            "step": "0x1.47ae147ae147bp-7",
             "fd_estimate": "-0x1.20fc93529ba7ap-2",
             "fd_stderr": "0x1.6b0917110a827p-7",
             "direct_estimate": "-0x1.1b1cd862d777dp-2",
@@ -764,6 +763,7 @@ class TestDeterminism:
             "tolerance": "0x1.812ae2c0017bfp-5",
             "floor_value": "-0x1.57f81de4d1879p-1",
         }
+        assert mc.DERIVATIVE_STEP.hex() == "0x1.47ae147ae147bp-7"
         assert check.identity_ok and check.floor_ok
 
     def test_derivative_check_shares_the_layered_stream(self):
@@ -778,9 +778,7 @@ class TestDeterminism:
 
     def test_seed_record(self):
         est = estimate_shift_prob(COV2, UNIT_SLAB, E1, 0.5, 1000, seed=21)
-        assert est.seed.seed == 21
-        assert est.seed.substream == SUBSTREAM_MAIN
-        assert est.seed.chunk_size == CHUNK_SIZE
+        assert (est.seed, est.substream) == (21, SUBSTREAM_MAIN)
         assert est.samples == 1000
 
 
@@ -988,8 +986,8 @@ class TestVerifySandwich:
         verdict = verify_sandwich(COV2, UNIT_SLAB, E1, 1.0, 200000, seed=53)
         assert verdict.passed
         assert verdict.lower_z >= -4.0 and verdict.upper_z >= -4.0
-        assert verdict.numerator.seed.substream == SUBSTREAM_MAIN
-        assert verdict.denominator.seed.substream == SUBSTREAM_DENOM
+        assert verdict.numerator.substream == SUBSTREAM_MAIN
+        assert verdict.denominator.substream == SUBSTREAM_DENOM
         # The slab attains the upper bound: the estimate straddles it.
         assert abs(verdict.upper_z) <= 4.0
 
@@ -1049,8 +1047,9 @@ class TestVerifyDerivative:
 
 
 def _estimate(value: float, stderr: float) -> mc.McEstimate:
-    record = mc.SeedRecord(seed=1, substream=SUBSTREAM_MAIN, chunk_size=CHUNK_SIZE)
-    return mc.McEstimate(value=value, stderr=stderr, samples=100, hits=0, seed=record)
+    return mc.McEstimate(
+        value=value, stderr=stderr, samples=100, hits=0, seed=1, substream=SUBSTREAM_MAIN
+    )
 
 
 class TestScores:
@@ -1105,11 +1104,11 @@ class TestVerifyPower:
         # An estimated size of exactly 0 or 1 lies outside power_envelope's
         # domain; the score still evaluates the envelope formula there.
         report = ratio_bounds_set(COV2, UNIT_SLAB, E1, 1.0)
-        record = mc.SeedRecord(seed=1, substream=SUBSTREAM_DENOM, chunk_size=CHUNK_SIZE)
+        stream = {"seed": 1, "substream": SUBSTREAM_DENOM}
         alpha = mc.McEstimate(
-            value=size, stderr=0.0, samples=100, hits=int(100 * size), seed=record
+            value=size, stderr=0.0, samples=100, hits=int(100 * size), **stream
         )
-        beta = mc.McEstimate(value=0.5, stderr=0.05, samples=100, hits=50, seed=record)
+        beta = mc.McEstimate(value=0.5, stderr=0.05, samples=100, hits=50, **stream)
         verdict = mc.score_power_envelope(report, alpha, beta)
         assert verdict.beta_lower == 1.0 - report.upper * (1.0 - size)
         assert verdict.beta_upper == 1.0 - report.lower * (1.0 - size)
@@ -1196,6 +1195,20 @@ def _run_suite(suite: str) -> list:
 
 def _failed_checks(suite: str) -> list[str]:
     return sorted(r.name for r in _run_suite(suite) if not r.passed)
+
+
+def test_suite_oracles_builds_one_identity_per_dimension(monkeypatch):
+    # 12 ball and 20 slab plans over dimensions 2, 3 and 5.
+    calls = []
+    build = linalg.build_covariance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "build_covariance", counting)
+    suites.suite_oracles(samples=2000)
+    assert len(calls) == 3
 
 
 class TestSuiteFaultProbes:

@@ -114,6 +114,20 @@ class TestOracleBall:
             for t in (0.0, 1.0, 3.0):
                 assert oracle_ball(1, radius, t) == oracle_slab(radius, t)
 
+    def test_dimension_one_integrand_is_the_slab(self):
+        # oracle_ball(1, ...) returns oracle_slab outright, so the suite's
+        # dim-1 check compares the slab with itself.  The ball integrand at
+        # dim 1 (chi-square factor 1) in x = R sin(theta) must integrate
+        # to the slab mass.
+        for radius in (0.5, 2.0):
+            for t in (0.0, 1.0, 3.0):
+                got = adaptive_simpson(
+                    lambda theta: std_normal_pdf(radius * math.sin(theta) + t)
+                    * radius * math.cos(theta),
+                    -0.5 * math.pi, 0.5 * math.pi,
+                )
+                assert got == pytest.approx(oracle_slab(radius, t), abs=1e-12)
+
     def test_far_tail_keeps_relative_accuracy(self):
         # Mass ~3.4e-20: the minimum refinement depth must force the
         # quadrature to see the sliver of integrand mass near x = -R.

@@ -70,6 +70,19 @@ def test_determinism_names_the_piece_window():
     assert f"`mc.PIECES_PER_WORKER` = {mc.PIECES_PER_WORKER} pieces per worker" in text
 
 
+def test_module_map_names_every_module_once():
+    modules = sorted(
+        path.stem for path in Path(shiftbounds.__file__).parent.glob("*.py")
+        if path.stem != "__init__"
+    )
+    named = [
+        name
+        for line in _section("Module map").splitlines() if line.startswith("| `")
+        for name in re.findall(r"`(\w+)`", line.split("|")[1])
+    ]
+    assert sorted(named) == modules
+
+
 def test_every_exported_name_resolves_once():
     names = shiftbounds.__all__
     assert len(names) == len(set(names))
