@@ -20,8 +20,9 @@ Stability notes
 * Below QUADRATURE_HALFWIDTH, where the erfc quotient loses ~3e-16/a to
   its shrinking denominator, shift_ratio is int_0^a (phi(t-s) + phi(t+s))
   ds / 2 int_0^a phi(s) ds by one 8-point Gauss-Legendre rule: no term
-  cancels or overflows, it is within ~3e-16 of 80-digit mpmath for
-  t <= 12, and it meets the erfc quotient at the cutoff within ~3e-14.
+  cancels or overflows, it is within ~5e-16 of 80-digit mpmath for
+  t <= 12, and it meets the erfc quotient, itself within ~1e-14 there,
+  at the cutoff within ~1e-14.
 * shift_ratio clamps its result into [e^{-t^2/2}, 1], the floor computed
   as `ratio_bounds_grid` computes its lower bound: at t ~ 1e-20 the erfc
   quotient rounds an ulp past either end.
@@ -39,7 +40,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Below this halfwidth shift_ratio integrates rather than forming the erfc quotient.
-QUADRATURE_HALFWIDTH = 1e-3
+QUADRATURE_HALFWIDTH = 1e-2
 
 # Iteration caps for the incomplete gamma series / continued fraction.
 _GAMMA_MAX_ITER = 500

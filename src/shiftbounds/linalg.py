@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DefinitenessError, DomainError, NumericError, ShapeError
 
@@ -205,20 +204,47 @@ class Covariance:
         return self.matrix.shape[0]
 
     def _forward(self, vec: np.ndarray) -> np.ndarray:
-        """L^{-1} @ vec for the Cholesky factor L, refusing a wrong length."""
+        """L^{-1} @ vec for the Cholesky factor L, refusing a wrong length or inf/NaN.
+
+        Row by row, one dot product and one division each: LAPACK's
+        unblocked lower solve on a C-ordered factor, with its bits.  Past
+        the largest double the entries turn inf or NaN without a warning.
+        """
         b = np.asarray(vec, dtype=float)
         if b.shape != (self.dim,):
             raise ShapeError(f"expected a vector of length {self.dim}, got shape {b.shape}")
-        return solve_triangular(self.chol, b, lower=True)
+        if not np.all(np.isfinite(b)):
+            raise DomainError("vector to solve against contains non-finite entries")
+        low = self.chol
+        y = np.empty_like(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(b.size):
+                y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
+        return y
 
     def solve(self, vec: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} @ vec via the Cholesky factor (two triangular solves)."""
-        return solve_triangular(self.chol.T, self._forward(vec), lower=False)
+        """Sigma^{-1} @ vec via the Cholesky factor (two triangular solves).
+
+        The back step is an LU solve of the upper-triangular L^T, which
+        neither pivots nor changes it: its one-vector solve is LAPACK's
+        upper triangular solve, bit for bit.  A vector whose forward
+        step leaves the double range is refused.
+        """
+        y = self._forward(vec)
+        if not np.all(np.isfinite(y)):
+            raise DomainError("vector too large to solve against: L^{-1} vec overflowed")
+        return np.linalg.solve(self.chol.T, y)
 
     def quad_form_inv(self, vec: np.ndarray) -> float:
-        """<vec, Sigma^{-1} vec> as ||L^{-1} vec||^2, nonnegative by construction."""
+        """<vec, Sigma^{-1} vec> as ||L^{-1} vec||^2: nonnegative, +inf past the largest double.
+
+        A NaN in L^{-1} vec comes only from inf - inf or 0 * inf after an
+        entry overflowed, so it reads +inf as well.
+        """
         y = self._forward(vec)
-        return float(y @ y)
+        with np.errstate(over="ignore"):
+            q = float(y @ y)
+        return math.inf if math.isnan(q) else q
 
     @cached_property
     def inverse(self) -> np.ndarray:

@@ -139,9 +139,9 @@ def _anchor_result(
 def _halfwidth_grid() -> list[float]:
     """200 halfwidths: 0, a log grid over [1e-3, 50], and infinity.
 
-    Below ~1e-3 the erfc-quotient loses the absolute headroom the
-    1e-12 monotonicity slack requires (the denominator shrinks like a),
-    so the grid starts where full accuracy is guaranteed; the 0 and inf
+    The log grid's points below kernels.QUADRATURE_HALFWIDTH exercise
+    the Gauss-Legendre branch of shift_ratio and the rest its erfc
+    quotient; the grid is part of the pinned records, and the 0 and inf
     endpoints pin the limits exactly.
     """
     return [0.0, *np.logspace(-3.0, math.log10(50.0), 198).tolist(), math.inf]

@@ -1024,15 +1024,17 @@ class TestCliErrors:
 
 def test_cli_import_leaves_slow_scipy_modules_out():
     # scipy.optimize and scipy.stats each add a third of a second or more
-    # to a cold start, past the benchmark's start-up bound; a module that
-    # needs one imports it where it is used.
+    # to a cold start, past the benchmark's start-up bound, and scipy.linalg
+    # loads its Fortran extensions for nothing numpy cannot do; a module
+    # that needs one imports it where it is used.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys\n"
-        "import shiftbounds.cli\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+        "import shiftbounds, shiftbounds.cli\n"
+        "slow = ('scipy.linalg', 'scipy.optimize', 'scipy.stats')\n"
+        "print(sorted(m for m in slow if m in sys.modules))\n"
     )
     child = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120

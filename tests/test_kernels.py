@@ -151,7 +151,13 @@ class TestShiftRatio:
             assert abs(shift_ratio(t, cut) - shift_ratio(t, below)) <= 1e-13
             assert shift_ratio(t, 0.0) == math.exp(-0.5 * t * t)
 
-    @pytest.mark.parametrize("t", [1e-6, 0.5, 1.0, 3.0, 6.0, 12.0])
+    def test_matches_mpmath_on_a_dense_grid_at_t_0_3(self):
+        # With the cutoff at 1e-3, the erfc quotient read 9.1e-14 off here.
+        grid = np.linspace(1e-3, 1.2e-3, 201)
+        worst = max(abs(shift_ratio(0.3, float(a)) - _exact_ratio(0.3, float(a))) for a in grid)
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.3, 0.5, 1.0, 3.0, 6.0, 12.0])
     def test_matches_mpmath_at_small_halfwidths(self, t):
         # A cosh limit below a = 1e-7 and the erfc quotient above it read
         # up to 4.4e-10 off on this grid (t = 0.5, a = 1.33e-7).

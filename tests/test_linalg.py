@@ -18,7 +18,7 @@ from shiftbounds import (
     mahalanobis_norm,
     ratio_bounds_grid,
 )
-from shiftbounds.linalg import MAX_DIM, cholesky_lower, sym_eigen
+from shiftbounds.linalg import MAX_DIM, cholesky_lower, readonly_copy, sym_eigen
 
 
 def random_spd(rng, n, ridge=0.1):
@@ -146,6 +146,33 @@ class TestBuildCovariance:
             assert q >= 0.0
             assert q == pytest.approx(float(v @ cov.inverse @ v), rel=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_solves_refuse_non_finite_vectors(self, bad):
+        # scipy's solve_triangular raised an untyped ValueError here.
+        cov = build_covariance(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            cov.solve(np.array([bad, 0.0]))
+        with pytest.raises(DomainError, match="non-finite"):
+            cov.quad_form_inv(np.array([1.0, bad]))
+
+    def test_quad_form_reads_inf_past_the_largest_double(self):
+        # y @ y overflowed with a RuntimeWarning; on the diagonal factor the
+        # forward step itself overflows and 0 * inf turns the next entry NaN.
+        dense = build_covariance(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert dense.quad_form_inv(np.array([1e308, -1e308])) == math.inf
+        tiny = build_covariance(np.diag([1e-300, 1e-300]))
+        assert tiny.quad_form_inv(np.array([1e308, 1e308])) == math.inf
+        # In range, the form keeps the bits of ||L^{-1} b||^2.
+        b = np.array([1e150, -1e150])
+        y = solve_triangular(dense.chol, b, lower=True)
+        assert dense.quad_form_inv(b) == float(y @ y) < math.inf
+
+    def test_solve_refuses_an_overflowing_forward_step(self):
+        # scipy refused the NaNs of L^{-1} b here with an untyped ValueError.
+        tiny = build_covariance(np.diag([1e-300, 1e-300]))
+        with pytest.raises(DomainError, match="overflowed"):
+            tiny.solve(np.array([1e308, 1e308]))
+
     def test_identity_is_exact(self):
         cov = identity_covariance(4)
         assert cov.is_identity()
@@ -177,6 +204,23 @@ class TestBuildCovariance:
             cols[:, j] = solve_triangular(cov.chol.T, y, lower=False)
         assert cov.inverse.tobytes() == (0.5 * (cols + cols.T)).tobytes()
         assert cov.inverse is cov.inverse
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+    def test_solves_are_lapacks_to_the_bit(self, n, k):
+        # Only the factor enters the solves: the raw constructor skips the
+        # Jacobi sweeps of build_covariance, and the eigen factors are NaN.
+        rng = np.random.default_rng(300 + n)
+        s = np.ldexp(random_spd(rng, n), k)
+        nan = np.full_like(s, np.nan)
+        cov = Covariance(
+            matrix=readonly_copy(s), chol=readonly_copy(cholesky_lower(s)), sqrt=nan, inv_sqrt=nan
+        )
+        for b in rng.standard_normal((4, n)):
+            y = solve_triangular(cov.chol, b, lower=True)
+            x = solve_triangular(cov.chol.T, y, lower=False)
+            assert cov.solve(b).tobytes() == x.tobytes()
+            assert np.float64(cov.quad_form_inv(b)).tobytes() == np.float64(y @ y).tobytes()
 
     def test_identity_inverse_is_exact_and_readonly(self):
         cov = identity_covariance(5)
