@@ -475,7 +475,7 @@ class LinearImage(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         p = _as_points(pts, self.dim)
-        return self.base.contains_batch(p @ self.inverse.T)
+        return self.base.contains_batch(_inner_products(p, self.inverse.T))
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)

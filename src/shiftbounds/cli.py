@@ -19,37 +19,20 @@ import sys
 import time
 
 from . import __version__
-from .bounds import BoundReport, power_envelope, ratio_bounds_grid
+from .bounds import power_envelope, ratio_bounds_grid
 from .config import RunConfig, encode_report, jsonable, parse_run_config
 from .errors import ConfigError, ShiftBoundsError
 from .mc import CHUNK_SIZE, power_envelope_plan, run_plans
 from .suites import SUITES
 
 
-def _bound_record(report: BoundReport) -> dict:
-    return {
-        "provenance": "analytic",
-        "t": report.t,
-        "lower": report.lower,
-        "upper": report.upper,
-        "exponent_a": report.exponent_a,
-        "exactness": "exact" if report.exponent_exact else "upper_bound",
-        "mahalanobis": report.mahalanobis,
-    }
-
-
-def _mc_record(est, kind: str) -> dict:
-    return {
-        "provenance": "monte_carlo",
-        "kind": kind,
-        "value": est.value,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "hits": est.hits,
-        "seed": est.seed,
-        "substream": est.substream,
-        "chunk_size": CHUNK_SIZE,
-    }
+def _record(provenance: str, result, **extra) -> dict:
+    """A report record: `result`'s own fields, its `exponent_exact` written
+    as the `exactness` label, then `provenance` and `extra`."""
+    record = {"provenance": provenance, **vars(result), **extra}
+    if "exponent_exact" in record:
+        record["exactness"] = "exact" if record.pop("exponent_exact") else "upper_bound"
+    return record
 
 
 def _require(cfg: RunConfig, command: str, *fields: str) -> None:
@@ -74,7 +57,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
         raise ConfigError("body: bounds needs a body or layers")
     target = cfg.layers if cfg.layers is not None else cfg.body
     reports = ratio_bounds_grid(cfg.cov, target, cfg.u, cfg.t_grid)
-    return _envelope("bounds", cfg, [_bound_record(r) for r in reports]), 0
+    return _envelope("bounds", cfg, [_record("analytic", r) for r in reports]), 0
 
 
 def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
@@ -102,36 +85,19 @@ def cmd_power(cfg: RunConfig) -> tuple[dict, int]:
                 f"alpha: estimated size {alpha!r} is degenerate; "
                 "the body has all or none of the mass"
             )
-        records.append(_mc_record(size, "alpha_estimate"))
+        records.append(_record("monte_carlo", size, kind="alpha_estimate", chunk_size=CHUNK_SIZE))
     pending = iter(verdicts)
     for bound in bound_reports:
-        report = power_envelope(bound, alpha)
-        records.append(
-            {
-                "provenance": "analytic",
-                "theta": report.theta,
-                "alpha": report.alpha,
-                "beta_lower": report.beta_lower,
-                "beta_upper": report.beta_upper,
-                "exponent_a": report.exponent_a,
-                "exactness": "exact" if report.exponent_exact else "upper_bound",
-            }
-        )
+        records.append(_record("analytic", power_envelope(bound, alpha)))
         if cfg.mc is not None and bound.t > 0.0:
+            # The beta_estimate row, then the verdict's scalars.
             verdict = next(pending)
-            record = _mc_record(verdict.beta_estimate, "power_estimate")
-            record.update(
-                {
-                    "theta": bound.t,
-                    "alpha_estimate": verdict.alpha_estimate.value,
-                    "beta_lower": verdict.beta_lower,
-                    "beta_upper": verdict.beta_upper,
-                    "lower_z": verdict.lower_z,
-                    "upper_z": verdict.upper_z,
-                    "passed": verdict.passed,
-                }
+            scalars = {**vars(verdict), "alpha_estimate": verdict.alpha_estimate.value}
+            del scalars["beta_estimate"]
+            records.append(
+                _record("monte_carlo", verdict.beta_estimate,
+                        kind="power_estimate", chunk_size=CHUNK_SIZE, **scalars)
             )
-            records.append(record)
     return _envelope("power", cfg, records), 0
 
 

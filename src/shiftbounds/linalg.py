@@ -45,31 +45,30 @@ def check_dim(dim: object, what: str) -> None:
         raise ShapeError(f"{what} dim must be an int in [1, {MAX_DIM}], got {dim!r}")
 
 
-def _as_square_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
+def _symmetric_matrix(matrix: np.ndarray) -> np.ndarray:
+    """A covariance as a finite, square, symmetrized float matrix.
+
+    Entries near the float limit overflow m - m.T and m + m.T.  An inf
+    asymmetry is refused as one; where m + m.T overflows, the halves are
+    added instead, which cannot overflow, and every other entry keeps the
+    bits of 0.5 * (m + m.T).
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{what} must be a square matrix, got shape {m.shape}")
+        raise ShapeError(f"covariance must be a square matrix, got shape {m.shape}")
     n = m.shape[0]
     if n < 1:
-        raise ShapeError(f"{what} must have dimension >= 1")
+        raise ShapeError("covariance must have dimension >= 1")
     if n > MAX_DIM:
-        raise ShapeError(f"{what} dimension {n} exceeds MAX_DIM = {MAX_DIM}")
+        raise ShapeError(f"covariance dimension {n} exceeds MAX_DIM = {MAX_DIM}")
     if not np.all(np.isfinite(m)):
-        raise ShapeError(f"{what} contains non-finite entries")
-    return m
-
-
-def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    # m is finite (see _as_square_matrix), but entries near the float limit
-    # overflow m - m.T and m + m.T.  An inf asymmetry is refused as one;
-    # where m + m.T overflows, the halves are added instead, which cannot
-    # overflow, and every other entry keeps the bits of 0.5 * (m + m.T).
+        raise ShapeError("covariance contains non-finite entries")
     with np.errstate(over="ignore"):
         scale = float(np.max(np.abs(m)))
         asym = float(np.max(np.abs(m - m.T)))
         if asym > SYMMETRY_RTOL * scale:
             raise ShapeError(
-                f"{what} is not symmetric (max asymmetry {asym:.3e} "
+                f"covariance is not symmetric (max asymmetry {asym:.3e} "
                 f"vs scale {scale:.3e})"
             )
         sym = 0.5 * (m + m.T)
@@ -80,24 +79,20 @@ def _sign(x: float) -> float:
     return 1.0 if x >= 0.0 else -1.0
 
 
-def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a finite symmetric float matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, eigenvectors as columns) with
     S @ V = V @ diag(w) and V orthonormal to ~1e-14 * ||S||.  Raises
     NumericError if the off-diagonal norm has not collapsed after the
     sweep cap (does not happen for symmetric input at these sizes).
     """
-    s = _require_symmetric(_as_square_matrix(matrix, "sym_eigen input"), "sym_eigen input")
     n = s.shape[0]
     # Rotations are scale-free: sweep at unit scale, where the norms below
     # neither over- nor underflow, and scale the eigenvalues back.
     a, k = unit_scale(s)
     v = np.eye(n)
     frob = float(np.linalg.norm(a))
-    if n == 1 or frob == 0.0:
-        order = np.argsort(np.diag(s))
-        return np.diag(s)[order].copy(), v[:, order].copy()
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
         if off <= _JACOBI_TOL * frob:
@@ -132,14 +127,13 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order].copy()
 
 
-def cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Unblocked lower Cholesky factor of a symmetric positive definite matrix.
+def cholesky_lower(s: np.ndarray) -> np.ndarray:
+    """Unblocked lower Cholesky factor of a symmetric positive definite float matrix.
 
     The pivot must exceed n * eps * max(diag); anything at or below that
     floor raises DefinitenessError (covers indefinite and numerically
     singular input in one test).
     """
-    s = _require_symmetric(_as_square_matrix(matrix, "cholesky input"), "cholesky input")
     n = s.shape[0]
     max_diag = float(np.max(np.diag(s))) if n else 0.0
     pivot_floor = n * np.finfo(float).eps * max(max_diag, 0.0)
@@ -264,7 +258,7 @@ def build_covariance(matrix: np.ndarray) -> Covariance:
     (eigenvalue ratio below 1e-10, or a failed Cholesky pivot) with
     DefinitenessError.
     """
-    s = _require_symmetric(_as_square_matrix(matrix, "covariance"), "covariance")
+    s = _symmetric_matrix(matrix)
     chol = cholesky_lower(s)
     w, v = sym_eigen(s)
     w_min = float(w[0])

@@ -432,6 +432,21 @@ class TestLinearImage:
         # Below the range edge it keeps the unscaled value.
         assert image.support(np.array([1e307, 0.0])).value == 4e307
 
+    @pytest.mark.filterwarnings("error")
+    def test_membership_where_the_image_point_overflows(self):
+        # p @ inverse.T reads (6e308, 0): +inf, outside the slab, and no
+        # overflow warning.  In range the product keeps its verdict.
+        image = LinearImage(Slab(Direction.axis(2), 1.0), np.diag([0.25, 1.0]))
+        assert not image.contains(np.array([1.5e308, 0.0]))
+        assert image.contains(np.array([0.25, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_bounded_base_refuses_an_image_point_past_the_range(self):
+        # The image point (0.5, 1e310) lies outside the unit l2 ball.
+        image = LinearImage(LpBall(dim=2, p=2.0, radius=1.0), np.diag([1.0, 1e-10]))
+        assert not image.contains(np.array([0.5, 1e300]))
+        assert image.contains(np.array([0.5, 1e-11]))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             LinearImage(base=LpBall(dim=2, p=2.0, radius=1.0), matrix=np.eye(3))

@@ -1,5 +1,6 @@
 """Config parsing, report serialization, and end-to-end CLI runs."""
 
+import csv
 import json
 import math
 import os
@@ -621,6 +622,31 @@ class TestCliPower:
         assert verdict["passed"] is True
         assert verdict["beta_lower"] <= verdict["value"] + 4.0 * verdict["stderr"]
 
+    def test_csv_holds_one_envelope_row_per_theta(self, tmp_path):
+        # The size and verdict rows have no alpha, so the extract skips them.
+        code, report, csv_text = run_cli(
+            tmp_path,
+            "power",
+            {
+                "dim": 2,
+                "u": [1.0, 0.0],
+                "body": {"kind": "lp_ball", "dim": 2, "p": 2.0, "radius": 2.0},
+                "theta_grid": [0.0, 1.0, 2.0],
+                "mc": {"samples": 20000, "seed": 3},
+            },
+            csv=True,
+        )
+        assert code == 0
+        kinds = [r.get("kind") for r in report["records"]]
+        assert kinds.count("alpha_estimate") == 1 and kinds.count("power_estimate") == 2
+        header, *rows = csv.reader(csv_text.splitlines())
+        assert header == ["theta", "alpha", "beta_lower", "beta_upper"]
+        envelopes = [r for r in report["records"] if r["provenance"] == "analytic"]
+        assert [r["theta"] for r in envelopes] == [0.0, 1.0, 2.0]
+        assert rows == [[repr(r[column]) for column in header] for r in envelopes]
+        size = next(r for r in report["records"] if r.get("kind") == "alpha_estimate")
+        assert {row[1] for row in rows} == {repr(size["value"])}
+
     @pytest.mark.parametrize("name", sorted(PINNED_POWER))
     def test_records_are_pinned(self, tmp_path, name):
         # Shortest-repr floats round-trip, so list equality is bit-exact.
@@ -652,6 +678,21 @@ class TestCliSupport:
         code, report, _ = run_cli(tmp_path, "support", PINNED_SUPPORT[name]["config"])
         assert code == 0
         assert report["records"] == PINNED_SUPPORT[name]["records"]
+
+    def test_csv_writes_each_direction_as_a_json_list(self, tmp_path):
+        code, report, csv_text = run_cli(
+            tmp_path,
+            "support",
+            {"dim": 2, "body": SLAB_E2, "directions": [[0.0, 2.0], [1.0, 0.0]]},
+            csv=True,
+        )
+        assert code == 0
+        assert [r["value"] for r in report["records"]] == [2.0, "inf"]
+        assert csv_text.splitlines() == [
+            "direction,value,exactness",
+            '"[0.0, 2.0]",2.0,exact',
+            '"[1.0, 0.0]",inf,exact',
+        ]
 
     def test_h_polytope_direction_is_solved_once(self, tmp_path, monkeypatch):
         # One LP gives each direction's value and its vertex.

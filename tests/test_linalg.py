@@ -18,12 +18,41 @@ from shiftbounds import (
     mahalanobis_norm,
     ratio_bounds_grid,
 )
-from shiftbounds.linalg import MAX_DIM, cholesky_lower, readonly_copy, sym_eigen
+from shiftbounds.linalg import (
+    MAX_DIM, _symmetric_matrix, cholesky_lower, readonly_copy, sym_eigen,
+)
 
 
 def random_spd(rng, n, ridge=0.1):
     a = rng.standard_normal((n, n))
     return a.T @ a + ridge * np.eye(n)
+
+
+class TestSymmetricMatrix:
+    """The one validator build_covariance runs before factorizing."""
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ShapeError):
+            _symmetric_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ShapeError):
+            _symmetric_matrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [([[1.0, 1e308], [1e308, 1.0]], [-1e308, 1e308]),
+         ([[1e308, 0.0], [0.0, 1.0]], [1.0, 1e308])],
+        ids=["off-diagonal", "diagonal"],
+    )
+    def test_symmetrizes_where_the_sum_overflows(self, m, want):
+        # m + m.T overflows to inf here, and these matrices were refused as
+        # non-finite; the halves are added instead, so they keep their entries.
+        s = _symmetric_matrix(np.array(m))
+        np.testing.assert_array_equal(s, m)
+        w, v = sym_eigen(s)
+        np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(np.array(m) @ v, v * w, rtol=0.0, atol=1e-15 * 1e308)
 
 
 class TestSymEigen:
@@ -51,27 +80,6 @@ class TestSymEigen:
         w, v = sym_eigen(np.diag([3.0, -1.0, 2.0]))
         np.testing.assert_allclose(w, [-1.0, 2.0, 3.0])
         np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ShapeError):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeError):
-            sym_eigen(np.ones((2, 3)))
-
-    @pytest.mark.parametrize(
-        "m, want",
-        [([[1.0, 1e308], [1e308, 1.0]], [-1e308, 1e308]),
-         ([[1e308, 0.0], [0.0, 1.0]], [1.0, 1e308])],
-        ids=["off-diagonal", "diagonal"],
-    )
-    def test_symmetrizes_where_the_sum_overflows(self, m, want):
-        # m + m.T overflows to inf here, and these matrices were refused as
-        # non-finite; the halves are added instead, so they keep their entries.
-        w, v = sym_eigen(np.array(m))
-        np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(np.array(m) @ v, v * w, rtol=0.0, atol=1e-15 * 1e308)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e155, 1e300])
     def test_eigenpairs_at_the_edges_of_the_double_range(self, scale):

@@ -68,6 +68,21 @@ def test_determinism_names_the_piece_window():
     geometry = f"{mc._piece_rows(2):,} rows at d = 2, {mc._piece_rows(6):,} at d = 6"
     assert geometry in text
     assert f"`mc.PIECES_PER_WORKER` = {mc.PIECES_PER_WORKER} pieces per worker" in text
+    assert f"tiled over {mc.SHIFT_TILE_ROWS} rows (`mc.SHIFT_TILE_ROWS`)" in text
+    assert f"`mc.DERIVATIVE_STEP` = {mc.DERIVATIVE_STEP}," in text
+
+
+def test_every_named_attribute_resolves():
+    # Each `mc.<name>` and `<Class>.<method>` the README names is an
+    # attribute of the package; mc.samples and mc.seed are config fields.
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"`(mc|[A-Z]\w*)\.(\w+)`", text)) - {("mc", "samples"), ("mc", "seed")}
+    assert {("mc", "run_plans"), ("LayeredUnimodal", "weigh")} <= named
+    missing = [
+        f"{owner}.{name}" for owner, name in sorted(named)
+        if not hasattr(getattr(shiftbounds, owner, None), name)
+    ]
+    assert missing == []
 
 
 def test_module_map_names_every_module_once():
