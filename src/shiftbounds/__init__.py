@@ -83,7 +83,7 @@ from .mc import (
     verify_sandwich,
 )
 from .oracles import adaptive_simpson, chi_square_cdf, oracle_ball, oracle_balls, oracle_slab
-from .suites import SUITES, CheckResult, sandwich_battery
+from .suites import SUITES, CheckResult
 
 __version__ = "0.1.0"
 
@@ -142,7 +142,6 @@ __all__ = [
     "ratio_bounds_layered",
     "ratio_bounds_set",
     "regularized_gamma_p",
-    "sandwich_battery",
     "shift_exponent",
     "shift_ratio",
     "slab_decay_slack",

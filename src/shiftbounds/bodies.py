@@ -475,7 +475,18 @@ class LinearImage(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         p = _as_points(pts, self.dim)
-        return self.base.contains_batch(_inner_products(p, self.inverse.T))
+        image = _inner_products(p, self.inverse.T)
+        mask = self.base.contains_batch(image)
+        if isinstance(self.base, (Slab, HPolytope)) and not math.isfinite(np.sum(image)):
+            # A finite row whose image overflows: the base's own products read
+            # inf * 0 = NaN, so its normals pulled back through L^-1 decide.
+            far = ~np.all(np.isfinite(image), axis=1) & np.all(np.isfinite(p), axis=1)
+            if isinstance(self.base, Slab):
+                normals, offsets = self.base.normal.entries[None, :], self.base.halfwidth
+            else:
+                normals, offsets = self.base.normals, self.base.offsets
+            mask[far] = _all_columns(_inner_products(p[far], (normals @ self.inverse).T), offsets)
+        return mask
 
     def support(self, v: np.ndarray) -> SupportValue:
         w = _as_direction_vector(v, self.dim)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 
@@ -109,17 +108,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     # Only the sandwich suite takes a fault scale, and only when one is asked for.
     fault = {} if cfg.fault_upper_scale == 1.0 else {"upper_scale": cfg.fault_upper_scale}
     results = suite_fn(samples=samples, seed=seed, **fault)
-    records = [
-        {
-            "provenance": r.provenance,
-            "suite": cfg.suite,
-            "check": r.name,
-            "passed": r.passed,
-            "statistic": r.statistic,
-            "details": r.details,
-        }
-        for r in results
-    ]
+    records = [_record(r.provenance, r, suite=cfg.suite) for r in results]
     all_passed = all(r.passed for r in results)
     return _envelope("verify", cfg, records), 0 if all_passed else 1
 

@@ -155,7 +155,8 @@ def regularized_gamma_p(shape: float, x: float) -> float:
     Series expansion for x < shape + 1, Lentz continued fraction for the
     upper function otherwise; both iterate to relative tolerance 1e-16
     with a hard cap, and either route raises NumericError on hitting the
-    cap (never silently returns a stale iterate).
+    cap (never silently returns a stale iterate), as the fraction does
+    where x + 1 - shape rounds to 0 (shape >= 2^53).
     """
     if math.isnan(shape) or shape <= 0.0 or math.isinf(shape):
         raise DomainError(f"gamma shape must be finite and > 0, got {shape!r}")
@@ -168,6 +169,9 @@ def regularized_gamma_p(shape: float, x: float) -> float:
     # Common prefactor x^shape e^{-x} / Gamma(shape), formed in log space.
     log_pref = shape * math.log(x) - x - math.lgamma(shape)
     pref = math.exp(log_pref)
+    if pref == 0.0:
+        # What either route converges to once its prefactor underflows.
+        return 0.0 if x < shape + 1.0 else 1.0
     if x < shape + 1.0:
         # P(s, x) = pref * sum_{k>=0} x^k / (s (s+1) ... (s+k)).
         term = 1.0 / shape
@@ -184,6 +188,8 @@ def regularized_gamma_p(shape: float, x: float) -> float:
         )
     # Q(s, x) = pref * continued fraction (modified Lentz).
     b = x + 1.0 - shape
+    if b == 0.0:
+        raise NumericError(f"incomplete gamma: x + 1 - shape rounds to 0 (shape={shape}, x={x})")
     c = 1.0 / _GAMMA_TINY
     d = 1.0 / b
     h = d

@@ -130,7 +130,8 @@ def oracle_ball(dim: int, radius: float, t: float, cdf: dict | None = None) -> f
             memo[key] = chi_square_cdf(*key)
         return std_normal_pdf(radius * math.sin(theta) + t) * memo[key] * across
 
-    return adaptive_simpson(integrand, -0.5 * math.pi, 0.5 * math.pi)
+    # Clamped: at full mass the quadrature reads up to about 2e-13 past 1.
+    return min(max(adaptive_simpson(integrand, -0.5 * math.pi, 0.5 * math.pi), 0.0), 1.0)
 
 
 def oracle_balls(cases: Iterable[tuple[int, float, float]]) -> list[float]:

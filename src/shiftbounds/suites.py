@@ -97,7 +97,7 @@ SLAB_ALPHA_A1 = 0.3173105078629141
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named verification check.
+    """One named verification check: `check` is its name.
 
     `statistic` is the check's headline number: a z-like margin for
     Monte Carlo checks (negative = violated by that many sigmas) or a
@@ -105,7 +105,7 @@ class CheckResult:
     JSON-ready.
     """
 
-    name: str
+    check: str
     passed: bool
     statistic: float
     provenance: str
@@ -113,9 +113,9 @@ class CheckResult:
 
 
 def _result(
-    name: str, passed: bool, statistic: float, provenance: str, **details: object
+    check: str, passed: bool, statistic: float, provenance: str, **details: object
 ) -> CheckResult:
-    return CheckResult(name, bool(passed), float(statistic), provenance, details)
+    return CheckResult(check, bool(passed), float(statistic), provenance, details)
 
 
 def _anchor_result(
@@ -361,17 +361,6 @@ def suite_oracles(samples: int | None = None, seed: int = 0) -> list[CheckResult
     return results
 
 
-@dataclass(frozen=True)
-class SandwichConfig:
-    """One seeded sandwich-verification configuration."""
-
-    name: str
-    cov: Covariance
-    body: ConvexBody
-    u: Direction
-    t: float
-
-
 def _random_spd(rng: np.random.Generator, n: int) -> Covariance:
     a = rng.standard_normal((n, n))
     return build_covariance(a @ a.T + 0.5 * np.eye(n))
@@ -411,51 +400,32 @@ def _battery_body(
     raise DomainError(f"unknown battery body kind {kind!r}")
 
 
-def sandwich_battery(seed: int = 0) -> list[SandwichConfig]:
-    """The 20 seeded configurations of the sandwich acceptance battery.
-
-    Cycles dimension {2,4,6} x covariance {identity, random SPD} x the
-    six body families x shift {0.5, 1.5}; body sizes scale with the
-    covariance spread so every configuration keeps comfortable mass.
-    """
-    rng = np.random.default_rng(seed)
-    dims = (2, 4, 6)
-    kinds = ("l1", "l2", "linf", "ellipsoid", "h_polytope", "intersection")
-    configs = []
-    for i in range(20):
-        n = dims[i % 3]
-        random_sigma = i % 2 == 1
-        kind = kinds[i % 6]
-        t = (0.5, 1.5)[(i // 2) % 2]
-        cov = _random_spd(rng, n) if random_sigma else identity_covariance(n)
-        u = Direction.from_vector(rng.standard_normal(n))
-        body = _battery_body(kind, n, cov, rng)
-        sigma_tag = "rnd" if random_sigma else "eye"
-        configs.append(
-            SandwichConfig(
-                name=f"sandwich_{i:02d}_{kind}_n{n}_{sigma_tag}_t{t}",
-                cov=cov,
-                body=body,
-                u=u,
-                t=t,
-            )
-        )
-    return configs
-
-
 def suite_sandwich(
     samples: int | None = None, seed: int = 0, upper_scale: float = 1.0
 ) -> list[CheckResult]:
-    """The 20-configuration battery plus the extremal equality cases."""
+    """The 20-configuration battery plus the extremal equality cases.
+
+    The battery cycles dimension {2,4,6} x covariance {identity, random
+    SPD} x the six body families x shift {0.5, 1.5}; body sizes scale
+    with the covariance spread so every configuration keeps comfortable
+    mass.
+    """
     count = samples if samples is not None else 1_000_000
-    battery = sandwich_battery(seed)
-    plans = [
-        sandwich_plan(
-            cfg.cov, cfg.body, cfg.u, cfg.t, count, seed * SEED_STRIDE + i,
-            upper_scale=upper_scale,
-        )
-        for i, cfg in enumerate(battery)
-    ]
+    rng = np.random.default_rng(seed)
+    kinds = ("l1", "l2", "linf", "ellipsoid", "h_polytope", "intersection")
+    battery = []
+    plans = []
+    for i in range(20):
+        n = (2, 4, 6)[i % 3]
+        kind = kinds[i % 6]
+        t = (0.5, 1.5)[(i // 2) % 2]
+        cov = _random_spd(rng, n) if i % 2 == 1 else identity_covariance(n)
+        u = Direction.from_vector(rng.standard_normal(n))
+        body = _battery_body(kind, n, cov, rng)
+        battery.append((f"sandwich_{i:02d}_{kind}_n{n}_{('eye', 'rnd')[i % 2]}_t{t}", t))
+        plans.append(sandwich_plan(
+            cov, body, u, t, count, seed * SEED_STRIDE + i, upper_scale=upper_scale
+        ))
     # Equality cases, on extremal slabs.
     rng = np.random.default_rng(seed + 29)
     for j, make_cov in enumerate((lambda: identity_covariance(3), lambda: _random_spd(rng, 3))):
@@ -468,14 +438,14 @@ def suite_sandwich(
 
     verdicts = run_plans(plans)
     results = []
-    for cfg, verdict in zip(battery, verdicts[: len(battery)], strict=True):
+    for (name, t), verdict in zip(battery, verdicts[: len(battery)], strict=True):
         worst_z = min(verdict.lower_z, verdict.upper_z)
         results.append(_result(
-            cfg.name, verdict.passed, worst_z, "monte_carlo",
+            name, verdict.passed, worst_z, "monte_carlo",
             ratio=verdict.ratio, ratio_stderr=verdict.ratio_stderr,
             lower=verdict.bounds.lower, upper=verdict.bounds.upper,
             lower_z=verdict.lower_z, upper_z=verdict.upper_z,
-            violation_sigmas=max(0.0, -worst_z), samples=count, t=cfg.t,
+            violation_sigmas=max(0.0, -worst_z), samples=count, t=t,
         ))
     # The extremal slab must sit on the upper bound, so |upper_z| stays
     # within the threshold (two-sided).

@@ -46,7 +46,7 @@ def run_suite(suite_fn, budget_seconds: float):
     started = time.perf_counter()
     results = suite_fn(seed=0)
     elapsed = time.perf_counter() - started
-    failed = [r.name for r in results if not r.passed]
+    failed = [r.check for r in results if not r.passed]
     return results, failed, elapsed, elapsed <= budget_seconds
 
 
@@ -125,7 +125,7 @@ class TestAcceptance:
     def test_criterion_05_ball_oracle_cross_check(self):
         closed_form_gap = abs(oracle_ball(2, 2.0, 0.0) - (1.0 - math.exp(-2.0)))
         results, failed, elapsed, in_budget = run_suite(suite_oracles, 120.0)
-        mc = [r for r in results if r.name.startswith("oracle_ball_mc_")]
+        mc = [r for r in results if r.check.startswith("oracle_ball_mc_")]
         worst_z = max(abs(r.statistic) for r in mc)
         report(
             5,
@@ -149,7 +149,7 @@ class TestAcceptance:
 
     def test_criterion_07_conditional_center_ceiling(self):
         results, failed, elapsed, in_budget = run_suite(suite_conditional, 60.0)
-        pairs = [r for r in results if r.name != "conditional_log_derivative_link"]
+        pairs = [r for r in results if r.check != "conditional_log_derivative_link"]
         min_hits = min(r.details["hits"] for r in pairs)
         report(
             7,
@@ -161,7 +161,7 @@ class TestAcceptance:
 
     def test_criterion_08_power_envelope(self):
         results, failed, elapsed, in_budget = run_suite(suite_power, 30.0)
-        chain = next(r for r in results if r.name == "power_envelope_chain")
+        chain = next(r for r in results if r.check == "power_envelope_chain")
         report(
             8,
             "power estimates inside the analytic envelope",

@@ -447,6 +447,22 @@ class TestLinearImage:
         assert not image.contains(np.array([0.5, 1e300]))
         assert image.contains(np.array([0.5, 1e-11]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "base",
+        [Slab(Direction.axis(2), 1.0), HPolytope(normals=[[1.0, 0.0]], offsets=[1.0])],
+        ids=["slab", "h_polytope"],
+    )
+    def test_unbounded_base_decides_an_image_point_past_the_range(self, base):
+        # The image point (0.5, 1e310) lies in the base, (1.5, 1e310) does
+        # not: the normal (1, 0) pulled back through L^-1 reads 0.5 and 1.5
+        # where the image's own product reads inf * 0 = NaN.
+        image = LinearImage(base, np.diag([1.0, 1e-10]))
+        assert image.contains(np.array([0.5, 1e300]))
+        assert not image.contains(np.array([1.5, 1e300]))
+        got = image.contains_batch(np.array([[0.5, 1e300], [1.5, 1e300], [0.5, 1e9]]))
+        assert got.tolist() == [True, False, True]
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             LinearImage(base=LpBall(dim=2, p=2.0, radius=1.0), matrix=np.eye(3))

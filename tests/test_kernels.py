@@ -13,6 +13,7 @@ import scipy.special
 
 from shiftbounds import (
     DomainError,
+    NumericError,
     regularized_gamma_p,
     shift_ratio,
     slab_decay_slack,
@@ -252,6 +253,23 @@ class TestRegularizedGammaP:
         values = [regularized_gamma_p(3.0, float(x)) for x in np.linspace(0.0, 30.0, 100)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_prefactor_gives_the_converged_limit(self):
+        # x^s e^-x / Gamma(s) reads 0.0 here: the series would sum to 0 and
+        # the fraction to 1, but the fraction never met its test once
+        # b + 2 == b.
+        assert regularized_gamma_p(1.5, 5e307) == 1.0
+        assert regularized_gamma_p(1.0, 1.3529362544023878e17) == 1.0
+        assert regularized_gamma_p(2.0**53, 1e300) == 1.0
+        assert regularized_gamma_p(1e300, 1.0) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_fraction_that_cannot_start_is_refused(self):
+        # shape + 1 rounds to shape, so x + 1 - shape is 0.0: a typed
+        # refusal, not a ZeroDivisionError.
+        with pytest.raises(NumericError):
+            regularized_gamma_p(2.0**53, 2.0**53)
 
     @pytest.mark.parametrize(
         "shape,x", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, -0.5), (1.0, math.nan)]

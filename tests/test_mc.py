@@ -1194,7 +1194,7 @@ def _run_suite(suite: str) -> list:
 
 
 def _failed_checks(suite: str) -> list[str]:
-    return sorted(r.name for r in _run_suite(suite) if not r.passed)
+    return sorted(r.check for r in _run_suite(suite) if not r.passed)
 
 
 def test_suite_oracles_builds_one_identity_per_dimension(monkeypatch):
@@ -1237,6 +1237,6 @@ class TestSuiteFaultProbes:
         monkeypatch.setattr(mc, "ratio_bounds_grid", lower_at_upper)
         results = _run_suite("sandwich")
         assert all(r.details["lower_z"] == -r.details["upper_z"] for r in results)
-        roomy = sorted(r.name for r in results if r.details["upper_z"] > mc.Z_THRESHOLD)
-        assert sorted(r.name for r in results if not r.passed) == roomy
+        roomy = sorted(r.check for r in results if r.details["upper_z"] > mc.Z_THRESHOLD)
+        assert sorted(r.check for r in results if not r.passed) == roomy
         assert len(roomy) >= len(results) // 2

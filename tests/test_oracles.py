@@ -14,8 +14,10 @@ import pytest
 import scipy.stats
 
 from shiftbounds import (
-    DomainError, NumericError, oracle_ball, oracle_balls, oracle_slab, oracles,
+    Direction, DomainError, LpBall, NumericError, estimate_shift_prob, identity_covariance,
+    oracle_ball, oracle_balls, oracle_slab, oracles,
 )
+from shiftbounds.mc import score_agreement
 from shiftbounds.kernels import std_normal_pdf
 from shiftbounds.oracles import adaptive_simpson, chi_square_cdf
 
@@ -86,6 +88,11 @@ class TestChiSquareCdf:
         assert chi_square_cdf(2, 0.0) == 0.0
         assert chi_square_cdf(2, -1.0) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_argument_reads_one(self):
+        assert chi_square_cdf(3, 1e308) == 1.0
+        assert chi_square_cdf(2, 2.7058725088047757e17) == 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             chi_square_cdf(0, 1.0)
@@ -127,6 +134,20 @@ class TestOracleBall:
                     -0.5 * math.pi, 0.5 * math.pi,
                 )
                 assert got == pytest.approx(oracle_slab(radius, t), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    def test_full_mass_never_exceeds_one(self, dim):
+        # The quadrature read 1.0000000000002087 here.
+        assert oracle_ball(dim, 10.0, 0.0) == 1.0
+
+    def test_all_hit_estimate_agrees_with_full_mass(self):
+        # An exact all-hit estimate (value 1, stderr 0) must agree with the
+        # oracle, not score -inf against a mass past 1.
+        est = estimate_shift_prob(
+            identity_covariance(3), LpBall(3, 2.0, 10.0), Direction.axis(3), 0.0, 1000, 0
+        )
+        assert (est.value, est.stderr) == (1.0, 0.0)
+        assert score_agreement(est, oracle_ball(3, 10.0, 0.0)) == (0.0, True)
 
     def test_far_tail_keeps_relative_accuracy(self):
         # Mass ~3.4e-20: the minimum refinement depth must force the
